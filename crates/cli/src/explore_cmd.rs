@@ -16,6 +16,8 @@
 //! OUTPUT:
 //!   --csv | --json print machine-readable results instead of the summary
 //!   --out FILE     write the chosen format to FILE as well
+//!   (wall time and evaluator-kernel counters go to stderr, never into
+//!   the report, whose bytes are identical for any thread split)
 //!
 //! CERTIFICATION:
 //!   incumbents are exact-certified by default (and demoted down the
@@ -31,8 +33,10 @@ use ftes::explore::{
     SuiteConfig, SuiteOutcome, VerifyConfig, VerifyOutcome,
 };
 use ftes::model::Time;
+use ftes::sched::EvaluatorStats;
 use ftes_jobs::{drive_suite, JobInterrupt};
 use std::sync::atomic::AtomicBool;
+use std::time::{Duration, Instant};
 
 /// Output format of the subcommand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -183,7 +187,9 @@ impl ExploreCommand {
         // requested): one code path computes every explore report.
         let never_cancelled = AtomicBool::new(false);
         self.trace.begin();
+        let started = Instant::now();
         let outcome = drive_suite(&self.suite, 0, &never_cancelled, |_, _| {});
+        let wall = started.elapsed();
         // Drain even a failed run's events — partial traces are exactly
         // what diagnoses the failure (stderr + side files only, so the
         // stdout report contract is untouched).
@@ -194,6 +200,7 @@ impl ExploreCommand {
                 unreachable!("the CLI never sets the cancel flag")
             }
         })?;
+        eprintln!("{}", kernel_line(&outcome, wall));
         let rendered = match self.format {
             ExploreFormat::Summary => summarize(&outcome),
             ExploreFormat::Csv => suite_to_csv(&outcome),
@@ -207,13 +214,31 @@ impl ExploreCommand {
     }
 }
 
+/// The stderr diagnostics line: the run's wall time and evaluator-kernel
+/// work. Both depend on the host and the thread split, so they stay out
+/// of every rendered report.
+fn kernel_line(outcome: &SuiteOutcome, wall: Duration) -> String {
+    let evals = outcome.points.iter().fold(EvaluatorStats::default(), |a, p| a.merged(p.evals));
+    let secs = wall.as_secs_f64();
+    let rate = if secs > 0.0 { evals.evaluations() as f64 / secs } else { 0.0 };
+    format!(
+        "explore: {} points in {} ms; {} kernel evaluations from {} evaluators \
+         ({} reused, {rate:.0} evals/s)",
+        outcome.points.len(),
+        wall.as_millis(),
+        evals.evaluations(),
+        evals.constructions,
+        evals.reused(),
+    )
+}
+
 /// The human-readable per-point table.
 fn summarize(outcome: &SuiteOutcome) -> String {
     use std::fmt::Write;
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<12} {:>6} {:>6} {:>10} {:>10} {:>8} {:>7} {:>9} {:>8} {:>9} {:>9} {:>8} {:>8}",
+        "{:<12} {:>6} {:>6} {:>10} {:>10} {:>8} {:>7} {:>9} {:>9} {:>9} {:>8}",
         "point",
         "nodes",
         "k",
@@ -222,11 +247,9 @@ fn summarize(outcome: &SuiteOutcome) -> String {
         "slack%",
         "pareto",
         "cache-hit",
-        "evals/s",
         "certified",
         "exact",
         "verified",
-        "ms"
     );
     for p in &outcome.points {
         let verified = match p.verified {
@@ -251,7 +274,7 @@ fn summarize(outcome: &SuiteOutcome) -> String {
             p.certified.exact_len().map_or_else(|| "-".to_string(), |t| t.units().to_string());
         let _ = writeln!(
             out,
-            "{:<12} {:>6} {:>6} {:>10} {:>10} {:>8.1} {:>7} {:>8.0}% {:>8.0} {:>9} {:>9} {:>8} {:>8} {}",
+            "{:<12} {:>6} {:>6} {:>10} {:>10} {:>8.1} {:>7} {:>8.0}% {:>9} {:>9} {:>8} {}",
             p.point.label(),
             p.point.nodes,
             p.point.k,
@@ -260,29 +283,20 @@ fn summarize(outcome: &SuiteOutcome) -> String {
             p.slack_pct,
             p.archive.len(),
             100.0 * p.cache.hit_rate(),
-            p.evals_per_sec(),
             certified,
             exact,
             verified,
-            p.wall.as_millis(),
             if p.schedulable { "" } else { "  ** MISSES DEADLINE **" },
         );
     }
     let totals = outcome.total_cache();
-    let evals = outcome.total_evals();
     let _ = writeln!(
         out,
-        "{} points in {} ms; estimator calls {} (plus {} cache hits, {:.0}% hit rate); \
-         {} kernel evaluations from {} evaluators ({} reused, {:.0} evals/s)",
+        "{} points; estimator calls {} (plus {} cache hits, {:.0}% hit rate)",
         outcome.points.len(),
-        outcome.wall.as_millis(),
         totals.misses,
         totals.hits,
         100.0 * totals.hit_rate(),
-        evals.evaluations(),
-        evals.constructions,
-        evals.reused(),
-        outcome.evals_per_sec(),
     );
     out
 }

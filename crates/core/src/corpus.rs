@@ -31,7 +31,6 @@ use ftes_model::json::JsonWriter;
 use ftes_sched::CertificationCounters;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 /// One corpus job: a named `.ftes` document tagged with its family.
 ///
@@ -245,8 +244,6 @@ pub struct CorpusOutcome {
     pub counters: CertificationCounters,
     /// `(spec name, message)` for rows tagged [`CorpusVerdict::Error`].
     pub errors: Vec<(String, String)>,
-    /// Wall-clock time of the run.
-    pub wall: Duration,
 }
 
 /// Parses a corpus CSV document (header + rows) back into rows.
@@ -341,8 +338,6 @@ pub fn run_corpus_cancellable<F>(
 where
     F: FnMut(usize, &CorpusRow) + Send,
 {
-    // ftes-lint: allow(determinism, byte-identity) reason="wall-clock feeds the wall_ms diagnostics column, excluded from byte comparisons"
-    let started = Instant::now();
     let workers = config.workers.clamp(1, jobs.len().max(1));
 
     struct Flusher<F> {
@@ -397,7 +392,7 @@ where
         }
         rows.push(row);
     }
-    (CorpusOutcome { rows, counters, errors, wall: started.elapsed() }, cancelled)
+    (CorpusOutcome { rows, counters, errors }, cancelled)
 }
 
 /// Replaces CSV-breaking characters so even a mislabeled job's error row

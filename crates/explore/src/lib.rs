@@ -41,7 +41,9 @@
 //! trajectories never depend on thread interleaving: the cache only
 //! memoizes pure functions, archives are order-independent sets, and all
 //! cross-worker communication happens at round barriers with canonical
-//! (`StateKey`) tie-breaks.
+//! (`StateKey`) tie-breaks. The rendered reports are byte-identical for
+//! any split too: they carry no wall clocks and no evaluator-kernel work
+//! counters ([`PointOutcome::evals`] follows the thread split).
 //!
 //! ## Example
 //!

@@ -2,8 +2,9 @@
 //! for downstream tooling (including the `ftes-serve` HTTP service, which
 //! returns [`suite_to_json`] bodies verbatim). JSON goes through the shared
 //! escaping-aware writer in [`ftes_model::json`], so labels and names need
-//! no character-set convention; both formats are byte-deterministic for
-//! equal outcomes (wall-clock fields excepted).
+//! no character-set convention. Both formats render only facts of the
+//! design — no wall clocks, no evaluator-kernel work counters — so they
+//! are byte-identical for any thread split of the same suite.
 
 use crate::suite::{CertifyVerdict, SuiteOutcome, VerifyOutcome};
 use ftes_model::json::JsonWriter;
@@ -36,18 +37,16 @@ fn certified_csv(v: CertifyVerdict) -> &'static str {
 /// Renders a suite outcome as CSV (header + one row per grid point).
 pub fn suite_to_csv(outcome: &SuiteOutcome) -> String {
     let mut out = String::from(
-        // ftes-lint: allow(byte-identity) reason="wall_ms is the documented wall-clock diagnostics column, excluded from byte comparisons"
         "processes,nodes,k,seed,fault_free,worst_case,deadline,schedulable,\
          slack_pct,pareto_size,cache_hits,cache_misses,cache_hit_rate,verified,\
-         certified,exact_len,demoted,wall_ms,\
-         evaluations,evaluator_reuse,evals_per_sec,certify_hits,certify_misses\n",
+         certified,exact_len,demoted,certify_hits,certify_misses\n",
     );
     for p in &outcome.points {
         let exact_len =
             p.certified.exact_len().map_or_else(|| "-".to_string(), |t| t.units().to_string());
         writeln!(
             out,
-            "{},{},{},{},{},{},{},{},{:.2},{},{},{},{:.4},{},{},{},{},{},{},{},{:.0},{},{}",
+            "{},{},{},{},{},{},{},{},{:.2},{},{},{},{:.4},{},{},{},{},{},{}",
             p.point.processes,
             p.point.nodes,
             p.point.k,
@@ -65,10 +64,6 @@ pub fn suite_to_csv(outcome: &SuiteOutcome) -> String {
             certified_csv(p.certified),
             exact_len,
             p.demoted,
-            p.wall.as_millis(),
-            p.evals.evaluations(),
-            p.evals.reused(),
-            p.evals_per_sec(),
             p.certify_cache.hits,
             p.certify_cache.misses,
         )
@@ -146,20 +141,6 @@ pub fn suite_to_json(outcome: &SuiteOutcome) -> String {
         w.key("entries");
         w.number_usize(p.certify_cache.entries);
         w.end_object();
-        w.key("evals");
-        w.begin_object();
-        w.key("constructions");
-        w.number_u64(p.evals.constructions);
-        w.key("full");
-        w.number_u64(p.evals.full_evals);
-        w.key("delta");
-        w.number_u64(p.evals.delta_evals);
-        w.key("reused");
-        w.number_u64(p.evals.reused());
-        w.end_object();
-        // ftes-lint: allow(byte-identity) reason="wall_ms is the documented wall-clock diagnostics column, excluded from byte comparisons"
-        w.key("wall_ms");
-        w.number_u64(p.wall.as_millis() as u64);
         w.key("pareto");
         w.begin_array();
         for (i, e) in p.archive.entries().iter().enumerate() {
@@ -202,24 +183,6 @@ pub fn suite_to_json(outcome: &SuiteOutcome) -> String {
     w.key("misses");
     w.number_u64(certify_totals.misses);
     w.end_object();
-    // `evals_per_sec` stays out of the JSON deliberately: it derives from
-    // wall clocks, and the `ftes-serve` byte-identity contract wants equal
-    // outcomes to render equal bodies (wall_ms is already the one tolerated
-    // exception, at millisecond coarseness). Consumers derive the rate from
-    // `evaluations` and `wall_ms`; the CSV and CLI summary print it.
-    let evals = outcome.total_evals();
-    w.key("total_evals");
-    w.begin_object();
-    w.key("constructions");
-    w.number_u64(evals.constructions);
-    w.key("evaluations");
-    w.number_u64(evals.evaluations());
-    w.key("reused");
-    w.number_u64(evals.reused());
-    w.end_object();
-    // ftes-lint: allow(byte-identity) reason="wall_ms is the documented wall-clock diagnostics column, excluded from byte comparisons"
-    w.key("wall_ms");
-    w.number_u64(outcome.wall.as_millis() as u64);
     w.end_object();
     let mut out = w.finish();
     out.push('\n');
@@ -255,7 +218,9 @@ mod tests {
         let lines: Vec<&str> = csv.trim_end().lines().collect();
         assert_eq!(lines.len(), 2);
         assert!(lines[0].starts_with("processes,nodes,k,seed"));
-        assert!(lines[0].contains(",verified,certified,exact_len,demoted,"));
+        assert!(
+            lines[0].ends_with(",verified,certified,exact_len,demoted,certify_hits,certify_misses")
+        );
         assert!(lines[1].starts_with("8,2,1,0,"));
         assert_eq!(lines[0].split(',').count(), lines[1].split(',').count());
         // Verification and certification off: both columns render as `-`.

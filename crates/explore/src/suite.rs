@@ -24,7 +24,6 @@ use ftes_sim::verify_sampled;
 use ftes_tdma::Platform;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 /// One point of the experiment grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -208,7 +207,10 @@ pub struct PointOutcome {
     /// [`PortfolioConfig::certify_guided`] is on).
     pub certify_cache: CacheStats,
     /// Evaluator-kernel counters of the point (constructions, evaluations,
-    /// reuse across the per-thread pool).
+    /// reuse across the per-thread pool). They depend on the thread split —
+    /// constructions follow the thread count, and a prober that races a
+    /// pending cache reservation recomputes the value itself — so no report
+    /// renders them; they are in-memory diagnostics only.
     pub evals: EvaluatorStats,
     /// Exact-certification verdict of the reported incumbent.
     pub certified: CertifyVerdict,
@@ -225,20 +227,6 @@ pub struct PointOutcome {
     /// [`PointOutcome::archive`]`.entries()`: `Some(true)` certified,
     /// `Some(false)` refuted, `None` not examined (or no exact schedule).
     pub front_certified: Vec<Option<bool>>,
-    /// Wall-clock time of the point (excluded from determinism checks).
-    pub wall: Duration,
-}
-
-impl PointOutcome {
-    /// Evaluator-kernel throughput of the point: candidate evaluations per
-    /// wall-clock second (0 when the point finished too fast to time).
-    pub fn evals_per_sec(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs <= 0.0 {
-            return 0.0;
-        }
-        self.evals.evaluations() as f64 / secs
-    }
 }
 
 /// Outcome of a whole suite sweep.
@@ -246,8 +234,6 @@ impl PointOutcome {
 pub struct SuiteOutcome {
     /// Per-point outcomes, in grid order.
     pub points: Vec<PointOutcome>,
-    /// Wall-clock time of the sweep.
-    pub wall: Duration,
 }
 
 impl SuiteOutcome {
@@ -261,22 +247,8 @@ impl SuiteOutcome {
         self.points.iter().fold(CacheStats::default(), |acc, p| acc.merged(p.certify_cache))
     }
 
-    /// Aggregated evaluator-kernel counters across all points.
-    pub fn total_evals(&self) -> EvaluatorStats {
-        self.points.iter().fold(EvaluatorStats::default(), |acc, p| acc.merged(p.evals))
-    }
-
-    /// Sweep-level evaluator throughput (evaluations per second).
-    pub fn evals_per_sec(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs <= 0.0 {
-            return 0.0;
-        }
-        self.total_evals().evaluations() as f64 / secs
-    }
-
     /// Deterministic fingerprint of the whole sweep: per point, its label
-    /// plus the archive signature (wall-clock excluded by construction).
+    /// plus the archive signature.
     pub fn signature(&self) -> Vec<(String, Vec<(crate::Objectives, u64)>)> {
         self.points.iter().map(|p| (p.point.label(), p.archive.signature())).collect()
     }
@@ -315,8 +287,6 @@ pub fn run_suite_streaming<F>(
 where
     F: FnMut(usize, &PointOutcome) + Send,
 {
-    // ftes-lint: allow(determinism) reason="wall-clock feeds the wall_ms diagnostics column, excluded from byte comparisons"
-    let started = Instant::now();
     // Split the thread budget across concurrent points instead of letting
     // every point fan out at full width (point_parallelism × threads would
     // oversubscribe the machine).
@@ -373,7 +343,7 @@ where
     for slot in slots {
         points.push(slot.expect("every point ran to completion")?);
     }
-    Ok(Some(SuiteOutcome { points, wall: started.elapsed() }))
+    Ok(Some(SuiteOutcome { points }))
 }
 
 /// Bound on the certify-and-demote walk down a point's Pareto front: the
@@ -386,8 +356,6 @@ fn run_point(
     point: ScenarioPoint,
     threads: usize,
 ) -> Result<PointOutcome, ExploreError> {
-    // ftes-lint: allow(determinism) reason="wall-clock feeds the wall_ms diagnostics column, excluded from byte comparisons"
-    let started = Instant::now();
     let gen_config = GeneratorConfig::new(point.processes, point.nodes);
     let app = generate_application(&gen_config, point.seed)
         .map_err(|e| ExploreError::BadConfig(format!("workload {}: {e}", point.label())))?;
@@ -436,7 +404,6 @@ fn run_point(
         verified: walk.verified,
         demoted: walk.demoted,
         front_certified: walk.front_certified,
-        wall: started.elapsed(),
     })
 }
 
@@ -676,11 +643,10 @@ mod tests {
             // carry verdicts (the incumbent itself may sit outside the
             // archive when an objective tie broke to a different key).
             assert_eq!(p.front_certified.len(), p.archive.len());
+            assert!(p.evals.evaluations() > 0, "points must report kernel work");
+            assert!(p.evals.reused() > 0, "per-thread kernels must be reused within a point");
         }
         assert!(outcome.total_cache().misses > 0);
-        let evals = outcome.total_evals();
-        assert!(evals.evaluations() > 0, "points must report kernel work");
-        assert!(evals.reused() > 0, "per-thread kernels must be reused within a point");
     }
 
     #[test]

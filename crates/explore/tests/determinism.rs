@@ -1,8 +1,8 @@
 //! The two subsystem-level guarantees of `ftes-explore`:
 //!
 //! 1. **Determinism**: the same scenario suite + seed produces an
-//!    *identical* Pareto archive and incumbent regardless of thread count
-//!    or point parallelism.
+//!    *identical* Pareto archive and byte-identical CSV/JSON reports
+//!    regardless of thread count or point parallelism.
 //! 2. **Cache correctness**: memoized estimates agree exactly with freshly
 //!    computed ones on every state the exploration visits.
 
@@ -30,83 +30,55 @@ fn suite(point_parallelism: usize, threads: usize, seed: u64) -> SuiteConfig {
     }
 }
 
-#[test]
-fn suite_is_deterministic_across_thread_counts() {
-    let baseline = run_suite(&suite(1, 1, 17)).unwrap();
-    for (point_parallelism, threads) in [(1, 4), (3, 1), (3, 8)] {
-        let other = run_suite(&suite(point_parallelism, threads, 17)).unwrap();
-        assert_eq!(
-            baseline.signature(),
-            other.signature(),
-            "archives must not depend on parallelism (pp={point_parallelism}, t={threads})"
-        );
-        for (a, b) in baseline.points.iter().zip(&other.points) {
-            assert_eq!(a.worst_case, b.worst_case);
-            assert_eq!(a.fault_free, b.fault_free);
-            assert_eq!(a.schedulable, b.schedulable);
-            // The cache accounting is part of the deterministic report
-            // surface (CSV columns), not just the trajectories: the
-            // probe-side reservation guarantees one miss per unique key
-            // regardless of how worker probe→resolve windows interleave.
-            assert_eq!(a.cache.hits, b.cache.hits, "cache hits must not depend on parallelism");
-            assert_eq!(a.cache.misses, b.cache.misses);
-            assert_eq!(a.cache.entries, b.cache.entries);
-        }
+/// Runs `config(point_parallelism, threads)` at every split and asserts the
+/// raw `suite_to_csv`/`suite_to_json` bytes — nothing stripped — and the
+/// archive signatures (the reports do not render state hashes) equal the
+/// single-threaded baseline's. Returns the baseline.
+fn assert_split_invariant(
+    config: impl Fn(usize, usize) -> SuiteConfig,
+    splits: &[(usize, usize)],
+) -> SuiteOutcome {
+    let baseline = run_suite(&config(1, 1)).unwrap();
+    let (csv, json) = (suite_to_csv(&baseline), suite_to_json(&baseline));
+    for &(point_parallelism, threads) in splits {
+        let other = run_suite(&config(point_parallelism, threads)).unwrap();
+        let split = format!("pp={point_parallelism}, t={threads}");
+        assert_eq!(baseline.signature(), other.signature(), "archives differ at {split}");
+        assert_eq!(csv, suite_to_csv(&other), "CSV bytes differ at {split}");
+        assert_eq!(json, suite_to_json(&other), "JSON bytes differ at {split}");
     }
+    baseline
 }
 
-/// Zeroes the documented thread-dependent diagnostics — wall clocks and
-/// the evaluator-kernel work counters (constructions follow the thread
-/// split, and a prober that races a pending cache reservation recomputes
-/// the identical value itself rather than waiting, so raw kernel-work
-/// counts legitimately vary with interleaving) — so the CSV/JSON
-/// renderings below can be compared for *byte* identity, not just
-/// signature equality. The cache hit/miss counters are NOT stripped:
-/// the pending-reservation discipline pins those exactly.
-fn strip_diagnostics(outcome: &mut SuiteOutcome) {
-    outcome.wall = std::time::Duration::ZERO;
-    for p in &mut outcome.points {
-        p.wall = std::time::Duration::ZERO;
-        p.evals = Default::default();
-    }
+#[test]
+fn suite_is_deterministic_across_thread_counts() {
+    // The CSV renders the estimate-cache hits/misses: the probe-side
+    // reservation pins one miss per unique key regardless of how worker
+    // probe→resolve windows interleave.
+    assert_split_invariant(
+        |point_parallelism, threads| suite(point_parallelism, threads, 17),
+        &[(1, 2), (1, 4), (2, 2), (3, 1), (3, 8)],
+    );
 }
 
 #[test]
 fn certify_guided_suite_renders_identical_bytes_across_thread_counts() {
-    let guided = |point_parallelism: usize, threads: usize| {
-        let mut config = suite(point_parallelism, threads, 17);
-        config.points.truncate(2); // k <= 2 keeps the exact runs cheap
-        config.portfolio.certify_guided = true;
-        let mut outcome = run_suite(&config).unwrap();
-        strip_diagnostics(&mut outcome);
-        outcome
-    };
-    let baseline = guided(1, 1);
+    // The certify-guided admit-cache counters are rendered too; the same
+    // pending reservation pins them however worker certify windows
+    // interleave.
+    let baseline = assert_split_invariant(
+        |point_parallelism, threads| {
+            let mut config = suite(point_parallelism, threads, 17);
+            config.points.truncate(2); // k <= 2 keeps the exact runs cheap
+            config.portfolio.certify_guided = true;
+            config
+        },
+        &[(1, 2), (1, 4), (2, 2), (2, 8)],
+    );
     assert!(
         baseline.total_certify_cache().misses > 0,
         "the guided sweep must actually certify incumbents"
     );
-    for (point_parallelism, threads) in [(1, 4), (2, 8)] {
-        let other = guided(point_parallelism, threads);
-        // Byte identity of both report formats — this subsumes archive
-        // signatures, estimate-cache counters *and* the certify-guided
-        // admit-cache counters (rendered columns/fields): the pending
-        // reservation pins one miss per unique key regardless of how the
-        // worker certify windows interleave.
-        assert_eq!(
-            suite_to_csv(&baseline),
-            suite_to_csv(&other),
-            "guided CSV must not depend on parallelism (pp={point_parallelism}, t={threads})"
-        );
-        assert_eq!(
-            suite_to_json(&baseline),
-            suite_to_json(&other),
-            "guided JSON must not depend on parallelism (pp={point_parallelism}, t={threads})"
-        );
-        for (a, b) in baseline.points.iter().zip(&other.points) {
-            assert_eq!(a.certify_cache, b.certify_cache, "admit-cache counters must be pinned");
-        }
-    }
 }
 
 #[test]

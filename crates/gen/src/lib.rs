@@ -27,7 +27,7 @@
 
 pub mod corpus;
 
-use ftes_model::{Application, ApplicationBuilder, ModelError, ProcessSpec, Time};
+use ftes_model::{Application, ApplicationBuilder, ModelError, ProcessId, ProcessSpec, Time};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -122,11 +122,17 @@ impl GeneratorConfig {
 /// # Errors
 ///
 /// Propagates [`ModelError`] from application validation (only reachable
-/// with degenerate configurations, e.g. `process_count == 0`).
+/// with degenerate configurations, e.g. `process_count == 0`). With
+/// `node_count == 0` no process has a node to run on, reported as
+/// [`ModelError::NoFeasibleNode`] for the first process — the spec
+/// parser's error for the same input.
 pub fn generate_application(
     config: &GeneratorConfig,
     seed: u64,
 ) -> Result<Application, ModelError> {
+    if config.node_count == 0 {
+        return Err(ModelError::NoFeasibleNode(ProcessId::new(0)));
+    }
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let n = config.process_count;
     let layer_count = config.layer_count();
@@ -180,8 +186,8 @@ pub fn generate_application(
                 builder
                     .add_message(
                         format!("m{msg}"),
-                        ftes_model::ProcessId::new(src),
-                        ftes_model::ProcessId::new(dst),
+                        ProcessId::new(src),
+                        ProcessId::new(dst),
                         Time::new(trans),
                     )
                     .expect("layered edges are acyclic and unique");
@@ -250,6 +256,12 @@ mod tests {
         let small = generate_application(&GeneratorConfig::new(20, 2), 5).unwrap();
         let large = generate_application(&GeneratorConfig::new(100, 2), 5).unwrap();
         assert!(large.deadline() > small.deadline());
+    }
+
+    #[test]
+    fn zero_nodes_is_an_error_not_a_panic() {
+        let err = generate_application(&GeneratorConfig::new(4, 0), 1).unwrap_err();
+        assert_eq!(err, ModelError::NoFeasibleNode(ProcessId::new(0)));
     }
 
     #[test]

@@ -769,6 +769,45 @@ mod tests {
     }
 
     #[test]
+    fn restart_resumes_an_explore_job_to_the_uninterrupted_bytes() {
+        let dir = temp_dir("resume-explore");
+        let config =
+            JobExecutorConfig { journal_dir: Some(dir.clone()), workers: 1, queue_capacity: 16 };
+        // Two grid points on two threads: the resumed run recomputes the
+        // whole suite on a fresh thread split and must still render the
+        // uninterrupted bytes.
+        let request = JobRequest::ExploreSuite {
+            params: "processes=8 nodes=2 k=1 seeds=2 rounds=2 iters=4 threads=2".into(),
+        };
+        let reference = {
+            let executor = JobExecutor::new(&JobExecutorConfig::default()).unwrap();
+            let id = executor.submit(request.clone()).unwrap();
+            let snap = wait_terminal(&executor, id);
+            executor.shutdown();
+            assert_eq!(snap.rows.len(), 2);
+            snap
+        };
+
+        // The surviving records of a crash after the first row.
+        {
+            std::fs::create_dir_all(&dir).unwrap();
+            let (mut journal, _, _) = Journal::open(&dir.join("jobs.journal")).unwrap();
+            journal.append(&JournalRecord::Accept { id: 1, request }).unwrap();
+            let row = reference.rows[0].clone();
+            journal.append(&JournalRecord::Row { id: 1, index: 0, row }).unwrap();
+        }
+
+        let executor = JobExecutor::new(&config).unwrap();
+        let resumed = wait_terminal(&executor, 1);
+        executor.shutdown();
+        assert_eq!(resumed.state, JobState::Completed);
+        assert!(resumed.resumed, "job 1 was re-enqueued from the journal");
+        assert_eq!(resumed.rows, reference.rows);
+        assert_eq!(resumed.result, reference.result);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn shutdown_leaves_queued_jobs_journaled_for_the_next_start() {
         let dir = temp_dir("handoff");
         let config =

@@ -36,4 +36,4 @@ pub use executor::{
     ExecutorStats, JobExecutor, JobExecutorConfig, JobSnapshot, JobState, JobSummary, SubmitError,
 };
 pub use journal::{Journal, JournalRecord, TerminalStatus, JOURNAL_MAGIC};
-pub use request::{canonical_explore_bytes, limits, parse_explore_request, JobKind, JobRequest};
+pub use request::{limits, parse_explore_request, JobKind, JobRequest};

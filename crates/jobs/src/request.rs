@@ -2,16 +2,12 @@
 //! submit-time validation, and their lossless journal encoding.
 //!
 //! This module also owns the `/explore` parameter grammar
-//! ([`parse_explore_request`]) and its canonical cache-key encoding
-//! ([`canonical_explore_bytes`]) — they moved here from `ftes-serve` so
-//! the HTTP daemon, the CLI and the executor validate and key explore
-//! work in exactly one place (`ftes-serve` re-exports both for its
-//! clients).
+//! ([`parse_explore_request`]), so the HTTP daemon and the executor
+//! validate explore work in exactly one place (`ftes-serve` re-exports
+//! it for its clients).
 
 use ftes::corpus::CorpusJob;
-use ftes::explore::{
-    paper_grid, EngineKind, PortfolioConfig, ScenarioPoint, SuiteConfig, VerifyConfig,
-};
+use ftes::explore::{paper_grid, PortfolioConfig, ScenarioPoint, SuiteConfig, VerifyConfig};
 use ftes::model::Time;
 use ftes::spec::parse_spec;
 
@@ -240,8 +236,9 @@ pub mod limits {
 /// `threads`, `point_par`, `verify=true`, `certify=false`,
 /// `certify_guided=true` — the latter certifies incumbents *inside* the
 /// search instead of post hoc). Work-scaling parameters are
-/// bounded (see [`limits`]); out-of-range values are a client error, not
-/// a clamp, so cache keys never alias different requested configurations.
+/// bounded (see [`limits`]) and an empty workload (`processes=0` or
+/// `nodes=0`) is refused; out-of-range values are a client error, not a
+/// clamp.
 ///
 /// # Errors
 ///
@@ -261,10 +258,10 @@ pub fn parse_explore_request(text: &str) -> Result<SuiteConfig, String> {
         let Some((key, value)) = token.split_once('=') else {
             return Err(format!("expected key=value, got `{token}`"));
         };
-        let bounded = |max: u64| -> Result<u64, String> {
+        let bounded = |min: u64, max: u64| -> Result<u64, String> {
             let n: u64 = value.parse().map_err(|_| format!("bad number `{value}` for {key}"))?;
-            if n > max {
-                return Err(format!("{key}={n} exceeds the service limit of {max}"));
+            if n < min || n > max {
+                return Err(format!("{key}={n} is outside the service limits {min}..={max}"));
             }
             Ok(n)
         };
@@ -275,19 +272,21 @@ pub fn parse_explore_request(text: &str) -> Result<SuiteConfig, String> {
                 }
                 grid_paper = true;
             }
-            "processes" => processes = Some(bounded(limits::PROCESSES)? as usize),
-            "nodes" => nodes = Some(bounded(limits::NODES)? as usize),
-            "k" => k = Some(bounded(limits::K)? as u32),
-            "seeds" => seeds = bounded(limits::SEEDS)?.max(1),
+            "processes" => processes = Some(bounded(1, limits::PROCESSES)? as usize),
+            "nodes" => nodes = Some(bounded(1, limits::NODES)? as usize),
+            "k" => k = Some(bounded(0, limits::K)? as u32),
+            "seeds" => seeds = bounded(0, limits::SEEDS)?.max(1),
             "seed" => {
                 // The PRNG seed scales no work; any u64 is fine.
                 portfolio.seed =
                     value.parse().map_err(|_| format!("bad number `{value}` for {key}"))?;
             }
-            "threads" => portfolio.threads = (bounded(limits::THREADS)? as usize).max(1),
-            "point_par" => point_parallelism = (bounded(limits::POINT_PAR)? as usize).max(1),
-            "rounds" => portfolio.rounds = (bounded(limits::ROUNDS)? as usize).max(1),
-            "iters" => portfolio.iterations_per_round = (bounded(limits::ITERS)? as usize).max(1),
+            "threads" => portfolio.threads = (bounded(0, limits::THREADS)? as usize).max(1),
+            "point_par" => point_parallelism = (bounded(0, limits::POINT_PAR)? as usize).max(1),
+            "rounds" => portfolio.rounds = (bounded(0, limits::ROUNDS)? as usize).max(1),
+            "iters" => {
+                portfolio.iterations_per_round = (bounded(0, limits::ITERS)? as usize).max(1)
+            }
             "verify" => {
                 verify = match value {
                     "true" => Some(VerifyConfig::default()),
@@ -336,51 +335,6 @@ pub fn parse_explore_request(text: &str) -> Result<SuiteConfig, String> {
         ));
     }
     Ok(SuiteConfig { points, portfolio, point_parallelism, slot: Time::new(8), verify, certify })
-}
-
-/// Canonical encoding of the *semantic* suite parameters. `threads` and
-/// `point_parallelism` are deliberately excluded: the explore determinism
-/// contract guarantees they cannot change results, so requests differing
-/// only in parallelism share one cache entry.
-pub fn canonical_explore_bytes(config: &SuiteConfig) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64 + 32 * config.points.len());
-    out.extend_from_slice(b"ftes-explore-v1");
-    let push_u64 = |out: &mut Vec<u8>, v: u64| out.extend_from_slice(&v.to_le_bytes());
-    push_u64(&mut out, config.points.len() as u64);
-    for p in &config.points {
-        push_u64(&mut out, p.processes as u64);
-        push_u64(&mut out, p.nodes as u64);
-        push_u64(&mut out, p.k as u64);
-        push_u64(&mut out, p.seed);
-    }
-    push_u64(&mut out, config.slot.units() as u64);
-    push_u64(&mut out, config.portfolio.seed);
-    push_u64(&mut out, config.portfolio.rounds as u64);
-    push_u64(&mut out, config.portfolio.iterations_per_round as u64);
-    push_u64(&mut out, config.portfolio.max_checkpoints as u64);
-    push_u64(&mut out, config.portfolio.workers.len() as u64);
-    for worker in &config.portfolio.workers {
-        let engine = match worker.engine {
-            EngineKind::Tabu => 0u64,
-            EngineKind::Anneal => 1,
-            EngineKind::Greedy => 2,
-        };
-        push_u64(&mut out, engine);
-        push_u64(&mut out, worker.seed_offset);
-        push_u64(&mut out, worker.neighborhood as u64);
-        push_u64(&mut out, worker.tenure as u64);
-    }
-    match &config.verify {
-        None => out.push(0),
-        Some(vc) => {
-            out.push(1);
-            push_u64(&mut out, vc.samples as u64);
-            push_u64(&mut out, vc.seed);
-        }
-    }
-    out.push(config.certify as u8);
-    out.push(config.portfolio.certify_guided as u8);
-    out
 }
 
 #[cfg(test)]
@@ -509,6 +463,8 @@ mod tests {
             "processes=10 nodes=999 k=1",
             "processes=10 nodes=2 k=999",
             "processes=10 nodes=2 k=1 point_par=1000000",
+            "processes=0 nodes=2 k=1",
+            "processes=10 nodes=0 k=1",
         ] {
             let err = parse_explore_request(bad).unwrap_err();
             assert!(err.contains("limit") || err.contains("bad number"), "{bad}: {err}");
@@ -522,29 +478,5 @@ mod tests {
         assert!(
             parse_explore_request("processes=100 nodes=6 k=7 seed=18446744073709551615").is_ok()
         );
-    }
-
-    #[test]
-    fn canonical_explore_bytes_ignore_parallelism_only() {
-        let a = parse_explore_request("processes=10 nodes=2 k=1 threads=1").unwrap();
-        let b = parse_explore_request("processes=10 nodes=2 k=1 threads=8 point_par=4").unwrap();
-        assert_eq!(canonical_explore_bytes(&a), canonical_explore_bytes(&b));
-
-        for different in [
-            "processes=11 nodes=2 k=1",
-            "processes=10 nodes=3 k=1",
-            "processes=10 nodes=2 k=2",
-            "processes=10 nodes=2 k=1 seed=2",
-            "processes=10 nodes=2 k=1 rounds=9",
-            "processes=10 nodes=2 k=1 iters=9",
-            "processes=10 nodes=2 k=1 seeds=2",
-            "processes=10 nodes=2 k=1 verify=true",
-            "processes=10 nodes=2 k=1 certify=false",
-            "processes=10 nodes=2 k=1 certify_guided=true",
-            "grid=paper",
-        ] {
-            let c = parse_explore_request(different).unwrap();
-            assert_ne!(canonical_explore_bytes(&a), canonical_explore_bytes(&c), "{different}");
-        }
     }
 }

@@ -9,9 +9,9 @@
 //! rather than a hope.
 //!
 //! Keys are canonical, collision-free byte encodings (for `/synthesize`,
-//! [`ftes::spec::SystemSpec::canonical_bytes`]; for `/explore`, the
-//! encoded semantic suite parameters) with a precomputed FNV-1a hash for
-//! shard selection — the same recipe as `ftes-explore`'s estimate cache.
+//! [`ftes::spec::SystemSpec::canonical_bytes`]) with a precomputed FNV-1a
+//! hash for shard selection — the same recipe as `ftes-explore`'s
+//! estimate cache.
 //! Eviction is least-recently-used per shard, tracked with a monotonic
 //! use-stamp; shards are small (capacity / shards entries), so the O(cap)
 //! eviction scan is noise next to a synthesis run.

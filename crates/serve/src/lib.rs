@@ -83,7 +83,7 @@ mod sync;
 
 pub use cache::{CacheKey, FlightGuard, Lookup, ResultCache};
 pub use evalbank::{BankStats, EvaluatorBank};
-pub use ftes_jobs::{canonical_explore_bytes, parse_explore_request};
+pub use ftes_jobs::parse_explore_request;
 pub use handlers::PROMETHEUS_CONTENT_TYPE;
 pub use load::{
     default_spec_mix, read_response, read_response_full, request, run_load, EndpointDelta,
