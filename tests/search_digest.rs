@@ -1,0 +1,213 @@
+//! Bit-identity pin for the search engines.
+//!
+//! FNV-1a digests over the `Debug` text of what every search entry point
+//! returns — mapping, policies, copy placement, estimate, objective trace —
+//! and of the evaluator kernel's `EvaluatorStats` afterwards, for a fixed
+//! seeded set of systems: three generator shapes, 2–4 nodes, k 0–3. The
+//! engines covered are `synthesize_with` under MX, MR and MXR,
+//! `synthesize_certified_mode` post hoc and guided, `tabu_search_traced_with`,
+//! `greedy_descent`, `simulated_annealing`, and one `explore()` portfolio
+//! run. Starts mix replicated policies in, so replica placement (whose
+//! load coupling lets one move shift other processes' replicas) is on the
+//! trajectories.
+//!
+//! The digests pin the search trajectories themselves: any change to which
+//! move is sampled, which candidate is accepted, which estimate is
+//! computed or how many evaluations of each tier the kernel ran shows up
+//! here. A deliberate change to search behaviour must re-record them (the
+//! failure message prints the new values).
+
+use ftes::explore::{explore, PortfolioConfig};
+use ftes::ft::PolicyAssignment;
+use ftes::gen::{generate_application, GeneratorConfig};
+use ftes::model::{Application, FaultModel, Mapping, ProcessId, Time, Transparency};
+use ftes::opt::{
+    candidate_policies, greedy_descent, simulated_annealing, synthesize_certified_mode,
+    synthesize_with, tabu_search_traced_with, CertifyMode, PolicyMoves, RepairConfig, SearchConfig,
+    Strategy, Synthesized,
+};
+use ftes::sched::{Certifier, CertifyConfig, SystemEvaluator};
+use ftes::tdma::Platform;
+use std::fmt::{self, Write as _};
+
+/// Digest of `synthesize_with` under MX, MR and MXR.
+const STRATEGY_DIGEST: u64 = 0x115a_863e_9699_ee7d;
+/// Digest of `synthesize_certified_mode`, post hoc and guided.
+const CERTIFIED_DIGEST: u64 = 0xa4d6_53ed_cc85_de11;
+/// Digest of the traced tabu, greedy and annealing engines from mixed
+/// (partly replicated) starts.
+const ENGINE_DIGEST: u64 = 0x6faa_7129_0140_30ba;
+/// Digest of one portfolio exploration.
+const EXPLORE_DIGEST: u64 = 0x338b_4a9b_7c53_5718;
+
+const SEEDS: u64 = 9;
+const MAX_K: u32 = 3;
+
+/// FNV-1a (64-bit) fed through `fmt::Write`, so `Debug` text is hashed as
+/// it is formatted instead of being collected first.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        for b in s.bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+        Ok(())
+    }
+}
+
+/// 8–15 processes on 2–4 nodes, rotating the generator shape.
+fn system(seed: u64) -> (Application, Platform) {
+    let n = 8 + (seed * 5 % 8) as usize;
+    let nodes = 2 + (seed % 3) as usize;
+    let config = match seed % 3 {
+        0 => GeneratorConfig::new(n, nodes),
+        1 => GeneratorConfig::chainy(n, nodes),
+        _ => GeneratorConfig::wide(n, nodes),
+    };
+    let app = generate_application(&config, 9_100 + seed).expect("generator config in range");
+    let platform = Platform::homogeneous(nodes, Time::new(8)).expect("non-empty platform");
+    (app, platform)
+}
+
+fn search_config(seed: u64) -> SearchConfig {
+    SearchConfig { iterations: 24, neighborhood: 12, seed: 31 + seed, ..SearchConfig::default() }
+}
+
+/// Re-execution everywhere except every third process (rotated by `salt`),
+/// which takes its replication candidate.
+fn replicated_mix(app: &Application, k: u32, salt: u64) -> PolicyAssignment {
+    let mut policies = PolicyAssignment::uniform_reexecution(app, k);
+    for i in 0..app.process_count() {
+        if (salt as usize + i).is_multiple_of(3) {
+            let p = ProcessId::new(i);
+            let cands = candidate_policies(app, p, k, 16);
+            if let Some(rep) = cands.iter().find(|c| c.replica_count() == k) {
+                policies.set(p, rep.clone());
+            }
+        }
+    }
+    policies
+}
+
+/// Counts replicated processes in a finished configuration, so the set is
+/// known to keep exercising replica placement.
+fn replicated(result: &Synthesized) -> usize {
+    result.policies.iter().filter(|(_, p)| p.replica_count() > 0).count()
+}
+
+#[test]
+fn strategies_match_the_recorded_digest() {
+    let mut digest = Fnv::new();
+    let mut replicas = 0;
+    for seed in 0..SEEDS {
+        let (app, platform) = system(seed);
+        for k in 0..=MAX_K {
+            for strategy in [Strategy::Mx, Strategy::Mr, Strategy::Mxr] {
+                let mut evaluator = SystemEvaluator::new(&app, &platform, k);
+                let result = synthesize_with(&mut evaluator, strategy, search_config(seed));
+                if let Ok(s) = &result {
+                    replicas += replicated(s);
+                }
+                writeln!(
+                    digest,
+                    "seed {seed} k {k} {strategy}: {result:?} {:?}",
+                    evaluator.stats()
+                )
+                .unwrap();
+            }
+        }
+    }
+    assert!(replicas >= 50, "only {replicas} replicated processes in the results");
+    assert_eq!(digest.0, STRATEGY_DIGEST, "strategy digest changed: {:#x}", digest.0);
+}
+
+#[test]
+fn certified_synthesis_matches_the_recorded_digest() {
+    let mut digest = Fnv::new();
+    for seed in 0..SEEDS {
+        let (app, platform) = system(seed);
+        for k in 0..=MAX_K {
+            for mode in [CertifyMode::PostHoc, CertifyMode::Guided] {
+                let mut evaluator = SystemEvaluator::new(&app, &platform, k);
+                let mut certifier = Certifier::new(
+                    &app,
+                    &platform,
+                    FaultModel::new(k),
+                    &Transparency::none(),
+                    CertifyConfig::default(),
+                );
+                let result = synthesize_certified_mode(
+                    &mut evaluator,
+                    &mut certifier,
+                    Strategy::Mxr,
+                    search_config(seed),
+                    RepairConfig::default(),
+                    mode,
+                );
+                writeln!(digest, "seed {seed} k {k} {mode:?}: {result:?} {:?}", evaluator.stats())
+                    .unwrap();
+            }
+        }
+    }
+    assert_eq!(digest.0, CERTIFIED_DIGEST, "certified digest changed: {:#x}", digest.0);
+}
+
+#[test]
+fn engines_match_the_recorded_digest() {
+    let mut digest = Fnv::new();
+    let mut replicas = 0;
+    for seed in 0..SEEDS {
+        let (app, platform) = system(seed);
+        let arch = platform.architecture();
+        let mapping = Mapping::cheapest(&app, arch).expect("generated apps are mappable");
+        for k in 0..=MAX_K {
+            let policies = replicated_mix(&app, k, seed + u64::from(k));
+            let initial = match Synthesized::evaluate(&app, &platform, mapping.clone(), policies, k)
+            {
+                Ok(initial) => initial,
+                Err(e) => {
+                    writeln!(digest, "seed {seed} k {k} initial: {e:?}").unwrap();
+                    continue;
+                }
+            };
+            let cfg = search_config(seed);
+            let mut evaluator = SystemEvaluator::new(&app, &platform, k);
+            let tabu =
+                tabu_search_traced_with(&mut evaluator, initial.clone(), PolicyMoves::Full, cfg);
+            if let Ok((s, _)) = &tabu {
+                replicas += replicated(s);
+            }
+            writeln!(digest, "seed {seed} k {k} tabu: {tabu:?} {:?}", evaluator.stats()).unwrap();
+            let greedy =
+                greedy_descent(&app, &platform, k, initial.clone(), PolicyMoves::Full, cfg);
+            writeln!(digest, "seed {seed} k {k} greedy: {greedy:?}").unwrap();
+            let anneal = simulated_annealing(&app, &platform, k, initial, PolicyMoves::Full, cfg);
+            writeln!(digest, "seed {seed} k {k} anneal: {anneal:?}").unwrap();
+        }
+    }
+    assert!(replicas >= 20, "only {replicas} replicated processes in the results");
+    assert_eq!(digest.0, ENGINE_DIGEST, "engine digest changed: {:#x}", digest.0);
+}
+
+#[test]
+fn exploration_matches_the_recorded_digest() {
+    let mut digest = Fnv::new();
+    let (app, platform) = system(4);
+    let config = PortfolioConfig { threads: 1, certify_guided: true, ..PortfolioConfig::quick(5) };
+    let outcome = explore(&app, &platform, 2, &config).expect("feasible exploration");
+    writeln!(
+        digest,
+        "{:?} {:?} {:?} {:?} {:?}",
+        outcome.best, outcome.archive, outcome.evals, outcome.cache, outcome.certify
+    )
+    .unwrap();
+    assert_eq!(digest.0, EXPLORE_DIGEST, "exploration digest changed: {:#x}", digest.0);
+}
