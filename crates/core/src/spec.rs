@@ -36,6 +36,14 @@ use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
+/// Largest platform a spec may declare (`nodes`). Specs are untrusted
+/// input: the node count sizes every WCET row and per-node table.
+pub const MAX_NODES: usize = 16;
+
+/// Largest fault budget a spec may declare (`k`). The fault budget sizes
+/// every candidate policy and fault-scenario space.
+pub const MAX_K: u32 = 16;
+
 /// A parsed and validated system specification.
 #[derive(Debug, Clone)]
 pub struct SystemSpec {
@@ -215,7 +223,9 @@ struct Draft {
 ///
 /// Returns [`ParseError`] with the offending line for syntax problems,
 /// unknown names, missing mandatory directives (`nodes`, `deadline`, `k`,
-/// at least one process) and model-level validation failures.
+/// at least one process), out-of-range sizes (`nodes` outside
+/// 1..=[`MAX_NODES`], `k` outside 0..=[`MAX_K`]) and model-level
+/// validation failures.
 pub fn parse_spec(text: &str) -> Result<SystemSpec, ParseError> {
     let _span = ftes_obs::span(ftes_obs::names::PARSE);
     let mut d = Draft::default();
@@ -229,11 +239,13 @@ pub fn parse_spec(text: &str) -> Result<SystemSpec, ParseError> {
         let head = words.next().expect("non-empty line has a first word");
         let rest: Vec<&str> = words.collect();
         match head {
-            "nodes" => d.nodes = Some(int(&rest, 0, line_no)? as usize),
+            "nodes" => {
+                d.nodes = Some(int_in(&rest, line_no, "nodes", 1, MAX_NODES as i64)? as usize)
+            }
             "slot" => d.slot = Some(int(&rest, 0, line_no)?),
             "deadline" => d.deadline = Some(int(&rest, 0, line_no)?),
             "period" => d.period = Some(int(&rest, 0, line_no)?),
-            "k" => d.k = Some(int(&rest, 0, line_no)? as u32),
+            "k" => d.k = Some(int_in(&rest, line_no, "k", 0, i64::from(MAX_K))? as u32),
             "strategy" => {
                 let s = rest
                     .first()
@@ -295,6 +307,15 @@ fn int(rest: &[&str], idx: usize, line: usize) -> Result<i64, ParseError> {
         .ok_or_else(|| ParseError::at(line, "missing numeric value"))?
         .parse::<i64>()
         .map_err(|_| ParseError::at(line, format!("bad number `{}`", rest[idx])))
+}
+
+/// The directive's value, which must lie in `min..=max`.
+fn int_in(rest: &[&str], line: usize, what: &str, min: i64, max: i64) -> Result<i64, ParseError> {
+    let v = int(rest, 0, line)?;
+    if !(min..=max).contains(&v) {
+        return Err(ParseError::at(line, format!("`{what} {v}` is outside {min}..={max}")));
+    }
+    Ok(v)
 }
 
 fn parse_process(rest: &[&str], line: usize, d: &mut Draft) -> Result<(), ParseError> {
@@ -497,6 +518,89 @@ mod tests {
             assert_eq!(err.line, line, "{err}");
             assert!(err.to_string().contains(needle), "{err}");
         }
+    }
+
+    #[test]
+    fn out_of_range_sizes_are_parse_errors() {
+        // Each used to panic or abort the process (a capacity overflow, a
+        // failed terabyte allocation, a wrapped `k`, an OOM kill).
+        let cases = [
+            (
+                "nodes -1
+deadline 100
+k 1
+",
+                1,
+                "nodes -1",
+            ),
+            (
+                "nodes 100000000000
+deadline 100
+k 1
+",
+                1,
+                "nodes 100000000000",
+            ),
+            (
+                "nodes 2
+deadline 100
+k -1
+",
+                3,
+                "k -1",
+            ),
+            (
+                "nodes 2
+deadline 100
+k 100000
+",
+                3,
+                "k 100000",
+            ),
+            (
+                "nodes 0
+deadline 100
+k 1
+",
+                1,
+                "nodes 0",
+            ),
+            (
+                "nodes 17
+deadline 100
+k 1
+",
+                1,
+                "nodes 17",
+            ),
+            (
+                "nodes 2
+deadline 100
+k 17
+",
+                3,
+                "k 17",
+            ),
+        ];
+        for (text, line, needle) in cases {
+            let err = parse_spec(text).unwrap_err();
+            assert_eq!(err.line, line, "{err}");
+            assert!(err.to_string().contains(needle), "{err}");
+            assert!(err.to_string().contains("is outside"), "{err}");
+        }
+        let edge = format!(
+            "nodes {MAX_NODES}
+deadline 100
+k {MAX_K}
+process a wcet 5"
+        );
+        let edge = edge
+            + &" 5".repeat(MAX_NODES - 1)
+            + "
+";
+        let spec = parse_spec(&edge).unwrap();
+        assert_eq!(spec.platform.architecture().node_count(), MAX_NODES);
+        assert_eq!(spec.fault_model.k(), MAX_K);
     }
 
     #[test]

@@ -33,7 +33,7 @@ use ftes_ft::PolicyAssignment;
 use ftes_ftcpg::CopyMapping;
 use ftes_model::{Application, Architecture, FaultModel, Mapping, Time, Transparency};
 use ftes_opt::{
-    apply_move, constructive_mapping, sample_move, OptError, PolicyMoves, SearchConfig, Synthesized,
+    apply_move, constructive_mapping, CandidateMove, MoveSpace, OptError, PolicyMoves, Synthesized,
 };
 use ftes_sched::{BoundedCert, CertOutcome, Certifier, CertifyConfig, EvaluatorStats};
 use ftes_tdma::Platform;
@@ -324,6 +324,7 @@ pub fn explore(
     let initial = Candidate::new(initial_mapping, initial_policies, initial_estimate);
 
     let cache = EstimateCache::new();
+    let space = MoveSpace::new(app, k, PolicyMoves::Full, config.max_checkpoints);
     // Seed the cache with the initial state so workers hit it immediately.
     cache.get_or_compute(initial.key.clone(), || Some(initial.estimate));
 
@@ -396,7 +397,7 @@ pub fn explore(
                     arch: platform.architecture(),
                     deadline: app.deadline(),
                 });
-                run_round(app, platform, k, config, &cache, &pool, thread, &mut worker, guard)
+                run_round(app, platform, config, &space, &cache, &pool, thread, &mut worker, guard)
             });
         for local in round_archives {
             archive.merge(local);
@@ -445,37 +446,25 @@ pub fn explore(
 fn run_round(
     app: &Application,
     platform: &Platform,
-    k: u32,
     config: &PortfolioConfig,
+    space: &MoveSpace,
     cache: &EstimateCache,
     pool: &EvaluatorPool,
     thread: usize,
     worker: &mut Worker,
     mut guard: Option<Guard<'_>>,
 ) -> ParetoArchive {
-    let search = SearchConfig {
-        neighborhood: worker.spec.neighborhood,
-        tenure: worker.spec.tenure,
-        max_checkpoints: config.max_checkpoints,
-        ..SearchConfig::default()
-    };
     let arch = platform.architecture();
     let mut local_archive = ParetoArchive::new();
 
     for _ in 0..config.iterations_per_round {
-        // 1. Sample the whole neighborhood without evaluating.
+        // 1. Sample the whole neighborhood without evaluating. Candidates
+        // stay whole states: the estimate cache keys on them.
         let mut moves = Vec::with_capacity(worker.spec.neighborhood);
         for _ in 0..worker.spec.neighborhood {
-            if let Some(mv) = sample_move(
-                app,
-                &worker.current.mapping,
-                &worker.current.policies,
-                k,
-                PolicyMoves::Full,
-                search,
-                &mut worker.rng,
-            ) {
-                moves.push(mv);
+            let current = &worker.current;
+            if let Some(mv) = space.sample(&current.mapping, &current.policies, &mut worker.rng) {
+                moves.push(CandidateMove::from(mv));
             }
         }
         let mut move_idxs = Vec::with_capacity(moves.len());
@@ -540,7 +529,7 @@ fn touch_best(worker: &mut Worker, guard: &mut Option<Guard<'_>>, candidate: &Ca
 fn accept_tabu(
     worker: &mut Worker,
     guard: &mut Option<Guard<'_>>,
-    moves: &[ftes_opt::CandidateMove],
+    moves: &[CandidateMove],
     candidates: Vec<(usize, Candidate)>,
 ) {
     let iteration = worker.iteration;

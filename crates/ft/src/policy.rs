@@ -81,9 +81,21 @@ impl CopyPlan {
 /// assert!(fig4c.tolerates(2));
 /// assert!(!fig4c.tolerates(3));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, PartialEq, Eq, Hash)]
 pub struct Policy {
     copies: Vec<CopyPlan>,
+}
+
+// `clone_from` reuses the copy-plan storage (a derived `Clone` would
+// reallocate): search kernels overwrite policies in place per candidate.
+impl Clone for Policy {
+    fn clone(&self) -> Self {
+        Policy { copies: self.copies.clone() }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.copies.clone_from(&source.copies);
+    }
 }
 
 impl Policy {
@@ -173,9 +185,21 @@ impl Policy {
 
 /// The per-process policy assignment `F = <P, Q, R, X>` for a whole
 /// application (§6).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, PartialEq, Eq, Hash)]
 pub struct PolicyAssignment {
     policies: Vec<Policy>,
+}
+
+// Forwards `clone_from` to every policy, so re-anchoring an evaluator on a
+// new assignment reuses the old one's storage.
+impl Clone for PolicyAssignment {
+    fn clone(&self) -> Self {
+        PolicyAssignment { policies: self.policies.clone() }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.policies.clone_from(&source.policies);
+    }
 }
 
 impl PolicyAssignment {
@@ -247,6 +271,16 @@ impl PolicyAssignment {
     /// Panics if `p` is out of range.
     pub fn set(&mut self, p: ProcessId, policy: Policy) {
         self.policies[p.index()] = policy;
+    }
+
+    /// Replaces the policy of one process with a copy of `policy`, reusing
+    /// the replaced policy's storage.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is out of range.
+    pub fn set_from(&mut self, p: ProcessId, policy: &Policy) {
+        self.policies[p.index()].clone_from(policy);
     }
 
     /// Iterator over `(ProcessId, &Policy)` pairs.

@@ -2,9 +2,9 @@
 //! node — the extension of `M: V → N` to the replica set `VR` (paper §6,
 //! items 2 and 3 of the problem formulation).
 
-use crate::CpgError;
-use ftes_ft::PolicyAssignment;
-use ftes_model::{Application, Architecture, Mapping, NodeId, ProcessId, Time};
+use crate::{ChangeSets, CpgError};
+use ftes_ft::{Policy, PolicyAssignment};
+use ftes_model::{Application, Architecture, Mapping, NodeId, Process, ProcessId, Time};
 
 /// Node assignment for every copy of every process.
 ///
@@ -19,9 +19,21 @@ use ftes_model::{Application, Architecture, Mapping, NodeId, ProcessId, Time};
 /// not nodes, and the paper's fault model allows `k` to exceed the node
 /// count (§2, footnote 1) — pure replication then necessarily co-locates
 /// copies.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct CopyMapping {
-    rows: Vec<Vec<NodeId>>,
+    pub(crate) rows: Vec<Vec<NodeId>>,
+}
+
+// Forwards `clone_from` row by row, so re-anchoring an evaluator on a new
+// placement reuses the old one's storage.
+impl Clone for CopyMapping {
+    fn clone(&self) -> Self {
+        CopyMapping { rows: self.rows.clone() }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.rows.clone_from(&source.rows);
+    }
 }
 
 impl CopyMapping {
@@ -69,6 +81,12 @@ impl CopyMapping {
     /// with the smallest accumulated load, preferring nodes not yet used by
     /// this process (distinct placement when possible).
     ///
+    /// Placement is load-coupled: the load a replica sees includes every
+    /// original and every earlier process's replicas, so remapping or
+    /// re-policying one process can move *other* processes' replicas.
+    /// [`PlacementLoad::derive`] re-derives only the rows such a change
+    /// touches, under the same rule.
+    ///
     /// # Errors
     ///
     /// Propagates [`CpgError::CopyArityMismatch`] (unreachable for
@@ -79,29 +97,17 @@ impl CopyMapping {
         base: &Mapping,
         policies: &PolicyAssignment,
     ) -> Result<Self, CpgError> {
-        let mut load = vec![Time::ZERO; arch.node_count()];
-        for (pid, node) in base.iter() {
-            load[node.index()] += base.wcet_of(app, pid);
-        }
-        let mut rows = Vec::with_capacity(app.process_count());
-        for (pid, proc) in app.processes() {
-            let copies = policies.policy(pid).copies().len();
-            let feasible: Vec<NodeId> = proc.candidate_nodes().collect();
-            let mut row = vec![base.node_of(pid)];
-            while row.len() < copies {
-                let next = feasible
-                    .iter()
-                    .copied()
-                    .min_by_key(|n| {
-                        let reuse = row.iter().filter(|&&r| r == *n).count();
-                        (reuse, load[n.index()], n.index())
-                    })
-                    .expect("validated processes have a feasible node");
-                load[next.index()] += proc.wcet_on(next).expect("feasible node");
-                row.push(next);
-            }
-            rows.push(row);
-        }
+        let mut load = base.load(app, arch.node_count());
+        let rows = app
+            .processes()
+            .map(|(pid, proc)| {
+                let copies = policies.policy(pid).copies().len();
+                let mut row = Vec::with_capacity(copies);
+                row.push(base.node_of(pid));
+                place_replicas(proc, copies, &mut row, 0, &mut load);
+                row
+            })
+            .collect();
         Ok(CopyMapping { rows })
     }
 
@@ -135,6 +141,144 @@ impl CopyMapping {
         arch: &Architecture,
     ) -> Result<Mapping, ftes_model::ModelError> {
         Mapping::new(app, arch, self.rows.iter().map(|r| r[0]).collect())
+    }
+}
+
+/// The replica placement rule, shared by [`CopyMapping::from_base`] and
+/// [`PlacementLoad::derive`]: grows `row[start..]` (which holds the
+/// original) to `copies` entries, each replica on the feasible node
+/// minimizing (copies of this process already there, accumulated load,
+/// node index), and charges each replica's WCET to `load`.
+pub(crate) fn place_replicas(
+    proc: &Process,
+    copies: usize,
+    row: &mut Vec<NodeId>,
+    start: usize,
+    load: &mut [Time],
+) {
+    while row.len() - start < copies {
+        let placed = &row[start..];
+        let next = proc
+            .candidate_nodes()
+            .min_by_key(|n| {
+                let reuse = placed.iter().filter(|&&r| r == *n).count();
+                (reuse, load[n.index()], n.index())
+            })
+            .expect("validated processes have a feasible node");
+        load[next.index()] += proc.wcet_on(next).expect("feasible node");
+        row.push(next);
+    }
+}
+
+/// The inputs of replica placement that a one-process move can perturb:
+/// the per-node load of the base mapping and the processes with replicas.
+///
+/// A search keeps one in step with its current state, so each candidate
+/// move's copy placement is derived as a change set — the rows that differ
+/// from the current state — instead of a whole new [`CopyMapping`]. Only
+/// replicated processes can see their rows move (their placement reads
+/// the load), so a move is re-placed in O(replicated · copies · nodes).
+#[derive(Debug, Clone)]
+pub struct PlacementLoad {
+    /// Per node: WCET of the originals mapped there.
+    load: Vec<Time>,
+    /// Processes with more than one copy, ascending.
+    replicated: Vec<ProcessId>,
+    /// The successor state's running load during a derivation.
+    scratch: Vec<Time>,
+}
+
+impl PlacementLoad {
+    /// The placement inputs of a `(base, policies)` state.
+    pub fn new(
+        app: &Application,
+        arch: &Architecture,
+        base: &Mapping,
+        policies: &PolicyAssignment,
+    ) -> Self {
+        let replicated =
+            policies.iter().filter(|(_, p)| p.copies().len() > 1).map(|(pid, _)| pid).collect();
+        PlacementLoad { load: base.load(app, arch.node_count()), replicated, scratch: Vec::new() }
+    }
+
+    /// Closes into `out` the change set of moving `process` to base node
+    /// `node` with `copies` copies (and, when `policy` is given, that new
+    /// policy), against `current` — the copy placement of the state this
+    /// load describes. The set holds `process`'s successor row plus the row
+    /// of every other process whose placement differs, ascending: exactly
+    /// the rows where [`CopyMapping::from_base`] of the successor differs
+    /// from `current`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is not a feasible node of `process`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn derive<'p>(
+        &mut self,
+        app: &Application,
+        current: &CopyMapping,
+        process: ProcessId,
+        node: NodeId,
+        copies: usize,
+        policy: Option<&'p Policy>,
+        out: &mut ChangeSets<'p>,
+    ) {
+        let from = current.copies_of(process)[0];
+        if copies <= 1 && self.replicated.iter().all(|&q| q == process) {
+            // Nothing in the successor is replicated: no other row moves.
+            out.push(process, &[node], policy);
+            out.close();
+            return;
+        }
+        self.scratch.clone_from(&self.load);
+        if from != node {
+            let proc = app.process(process);
+            self.scratch[from.index()] -= proc.wcet_on(from).expect("mapped node is feasible");
+            self.scratch[node.index()] += proc.wcet_on(node).expect("target node is feasible");
+        }
+        // Re-place in process order, as `from_base` does: the moved process
+        // at its own position, every other replicated process compared with
+        // its current row. Unreplicated rows cannot move.
+        let mut moved = false;
+        for &q in &self.replicated {
+            if !moved && process <= q {
+                out.push_placed(app, process, node, copies, policy, None, &mut self.scratch);
+                moved = true;
+                if q == process {
+                    continue;
+                }
+            }
+            let row = current.copies_of(q);
+            out.push_placed(app, q, row[0], row.len(), None, Some(row), &mut self.scratch);
+        }
+        if !moved {
+            out.push_placed(app, process, node, copies, policy, None, &mut self.scratch);
+        }
+        out.close();
+    }
+
+    /// Steps the load to the successor of an accepted move: `process` moved
+    /// from base node `from` to `to` and now has `copies` copies.
+    pub fn commit(
+        &mut self,
+        app: &Application,
+        process: ProcessId,
+        from: NodeId,
+        to: NodeId,
+        copies: usize,
+    ) {
+        if from != to {
+            let proc = app.process(process);
+            self.load[from.index()] -= proc.wcet_on(from).expect("mapped node is feasible");
+            self.load[to.index()] += proc.wcet_on(to).expect("target node is feasible");
+        }
+        match (self.replicated.binary_search(&process), copies > 1) {
+            (Ok(at), false) => {
+                self.replicated.remove(at);
+            }
+            (Err(at), true) => self.replicated.insert(at, process),
+            _ => {}
+        }
     }
 }
 
@@ -180,6 +324,42 @@ mod tests {
         policies.set(ProcessId::new(2), Policy::replication(1));
         let cm = CopyMapping::from_base(&app, &arch, &mapping, &policies).unwrap();
         assert_eq!(cm.copies_of(ProcessId::new(2)), &[NodeId::new(0), NodeId::new(0)]);
+    }
+
+    #[test]
+    fn remapping_an_unreplicated_process_moves_another_replica() {
+        use crate::ChangeSets;
+        use ftes_model::{ApplicationBuilder, ProcessSpec};
+        // Three identical nodes; A (replicated once) on N0, B on N1. A's
+        // replica takes the least-loaded node, N2 — until B moves there.
+        let mut builder = ApplicationBuilder::new(3);
+        let a = builder.add_process(ProcessSpec::uniform("A", Time::new(10), 3));
+        let b = builder.add_process(ProcessSpec::uniform("B", Time::new(10), 3));
+        let app = builder.deadline(Time::new(100)).build().unwrap();
+        let arch = Architecture::homogeneous(3).unwrap();
+        let (n0, n1, n2) = (NodeId::new(0), NodeId::new(1), NodeId::new(2));
+        let mapping = Mapping::new(&app, &arch, vec![n0, n1]).unwrap();
+        let mut policies = PolicyAssignment::uniform_reexecution(&app, 1);
+        policies.set(a, Policy::replication(1));
+        let before = CopyMapping::from_base(&app, &arch, &mapping, &policies).unwrap();
+        assert_eq!(before.copies_of(a), &[n0, n2]);
+
+        let moved = mapping.with_move(&app, &arch, b, n2).unwrap();
+        let after = CopyMapping::from_base(&app, &arch, &moved, &policies).unwrap();
+        assert_eq!(after.copies_of(a), &[n0, n1], "B's load pushed A's replica off N2");
+        assert_eq!(after.copies_of(b), &[n2]);
+
+        // The incremental derivation emits both rows, ascending.
+        let mut load = PlacementLoad::new(&app, &arch, &mapping, &policies);
+        let mut sets = ChangeSets::new();
+        load.derive(&app, &before, b, n2, 1, None, &mut sets);
+        let derived: Vec<_> =
+            sets.get(0).iter().map(|(p, row, pol)| (p, row.to_vec(), pol)).collect();
+        assert_eq!(derived, vec![(a, vec![n0, n1], None), (b, vec![n2], None)]);
+        // Committing the move leaves the load where a fresh one starts.
+        load.commit(&app, b, n1, n2, 1);
+        let fresh = PlacementLoad::new(&app, &arch, &moved, &policies);
+        assert_eq!((&load.load, &load.replicated), (&fresh.load, &fresh.replicated));
     }
 
     #[test]

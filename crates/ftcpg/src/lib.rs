@@ -40,6 +40,7 @@
 
 pub mod analysis;
 mod builder;
+mod change;
 mod copy_mapping;
 pub mod dot;
 mod error;
@@ -49,7 +50,8 @@ mod scenario;
 
 pub use analysis::{count_scenarios, cpg_stats, CpgStats};
 pub use builder::{build_ftcpg, build_ftcpg_anchored, BuildConfig, CpgAnchor, RebuildStats};
-pub use copy_mapping::CopyMapping;
+pub use change::{ChangeSet, ChangeSets, ChangeUndo};
+pub use copy_mapping::{CopyMapping, PlacementLoad};
 pub use error::CpgError;
 pub use guard::{Guard, Literal};
 pub use node::{CpgEdge, CpgNode, CpgNodeId, CpgNodeKind, FtCpg, Location};

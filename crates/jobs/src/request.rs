@@ -203,10 +203,10 @@ impl JobRequest {
 pub mod limits {
     /// Application size cap.
     pub const PROCESSES: u64 = 200;
-    /// Platform size cap.
-    pub const NODES: u64 = 16;
-    /// Fault-budget cap.
-    pub const K: u64 = 16;
+    /// Platform size cap (the `.ftes` parser's).
+    pub const NODES: u64 = ftes::spec::MAX_NODES as u64;
+    /// Fault-budget cap (the `.ftes` parser's).
+    pub const K: u64 = ftes::spec::MAX_K as u64;
     /// Seeds-per-point cap.
     pub const SEEDS: u64 = 64;
     /// Search-round cap.

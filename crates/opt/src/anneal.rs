@@ -4,10 +4,10 @@
 //! MXR \[13\]; the ablation quantifies how much the choice of metaheuristic
 //! matters on our workloads.
 
-use crate::search::{sample_neighborhood, score_neighborhood};
-use crate::{OptError, PolicyMoves, SearchConfig, Synthesized};
+use crate::search::Neighborhood;
+use crate::{MoveSpace, OptError, PolicyMoves, SearchConfig, Synthesized};
 use ftes_model::Application;
-use ftes_sched::SystemEvaluator;
+use ftes_sched::{Estimate, SystemEvaluator};
 use ftes_tdma::Platform;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -15,6 +15,12 @@ use rand_chacha::ChaCha8Rng;
 /// Objective trace of a search: the best objective value after each
 /// iteration (worst-case schedule length units).
 pub type SearchTrace = Vec<i64>;
+
+/// The plain objective of an estimate: worst-case length, fault-free
+/// length as tie-break (see [`Synthesized::objective`]).
+fn objective(estimate: &Estimate) -> (ftes_model::Time, ftes_model::Time) {
+    (estimate.worst_case_length, estimate.fault_free_length)
+}
 
 /// Greedy steepest descent: per iteration, sample the neighborhood and take
 /// the best move only if it improves the current state; stop early when a
@@ -33,25 +39,28 @@ pub fn greedy_descent(
 ) -> Result<(Synthesized, SearchTrace), OptError> {
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
     let mut evaluator = SystemEvaluator::new(app, platform, k);
+    let space = MoveSpace::new(app, k, policy_moves, config.max_checkpoints);
+    let mut hood = Neighborhood::new(&space, &evaluator, &initial);
     evaluator.evaluate(&initial.copies, &initial.policies)?;
     let mut current = initial;
     let mut trace = SearchTrace::with_capacity(config.iterations);
     for _ in 0..config.iterations {
         // Sample the whole neighborhood, then score it in one batch pass.
-        let proposals = sample_neighborhood(&evaluator, &current, policy_moves, config, &mut rng);
-        let candidates = score_neighborhood(&mut evaluator, proposals);
-        let mut best_move: Option<Synthesized> = None;
-        for (cand, _) in candidates {
-            if cand.objective() < best_move.as_ref().map_or(current.objective(), |b| b.objective())
-            {
-                best_move = Some(cand);
+        hood.sample(&evaluator, &current, config, &mut rng);
+        let scores = hood.score(&mut evaluator);
+        let mut best_move: Option<(usize, Estimate)> = None;
+        for (i, estimate) in scores.iter().enumerate() {
+            let Some(estimate) = estimate else { continue };
+            let to_beat = best_move.as_ref().map_or(&current.estimate, |(_, b)| b);
+            if objective(estimate) < objective(to_beat) {
+                best_move = Some((i, *estimate));
             }
         }
         ftes_obs::counter(ftes_obs::names::SEARCH_ITER, 1);
         match best_move {
-            Some(next) => {
+            Some((i, estimate)) => {
                 ftes_obs::counter(ftes_obs::names::SEARCH_ACCEPT, 1);
-                current = next;
+                hood.accept(&evaluator, i, &mut current, estimate)?;
                 // Re-anchor the delta base at the accepted state.
                 evaluator.evaluate(&current.copies, &current.policies)?;
             }
@@ -75,7 +84,8 @@ pub fn greedy_descent(
 /// samples its whole neighborhood from the iteration-start state, scores
 /// it in one batch pass, then walks the candidates sequentially applying
 /// the Metropolis acceptance rule (so `Δ` is measured against the evolving
-/// current state).
+/// current state). Every candidate is a neighbor of the iteration-start
+/// state, so the walk ends on the last accepted candidate.
 ///
 /// # Errors
 ///
@@ -90,6 +100,8 @@ pub fn simulated_annealing(
 ) -> Result<(Synthesized, SearchTrace), OptError> {
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
     let mut evaluator = SystemEvaluator::new(app, platform, k);
+    let space = MoveSpace::new(app, k, policy_moves, config.max_checkpoints);
+    let mut hood = Neighborhood::new(&space, &evaluator, &initial);
     evaluator.evaluate(&initial.copies, &initial.policies)?;
     let mut current = initial.clone();
     let mut best = initial;
@@ -100,12 +112,13 @@ pub fn simulated_annealing(
     for _ in 0..config.iterations {
         // Sample and batch-score the neighborhood of the iteration-start
         // state, then apply the acceptance walk over the scored candidates.
-        let proposals = sample_neighborhood(&evaluator, &current, policy_moves, config, &mut rng);
-        let candidates = score_neighborhood(&mut evaluator, proposals);
-        let mut accepted = false;
-        for (cand, _) in candidates {
-            let delta =
-                (cand.estimate.worst_case_length - current.estimate.worst_case_length).as_f64();
+        hood.sample(&evaluator, &current, config, &mut rng);
+        let scores = hood.score(&mut evaluator);
+        let mut walk = current.estimate;
+        let mut last_accepted: Option<(usize, Estimate)> = None;
+        for (i, estimate) in scores.iter().enumerate() {
+            let Some(estimate) = estimate else { continue };
+            let delta = (estimate.worst_case_length - walk.worst_case_length).as_f64();
             let accept = delta <= 0.0 || rng.gen_bool((-delta / temperature).exp().min(1.0));
             ftes_obs::counter(ftes_obs::names::SEARCH_ITER, 1);
             ftes_obs::counter(
@@ -117,14 +130,17 @@ pub fn simulated_annealing(
                 1,
             );
             if accept {
-                current = cand;
-                accepted = true;
-                if current.objective() < best.objective() {
-                    best = current.clone();
+                walk = *estimate;
+                last_accepted = Some((i, *estimate));
+                if objective(estimate) < best.objective() {
+                    let mut improved = current.clone();
+                    hood.write(&evaluator, i, &mut improved, *estimate)?;
+                    best = improved;
                 }
             }
         }
-        if accepted {
+        if let Some((i, estimate)) = last_accepted {
+            hood.accept(&evaluator, i, &mut current, estimate)?;
             // Re-anchor the delta base at the walk's final state so the
             // next iteration's batch diffs against it.
             evaluator.evaluate(&current.copies, &current.policies)?;

@@ -54,8 +54,8 @@ pub use repair::{
     CertifyMode, RepairConfig,
 };
 pub use search::{
-    apply_move, candidate_policies, sample_move, tabu_search, tabu_search_guarded_with,
-    tabu_search_traced, tabu_search_traced_with, tabu_search_with, BestGuard, CandidateMove,
+    apply_move, candidate_policies, tabu_search, tabu_search_guarded_with, tabu_search_traced,
+    tabu_search_traced_with, tabu_search_with, BestGuard, CandidateMove, Move, MoveSpace,
     PolicyMoves, SearchConfig, Synthesized,
 };
 pub use strategy::{synthesize, synthesize_with, Strategy};

@@ -1,9 +1,14 @@
 //! Tabu-search engine over mapping and policy-assignment moves (the MXR
 //! optimization of \[13\], §6).
 //!
-//! A candidate state is a base mapping plus one policy per process; replicas
-//! are placed by [`CopyMapping::from_base`] and the state is evaluated with
-//! the root-schedule estimator. Moves:
+//! A state is a base mapping plus one policy per process; replicas are
+//! placed by [`CopyMapping::from_base`] and the state is evaluated with the
+//! root-schedule estimator. A search step never builds its candidates as
+//! states: it draws moves from a [`MoveSpace`] precomputed once per search,
+//! derives each move's change set (the rows and policy that differ from
+//! the current state) with [`PlacementLoad`], scores the sets in one batch
+//! over the evaluator's anchored current state, and writes only the
+//! accepted move into the current state. Moves:
 //!
 //! * **remap** — move one (non-fixed) process to another feasible node;
 //! * **repolicy** — switch one process among its candidate policies
@@ -14,7 +19,7 @@
 
 use crate::OptError;
 use ftes_ft::{CopyPlan, Policy, PolicyAssignment};
-use ftes_ftcpg::CopyMapping;
+use ftes_ftcpg::{ChangeSets, CopyMapping, PlacementLoad};
 use ftes_model::{Application, Architecture, Mapping, NodeId, ProcessId, Time};
 use ftes_sched::{Estimate, SystemEvaluator};
 use ftes_tdma::Platform;
@@ -74,11 +79,11 @@ impl SearchConfig {
     /// applies.
     pub(crate) fn calibrated_objective(
         &self,
-        candidate: &Synthesized,
+        estimate: &Estimate,
         deadline: Time,
     ) -> (bool, Time, Time) {
-        let (worst, fault_free) = candidate.objective();
-        (self.calibrated_over_deadline(&candidate.estimate, deadline), worst, fault_free)
+        let over = self.calibrated_over_deadline(estimate, deadline);
+        (over, estimate.worst_case_length, estimate.fault_free_length)
     }
 }
 
@@ -176,30 +181,28 @@ pub enum PolicyMoves {
     Full,
 }
 
-/// Candidate policies of one process under fault budget `k`.
+/// Candidate policies of one process under fault budget `k`: re-execution,
+/// the checkpointed single copy (when the process has a useful local
+/// checkpoint count), pure replication, then the combined policies.
 pub fn candidate_policies(
     app: &Application,
     p: ProcessId,
     k: u32,
     max_checkpoints: u32,
 ) -> Vec<Policy> {
-    let proc = app.process(p);
+    let mut out = shared_candidates(k);
+    if let Some(checkpointed) = checkpointed_candidate(app, p, k, max_checkpoints) {
+        out.insert(1, checkpointed);
+    }
+    out
+}
+
+/// The candidate policies every process shares: re-execution, then (for
+/// `k > 0`) pure replication and the combined policies.
+fn shared_candidates(k: u32) -> Vec<Policy> {
     let mut out = vec![Policy::reexecution(k)];
     if k == 0 {
         return out;
-    }
-    // Checkpointed single copy with the local optimum X (a cheap, good
-    // default; the global checkpoint pass refines it).
-    let min_wcet = proc
-        .candidate_nodes()
-        .filter_map(|n| proc.wcet_on(n))
-        .min()
-        .expect("validated application");
-    if let Ok(scheme) = ftes_ft::RecoveryScheme::for_process(proc, min_wcet) {
-        let x = scheme.optimal_checkpoints_local(k, max_checkpoints);
-        if x > 0 {
-            out.push(Policy::checkpointing(k, x));
-        }
     }
     // Pure replication (Fig. 4b). Replicas may share nodes when the
     // process's candidate set is small (see CopyMapping).
@@ -214,10 +217,34 @@ pub fn candidate_policies(
     out
 }
 
-/// One sampled transformation of a candidate `(mapping, policies)` state —
-/// the neighborhood vocabulary shared by every search engine (tabu,
-/// annealing, greedy descent and the parallel portfolio workers of
-/// `ftes-explore`).
+/// The one per-process candidate: a checkpointed single copy with the
+/// local optimum X (a cheap, good default; the global checkpoint pass
+/// refines it), when that optimum uses any checkpoint.
+fn checkpointed_candidate(
+    app: &Application,
+    p: ProcessId,
+    k: u32,
+    max_checkpoints: u32,
+) -> Option<Policy> {
+    if k == 0 {
+        return None;
+    }
+    let proc = app.process(p);
+    let min_wcet = proc
+        .candidate_nodes()
+        .filter_map(|n| proc.wcet_on(n))
+        .min()
+        .expect("validated application");
+    let scheme = ftes_ft::RecoveryScheme::for_process(proc, min_wcet).ok()?;
+    let x = scheme.optimal_checkpoints_local(k, max_checkpoints);
+    (x > 0).then(|| Policy::checkpointing(k, x))
+}
+
+/// One transformation of a candidate `(mapping, policies)` state — the
+/// neighborhood vocabulary shared by every search engine (tabu, annealing,
+/// greedy descent and the parallel portfolio workers of `ftes-explore`),
+/// owning its policy. [`MoveSpace::sample`] draws the borrowing form,
+/// [`Move`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CandidateMove {
     /// Move one process to another feasible node.
@@ -247,46 +274,117 @@ impl CandidateMove {
     }
 }
 
-/// Samples one candidate move (remap or repolicy) from the neighborhood of
-/// the given state **without evaluating it**; returns `None` for degenerate
-/// samples (no-op moves, fixed or single-node processes).
-///
-/// Splitting sampling from evaluation lets callers batch evaluations —
-/// `ftes-explore` fans a whole neighborhood across a thread pool and a
-/// memoized estimate cache.
-pub fn sample_move(
-    app: &Application,
-    mapping: &Mapping,
-    policies: &PolicyAssignment,
-    k: u32,
+/// A move drawn from a [`MoveSpace`], borrowing its policy from the space.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Move<'s> {
+    /// Move one process to another feasible node.
+    Remap {
+        /// The process being remapped.
+        process: ProcessId,
+        /// The target node.
+        to: NodeId,
+    },
+    /// Switch one process to another candidate policy.
+    Repolicy {
+        /// The process whose policy changes.
+        process: ProcessId,
+        /// The new fault-tolerance policy.
+        policy: &'s Policy,
+    },
+}
+
+impl Move<'_> {
+    /// The process the move touches (the unit of tabu bookkeeping).
+    pub fn process(&self) -> ProcessId {
+        match self {
+            Move::Remap { process, .. } | Move::Repolicy { process, .. } => *process,
+        }
+    }
+}
+
+impl From<Move<'_>> for CandidateMove {
+    fn from(mv: Move<'_>) -> Self {
+        match mv {
+            Move::Remap { process, to } => CandidateMove::Remap { process, to },
+            Move::Repolicy { process, policy } => {
+                CandidateMove::Repolicy { process, policy: policy.clone() }
+            }
+        }
+    }
+}
+
+/// The move vocabulary of one search, derived once from the application:
+/// each process's remap targets and candidate policies. Only the
+/// checkpointed candidate differs between processes, so the others are
+/// stored once — O(k² + n · nodes) in all.
+#[derive(Debug, Clone)]
+pub struct MoveSpace {
     policy_moves: PolicyMoves,
-    config: SearchConfig,
-    rng: &mut ChaCha8Rng,
-) -> Option<CandidateMove> {
-    let n = app.process_count();
-    let p = ProcessId::new(rng.gen_range(0..n));
-    let proc = app.process(p);
-    let try_policy = policy_moves == PolicyMoves::Full && rng.gen_bool(0.5);
-    if try_policy {
-        let cands = candidate_policies(app, p, k, config.max_checkpoints);
-        let pol = cands[rng.gen_range(0..cands.len())].clone();
-        if *policies.policy(p) == pol {
-            return None;
+    /// Remap targets of process `p` at `nodes[node_end[p - 1]..node_end[p]]`
+    /// (none for a fixed process: it never remaps).
+    nodes: Vec<NodeId>,
+    node_end: Vec<u32>,
+    /// Re-execution, replication and combined candidates, in
+    /// [`candidate_policies`] order.
+    shared: Vec<Policy>,
+    /// Each process's checkpointed candidate, when it has one.
+    checkpointed: Vec<Option<Policy>>,
+}
+
+impl MoveSpace {
+    /// The moves of a search under fault budget `k`, with checkpoint counts
+    /// of candidate policies capped at `max_checkpoints`.
+    pub fn new(app: &Application, k: u32, policy_moves: PolicyMoves, max_checkpoints: u32) -> Self {
+        let mut nodes = Vec::new();
+        let mut node_end = Vec::with_capacity(app.process_count());
+        let mut checkpointed = Vec::with_capacity(app.process_count());
+        for (pid, proc) in app.processes() {
+            if proc.fixed_node().is_none() {
+                nodes.extend(proc.candidate_nodes());
+            }
+            node_end.push(nodes.len() as u32);
+            checkpointed.push(checkpointed_candidate(app, pid, k, max_checkpoints));
         }
-        Some(CandidateMove::Repolicy { process: p, policy: pol })
-    } else {
-        if proc.fixed_node().is_some() {
-            return None;
+        MoveSpace { policy_moves, nodes, node_end, shared: shared_candidates(k), checkpointed }
+    }
+
+    /// Samples one move from the neighborhood of a state **without
+    /// evaluating it**; `None` for degenerate samples (no-op moves, fixed
+    /// or single-node processes). Draws a process, then — only when policy
+    /// moves are on — a fair coin for repolicy over remap, then the target.
+    pub fn sample(
+        &self,
+        mapping: &Mapping,
+        policies: &PolicyAssignment,
+        rng: &mut ChaCha8Rng,
+    ) -> Option<Move<'_>> {
+        let p = ProcessId::new(rng.gen_range(0..self.node_end.len()));
+        if self.policy_moves == PolicyMoves::Full && rng.gen_bool(0.5) {
+            let own = self.checkpointed[p.index()].as_ref();
+            let i = rng.gen_range(0..self.shared.len() + usize::from(own.is_some()));
+            // `candidate_policies` order: the checkpointed candidate sits
+            // right after re-execution.
+            let policy = match own {
+                Some(own) if i == 1 => own,
+                Some(_) if i > 1 => &self.shared[i - 1],
+                _ => &self.shared[i],
+            };
+            if policies.policy(p) == policy {
+                return None;
+            }
+            Some(Move::Repolicy { process: p, policy })
+        } else {
+            let start = if p.index() == 0 { 0 } else { self.node_end[p.index() - 1] as usize };
+            let nodes = &self.nodes[start..self.node_end[p.index()] as usize];
+            if nodes.len() < 2 {
+                return None;
+            }
+            let to = nodes[rng.gen_range(0..nodes.len())];
+            if to == mapping.node_of(p) {
+                return None;
+            }
+            Some(Move::Remap { process: p, to })
         }
-        let nodes: Vec<NodeId> = proc.candidate_nodes().collect();
-        if nodes.len() < 2 {
-            return None;
-        }
-        let target = nodes[rng.gen_range(0..nodes.len())];
-        if target == mapping.node_of(p) {
-            return None;
-        }
-        Some(CandidateMove::Remap { process: p, to: target })
     }
 }
 
@@ -313,85 +411,145 @@ pub fn apply_move(
     }
 }
 
-/// One sampled-and-applied (but not yet scored) neighbor of a search's
-/// current state, ready for the evaluator's batch path.
-pub(crate) struct Proposal {
-    /// The process the originating move touches (tabu bookkeeping unit).
-    pub(crate) process: ProcessId,
-    pub(crate) mapping: Mapping,
-    pub(crate) policies: PolicyAssignment,
-    pub(crate) copies: CopyMapping,
-}
-
-/// Samples a whole neighborhood of `current` — up to `config.neighborhood`
-/// candidate moves — applying each move and deriving its copy placement,
-/// but **without scoring**. Degenerate samples (no-op moves, fixed or
-/// single-node processes) and infeasible applications are skipped, exactly
-/// like the sequential proposal loop did; the RNG stream is consumed
-/// identically (scoring never drew from it).
+/// One search's neighborhood machinery, reused across iterations: the move
+/// space, the current state's placement inputs, and the sampled moves with
+/// their change sets. Candidates exist only as change sets over the
+/// current state (which the evaluator keeps anchored); only an accepted
+/// move is ever written into a configuration.
 ///
 /// Shared between the tabu search and the alternative engines in
 /// [`crate::greedy_descent`] / [`crate::simulated_annealing`].
-pub(crate) fn sample_neighborhood(
-    evaluator: &SystemEvaluator,
-    current: &Synthesized,
-    policy_moves: PolicyMoves,
-    config: SearchConfig,
-    rng: &mut ChaCha8Rng,
-) -> Vec<Proposal> {
-    let k = evaluator.k();
-    let app = evaluator.app();
-    let arch = evaluator.platform().architecture();
-    let mut proposals = Vec::with_capacity(config.neighborhood);
-    for _ in 0..config.neighborhood {
-        let Some(mv) =
-            sample_move(app, &current.mapping, &current.policies, k, policy_moves, config, rng)
-        else {
-            continue;
-        };
-        let process = mv.process();
-        let Some((mapping, policies)) =
-            apply_move(app, arch, &current.mapping, &current.policies, &mv)
-        else {
-            continue;
-        };
-        // Infeasible copy placements are skipped rather than surfaced: the
-        // move is simply not available (same as the sequential path).
-        let Ok(copies) = CopyMapping::from_base(app, arch, &mapping, &policies) else { continue };
-        proposals.push(Proposal { process, mapping, policies, copies });
-    }
-    proposals
+pub(crate) struct Neighborhood<'s> {
+    space: &'s MoveSpace,
+    load: PlacementLoad,
+    moves: Vec<Move<'s>>,
+    sets: ChangeSets<'s>,
 }
 
-/// Scores a sampled neighborhood through one [`evaluate_batch`] pass
-/// (the kernel's base is the search's current state, so most candidates
-/// re-schedule only a shared-prefix suffix). Candidates whose evaluation
-/// fails (e.g. a policy the bus cannot carry) are dropped, mirroring the
-/// sequential path's skip; survivors come back in proposal order.
-///
-/// [`evaluate_batch`]: SystemEvaluator::evaluate_batch
-pub(crate) fn score_neighborhood(
-    evaluator: &mut SystemEvaluator,
-    proposals: Vec<Proposal>,
-) -> Vec<(Synthesized, ProcessId)> {
-    let refs: Vec<(&CopyMapping, &PolicyAssignment)> =
-        proposals.iter().map(|pr| (&pr.copies, &pr.policies)).collect();
-    let results = evaluator.evaluate_batch(&refs);
-    drop(refs);
-    proposals
-        .into_iter()
-        .zip(results)
-        .filter_map(|(pr, res)| {
-            let estimate = res.ok()?;
-            let synthesized = Synthesized {
-                mapping: pr.mapping,
-                policies: pr.policies,
-                copies: pr.copies,
-                estimate,
+impl<'s> Neighborhood<'s> {
+    /// A neighborhood over `space`, starting at `current`, whose copy
+    /// placement must be its mapping's and policies' [`CopyMapping::from_base`]
+    /// placement (as every [`Synthesized`] constructor builds it).
+    pub(crate) fn new(
+        space: &'s MoveSpace,
+        evaluator: &SystemEvaluator,
+        current: &Synthesized,
+    ) -> Self {
+        let (app, arch) = (evaluator.app(), evaluator.platform().architecture());
+        debug_assert_eq!(
+            CopyMapping::from_base(app, arch, &current.mapping, &current.policies).ok().as_ref(),
+            Some(&current.copies),
+            "search states carry their derived copy placement"
+        );
+        Neighborhood {
+            space,
+            load: PlacementLoad::new(app, arch, &current.mapping, &current.policies),
+            moves: Vec::new(),
+            sets: ChangeSets::new(),
+        }
+    }
+
+    /// Samples up to `config.neighborhood` moves of `current`, deriving
+    /// each one's change set **without scoring**. Degenerate samples and
+    /// infeasible remaps are skipped; scoring never draws from `rng`.
+    pub(crate) fn sample(
+        &mut self,
+        evaluator: &SystemEvaluator,
+        current: &Synthesized,
+        config: SearchConfig,
+        rng: &mut ChaCha8Rng,
+    ) {
+        let app = evaluator.app();
+        let node_count = evaluator.platform().architecture().node_count();
+        self.moves.clear();
+        self.sets.clear();
+        for _ in 0..config.neighborhood {
+            let Some(mv) = self.space.sample(&current.mapping, &current.policies, rng) else {
+                continue;
             };
-            Some((synthesized, pr.process))
-        })
-        .collect()
+            let row = current.copies.copies_of(mv.process());
+            match mv {
+                Move::Remap { process, to } => {
+                    // The mapping validation `apply_move` runs: the target
+                    // must be a node of the architecture.
+                    if to.index() >= node_count {
+                        continue;
+                    }
+                    self.load.derive(
+                        app,
+                        &current.copies,
+                        process,
+                        to,
+                        row.len(),
+                        None,
+                        &mut self.sets,
+                    );
+                }
+                Move::Repolicy { process, policy } => {
+                    let copies = policy.copies().len();
+                    self.load.derive(
+                        app,
+                        &current.copies,
+                        process,
+                        row[0],
+                        copies,
+                        Some(policy),
+                        &mut self.sets,
+                    );
+                }
+            }
+            self.moves.push(mv);
+        }
+    }
+
+    /// Scores every sampled candidate in one batch pass over the anchored
+    /// current state, in sample order; `None` marks a candidate whose
+    /// evaluation fails (e.g. a policy the bus cannot carry) — the move is
+    /// simply not available.
+    pub(crate) fn score(&self, evaluator: &mut SystemEvaluator) -> Vec<Option<Estimate>> {
+        evaluator.evaluate_changes(&self.sets).into_iter().map(Result::ok).collect()
+    }
+
+    /// The process candidate `i`'s move touches.
+    pub(crate) fn process(&self, i: usize) -> ProcessId {
+        self.moves[i].process()
+    }
+
+    /// Writes candidate `i` with its `estimate` over `state`, the state it
+    /// was sampled from.
+    pub(crate) fn write(
+        &self,
+        evaluator: &SystemEvaluator,
+        i: usize,
+        state: &mut Synthesized,
+        estimate: Estimate,
+    ) -> Result<(), OptError> {
+        if let Move::Remap { process, to } = self.moves[i] {
+            let arch = evaluator.platform().architecture();
+            state.mapping = state.mapping.with_move(evaluator.app(), arch, process, to)?;
+        }
+        self.sets.get(i).write(&mut state.copies, &mut state.policies);
+        state.estimate = estimate;
+        Ok(())
+    }
+
+    /// Accepts candidate `i`: writes it over `current` and steps the
+    /// placement inputs to match.
+    pub(crate) fn accept(
+        &mut self,
+        evaluator: &SystemEvaluator,
+        i: usize,
+        current: &mut Synthesized,
+        estimate: Estimate,
+    ) -> Result<(), OptError> {
+        let process = self.process(i);
+        let from = current.mapping.node_of(process);
+        self.write(evaluator, i, current, estimate)?;
+        let to = current.mapping.node_of(process);
+        let copies = current.copies.copies_of(process).len();
+        self.load.commit(evaluator.app(), process, from, to, copies);
+        Ok(())
+    }
 }
 
 /// Runs a tabu search from an initial state, minimizing the estimated
@@ -485,6 +643,10 @@ pub fn tabu_search_guarded_with(
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
     let n = evaluator.app().process_count();
     let deadline = evaluator.app().deadline();
+    let objective = |estimate: &Estimate| config.calibrated_objective(estimate, deadline);
+    let space =
+        MoveSpace::new(evaluator.app(), evaluator.k(), policy_moves, config.max_checkpoints);
+    let mut hood = Neighborhood::new(&space, evaluator, &initial);
     // Anchor the delta base at the search's starting state.
     evaluator.evaluate(&initial.copies, &initial.policies)?;
     let mut current = initial.clone();
@@ -494,37 +656,27 @@ pub fn tabu_search_guarded_with(
 
     for iter in 0..config.iterations {
         // Sample the whole neighborhood, then score it in one batch pass.
-        let proposals = sample_neighborhood(evaluator, &current, policy_moves, config, &mut rng);
-        let candidates = score_neighborhood(evaluator, proposals);
-        let mut best_move: Option<(Synthesized, ProcessId)> = None;
-        for (candidate, p) in candidates {
-            let aspiration = config.calibrated_objective(&candidate, deadline)
-                < config.calibrated_objective(&best, deadline);
-            if tabu_until[p.index()] > iter && !aspiration {
+        hood.sample(evaluator, &current, config, &mut rng);
+        let scores = hood.score(evaluator);
+        let mut best_move: Option<(usize, Estimate)> = None;
+        for (i, estimate) in scores.iter().enumerate() {
+            let Some(estimate) = estimate else { continue };
+            let aspiration = objective(estimate) < objective(&best.estimate);
+            if tabu_until[hood.process(i).index()] > iter && !aspiration {
                 continue;
             }
-            if best_move
-                .as_ref()
-                .map(|(s, _)| {
-                    config.calibrated_objective(&candidate, deadline)
-                        < config.calibrated_objective(s, deadline)
-                })
-                .unwrap_or(true)
-            {
-                best_move = Some((candidate, p));
+            if best_move.is_none_or(|(_, chosen)| objective(estimate) < objective(&chosen)) {
+                best_move = Some((i, *estimate));
             }
         }
         ftes_obs::counter(ftes_obs::names::SEARCH_ITER, 1);
-        if let Some((next, p)) = best_move {
+        if let Some((i, estimate)) = best_move {
             ftes_obs::counter(ftes_obs::names::SEARCH_ACCEPT, 1);
-            tabu_until[p.index()] = iter + config.tenure;
-            if config.calibrated_objective(&next, deadline)
-                < config.calibrated_objective(&best, deadline)
-                && guard(&next)?
-            {
-                best = next.clone();
+            tabu_until[hood.process(i).index()] = iter + config.tenure;
+            hood.accept(evaluator, i, &mut current, estimate)?;
+            if objective(&current.estimate) < objective(&best.estimate) && guard(&current)? {
+                best = current.clone();
             }
-            current = next;
             // Re-anchor the delta base at the accepted state.
             evaluator.evaluate(&current.copies, &current.policies)?;
         } else {

@@ -27,13 +27,20 @@
 //!   changed re-run the adversarial slack analysis. When the dirty region
 //!   reaches position 0 the call degrades to a full evaluation — never to
 //!   a wrong one.
-//! * **[`evaluate_batch`](SystemEvaluator::evaluate_batch)** — tier 3,
-//!   neighborhood — scores a whole set of neighbors in one pass: candidates
-//!   are sorted by first-dirty pop position (stably; results come back in
-//!   input order), the shared schedule prefix is materialized incrementally
-//!   as a sorted per-lane reservation image, and each candidate forks its
-//!   suffix off that image with flat `memcpy` restores instead of per-call
-//!   partition-and-sort work. The batch never moves the base state.
+//! * **[`evaluate_changes`](SystemEvaluator::evaluate_changes)** — tier 3,
+//!   neighborhood — scores a whole set of neighbors in one pass, each given
+//!   as a change set over the base state (the processes whose copy row or
+//!   policy differs, from `ftes_ftcpg::ChangeSets`): a set's first dirty
+//!   pop position is its lowest, its changed flags are its entries, and
+//!   only its changed policies are validated. Sets are sorted by dirty
+//!   position (stably; results come back in input order), the shared
+//!   schedule prefix is materialized incrementally as a sorted per-lane
+//!   reservation image, and each set is written into the single anchored
+//!   copy, scored by forking its suffix off that image with flat `memcpy`
+//!   restores, and reverted. The batch never moves the base state.
+//!   [`evaluate_batch`](SystemEvaluator::evaluate_batch) is the front end
+//!   for whole states: it diffs each into a change set and calls the same
+//!   core.
 //!
 //! ## SoA layout
 //!
@@ -55,11 +62,12 @@
 //! process is reported critical and which error is reported for infeasible
 //! states — and is locked in by `tests/evaluator_equality.rs` at the
 //! workspace root, which also pins `evaluate_batch` to the sequential
-//! delta path result-for-result and error-for-error, in input order.
+//! delta path result-for-result and error-for-error, in input order, and
+//! `evaluate_changes` to `evaluate_batch` counter for counter.
 
 use crate::{worst_case_delivery, Estimate, ReplicaLadder, SchedError};
 use ftes_ft::{CopyPlan, FtError, PolicyAssignment, RecoveryScheme};
-use ftes_ftcpg::CopyMapping;
+use ftes_ftcpg::{ChangeSet, ChangeSets, ChangeUndo, CopyMapping};
 use ftes_model::{Application, ProcessId, Time};
 use ftes_tdma::Platform;
 use std::cmp::Reverse;
@@ -121,14 +129,13 @@ impl EvaluatorStats {
 /// evaluation must surface the same [`FtError`] the legacy path would.
 type SchemeSlot = Option<Result<RecoveryScheme, FtError>>;
 
-/// The anchor state `delta_evaluate` and `evaluate_batch` diff against.
+/// The schedule image of the anchored state, which `delta_evaluate` and
+/// the batch tier restore prefixes from.
 ///
 /// Mirrors the evaluator's flat SoA scratch: `copy_end`/`copy_off` store the
 /// base root schedule pop-position-major, so any schedule prefix restores
 /// with two `memcpy`s.
 struct BaseState {
-    copies: CopyMapping,
-    policies: PolicyAssignment,
     /// Completion time of every copy, flat in pop-position order.
     copy_end: Vec<Time>,
     /// Row offsets into `copy_end` (`copy_off[pos]..copy_off[pos + 1]`).
@@ -216,9 +223,12 @@ pub struct SystemEvaluator {
     prefix_cursor: Vec<usize>,
     /// `(dirty position, input index)` sort keys of the current batch.
     batch_order: Vec<(u32, u32)>,
-    /// Per-candidate changed flags, `candidate * n + process` indexed.
-    batch_changed: Vec<bool>,
+    /// What the change set being scored overwrote in the anchored state.
+    undo: ChangeUndo,
     // ---- delta anchor + counters ----
+    /// The anchored `(copies, policies)`: `Some` exactly when `base` is,
+    /// and taken out only while the batch tier writes change sets over it.
+    anchored: Option<(CopyMapping, PolicyAssignment)>,
     base: Option<BaseState>,
     stats: EvaluatorStats,
 }
@@ -264,7 +274,8 @@ impl SystemEvaluator {
             prefix_lanes: vec![Vec::new(); node_count],
             prefix_cursor: vec![0; node_count],
             batch_order: Vec::new(),
-            batch_changed: Vec::new(),
+            undo: ChangeUndo::default(),
+            anchored: None,
             base: None,
             stats: EvaluatorStats { constructions: 1, ..EvaluatorStats::default() },
         }
@@ -366,9 +377,7 @@ impl SystemEvaluator {
     ) -> Result<Estimate, SchedError> {
         let Some(dirty_from) = self.dirty_position(copies, policies) else {
             // No base to diff against: full evaluation.
-            self.stats.delta_fallbacks += 1;
-            self.stats.full_evals += 1;
-            ftes_obs::counter(ftes_obs::names::EVAL_FALLBACK, 1);
+            self.count_fallback();
             return self.evaluate_inner(copies, policies);
         };
         policies.validate(self.k)?;
@@ -380,9 +389,7 @@ impl SystemEvaluator {
         }
         if dirty_from == 0 {
             // Dirty region cascades to the front: nothing to reuse.
-            self.stats.delta_fallbacks += 1;
-            self.stats.full_evals += 1;
-            ftes_obs::counter(ftes_obs::names::EVAL_FALLBACK, 1);
+            self.count_fallback();
             return self.evaluate_inner(copies, policies);
         }
         self.stats.delta_evals += 1;
@@ -411,117 +418,155 @@ impl SystemEvaluator {
         self.finish_estimate(copies, policies, makespan, Some(dirty_from))
     }
 
-    /// Scores a whole neighborhood of the base state in one pass, returning
-    /// one `Result` per candidate **in input order** — each bit-for-bit
-    /// equal (estimate *and* error) to what a sequential
+    /// Scores a whole neighborhood of full states against the base state,
+    /// returning one `Result` per candidate **in input order** — each
+    /// bit-for-bit equal (estimate *and* error) to what a sequential
     /// [`delta_evaluate`](SystemEvaluator::delta_evaluate) call would
     /// return for the same candidate.
     ///
-    /// Candidates are processed in ascending first-dirty pop position
-    /// (stable on ties), so the shared schedule prefix is materialized
-    /// once, incrementally: per node, a sorted reservation image of the
-    /// base prefix grows by a cursor walk over the position-tagged base
-    /// logs, and every candidate forks its suffix off flat `memcpy`
-    /// restores of that image. The base state is never moved — not even
-    /// for candidates that fall back to a full pass — because estimates
-    /// are pure functions of the candidate state, so batch results cannot
-    /// depend on evaluation order or on the anchor's drift.
+    /// A thin front end of [`evaluate_changes`]: each candidate is diffed
+    /// against the anchored state into a change set, and the change sets
+    /// are scored. With no base anchored yet, every candidate runs a full
+    /// pass (the same fallback the sequential path takes).
     ///
-    /// With no base anchored yet, every candidate runs a full pass (the
-    /// same fallback the sequential path takes). A failed candidate never
-    /// contaminates its successors: each restore starts from the base
-    /// image, not from the previous candidate's scratch.
+    /// [`evaluate_changes`]: SystemEvaluator::evaluate_changes
     pub fn evaluate_batch(
         &mut self,
         candidates: &[(&CopyMapping, &PolicyAssignment)],
     ) -> Vec<Result<Estimate, SchedError>> {
-        let m = candidates.len();
-        let n = self.app.process_count();
-        self.stats.batch_evals += 1;
-        self.stats.batch_candidates += m as u64;
-        ftes_obs::counter(ftes_obs::names::EVAL_BATCH, 1);
-        ftes_obs::counter(ftes_obs::names::EVAL_BATCH_CANDIDATES, m as u64);
-
-        // Pass 1: diff every candidate against the base once, recording the
-        // first-dirty position (sort key) and the per-process changed flags
-        // (consumed by the slack memoization when the candidate is scored).
-        self.batch_order.clear();
-        self.batch_changed.resize(m * n, false);
-        for (idx, (copies, policies)) in candidates.iter().enumerate() {
-            let dirty = match self.base.as_ref() {
-                Some(base) => diff_against_base(
-                    base,
-                    &self.app,
-                    &self.pos_of,
-                    copies,
-                    policies,
-                    &mut self.batch_changed[idx * n..(idx + 1) * n],
-                ),
-                None => 0,
-            };
-            self.batch_order.push((dirty as u32, idx as u32));
+        let Some((base_copies, base_policies)) = self.anchored.as_ref() else {
+            self.count_batch(candidates.len());
+            return candidates
+                .iter()
+                .map(|&(copies, policies)| {
+                    self.count_fallback();
+                    self.full_pass(copies, policies, false)
+                })
+                .collect();
+        };
+        let mut sets = ChangeSets::new();
+        for &(copies, policies) in candidates {
+            sets.push_diff(&self.app, (base_copies, base_policies), (copies, policies));
         }
+        self.evaluate_changes(&sets)
+    }
+
+    /// Scores a whole neighborhood given as change sets against the
+    /// anchored state, returning one `Result` per set **in input order** —
+    /// each bit-for-bit equal (estimate *and* error) to what a sequential
+    /// [`delta_evaluate`](SystemEvaluator::delta_evaluate) call would
+    /// return for the anchored state with the set written over it.
+    ///
+    /// Each set is written into the single anchored copy, scored, and
+    /// reverted, so no neighbor is ever built as a whole configuration.
+    /// The first dirty pop position is the lowest position in the set, and
+    /// only the set's processes are flagged changed or have their policy
+    /// validated (the anchored state passed validation when it was
+    /// anchored). Sets are processed in ascending dirty position (stable on
+    /// ties), so the shared schedule prefix is materialized once,
+    /// incrementally: per node, a sorted reservation image of the base
+    /// prefix grows by a cursor walk over the position-tagged base logs,
+    /// and every candidate forks its suffix off flat `memcpy` restores of
+    /// that image. The base state is never moved — not even for candidates
+    /// that fall back to a full pass — because estimates are pure functions
+    /// of the candidate state, so results cannot depend on evaluation
+    /// order. A failed candidate never contaminates its successors: each
+    /// restore starts from the base image.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no state is anchored yet (a change set is relative to
+    /// one).
+    pub fn evaluate_changes(&mut self, sets: &ChangeSets<'_>) -> Vec<Result<Estimate, SchedError>> {
+        let m = sets.len();
+        let n = self.app.process_count();
+        self.count_batch(m);
+        let (mut copies, mut policies) =
+            self.anchored.take().expect("change sets are scored against an anchored state");
+
         // Ascending dirty position; ties keep input order (the index is the
         // tie-break), so the prefix image only ever grows.
+        self.batch_order.clear();
+        for (idx, set) in sets.iter().enumerate() {
+            let dirty = set.processes().map(|p| self.pos_of[p.index()]).min().unwrap_or(n as u32);
+            self.batch_order.push((dirty, idx as u32));
+        }
         self.batch_order.sort_unstable();
-
         for lane in &mut self.prefix_lanes {
             lane.clear();
         }
         self.prefix_cursor.iter_mut().for_each(|c| *c = 0);
+        // The sequential tier leaves arbitrary flags behind; each set raises
+        // and lowers only its own.
+        self.changed.fill(false);
 
-        let has_base = self.base.is_some();
         let mut out: Vec<Option<Result<Estimate, SchedError>>> = (0..m).map(|_| None).collect();
         let batch_order = std::mem::take(&mut self.batch_order);
         for &(dirty, idx) in &batch_order {
-            let idx = idx as usize;
-            let (copies, policies) = candidates[idx];
-            out[idx] = Some(self.score_candidate(copies, policies, dirty as usize, has_base, idx));
+            let set = sets.get(idx as usize);
+            out[idx as usize] =
+                Some(self.score_change_set(&mut copies, &mut policies, set, dirty as usize));
         }
         self.batch_order = batch_order;
+        self.anchored = Some((copies, policies));
         out.into_iter().map(|r| r.expect("every candidate is scored exactly once")).collect()
     }
 
-    /// Scores one batch candidate, mirroring the sequential tiers' counter
-    /// and error behavior exactly (minus any anchoring).
-    fn score_candidate(
+    /// Scores one change set over the anchored state (`copies`/`policies`,
+    /// taken out of the evaluator), mirroring the sequential tiers' counter
+    /// and error behavior exactly (minus any anchoring), and leaves the
+    /// anchored state as it found it.
+    fn score_change_set(
+        &mut self,
+        copies: &mut CopyMapping,
+        policies: &mut PolicyAssignment,
+        set: ChangeSet<'_, '_>,
+        dirty: usize,
+    ) -> Result<Estimate, SchedError> {
+        // Every unchanged policy is the anchored one, which is valid, so the
+        // first invalid changed policy is the error a full validation of the
+        // candidate reports.
+        for (process, policy) in set.policies() {
+            policy.validate(self.k).map_err(|e| FtError::ProcessPolicy(process, Box::new(e)))?;
+        }
+        if dirty >= self.app.process_count() {
+            self.stats.delta_noops += 1;
+            return Ok(self.base.as_ref().expect("anchored").estimate);
+        }
+        self.undo.record(set, copies, policies);
+        set.write(copies, policies);
+        let result = if dirty == 0 {
+            self.count_fallback();
+            self.full_pass(copies, policies, false)
+        } else {
+            self.stats.delta_evals += 1;
+            ftes_obs::counter(ftes_obs::names::EVAL_DELTA, 1);
+            for p in set.processes() {
+                self.changed[p.index()] = true;
+            }
+            let result = self.score_suffix(copies, policies, dirty);
+            for p in set.processes() {
+                self.changed[p.index()] = false;
+            }
+            result
+        };
+        self.undo.revert(copies, policies);
+        result
+    }
+
+    /// Re-schedules positions `dirty..` of a candidate forked off the
+    /// shared prefix image, then finishes its estimate (reusing unchanged
+    /// processes' slack).
+    fn score_suffix(
         &mut self,
         copies: &CopyMapping,
         policies: &PolicyAssignment,
         dirty: usize,
-        has_base: bool,
-        idx: usize,
     ) -> Result<Estimate, SchedError> {
-        let n = self.app.process_count();
-        if !has_base {
-            self.stats.delta_fallbacks += 1;
-            self.stats.full_evals += 1;
-            ftes_obs::counter(ftes_obs::names::EVAL_FALLBACK, 1);
-            return self.full_pass(copies, policies, false);
-        }
-        policies.validate(self.k)?;
-        if dirty >= n {
-            self.stats.delta_noops += 1;
-            return Ok(self.base.as_ref().expect("has_base").estimate);
-        }
-        if dirty == 0 {
-            self.stats.delta_fallbacks += 1;
-            self.stats.full_evals += 1;
-            ftes_obs::counter(ftes_obs::names::EVAL_FALLBACK, 1);
-            return self.full_pass(copies, policies, false);
-        }
-        self.stats.delta_evals += 1;
-        ftes_obs::counter(ftes_obs::names::EVAL_DELTA, 1);
-
-        {
-            let (changed, batch_changed) = (&mut self.changed, &self.batch_changed);
-            changed[..n].copy_from_slice(&batch_changed[idx * n..(idx + 1) * n]);
-        }
         self.advance_prefix(dirty);
-
         // Fork the candidate's suffix off the shared prefix image: flat
         // memcpys of the base arrays, lane clones of the sorted image.
-        let base = self.base.as_ref().expect("has_base");
+        let base = self.base.as_ref().expect("anchored");
         let cut = base.copy_off[dirty] as usize;
         self.copy_end.clear();
         self.copy_end.extend_from_slice(&base.copy_end[..cut]);
@@ -536,6 +581,21 @@ impl SystemEvaluator {
 
         let makespan = self.schedule_suffix(copies, policies, dirty, prefix_makespan, false)?;
         self.finish_estimate(copies, policies, makespan, Some(dirty))
+    }
+
+    /// Counts one batch of `m` candidates.
+    fn count_batch(&mut self, m: usize) {
+        self.stats.batch_evals += 1;
+        self.stats.batch_candidates += m as u64;
+        ftes_obs::counter(ftes_obs::names::EVAL_BATCH, 1);
+        ftes_obs::counter(ftes_obs::names::EVAL_BATCH_CANDIDATES, m as u64);
+    }
+
+    /// Counts one delta call answered by a full pass instead.
+    fn count_fallback(&mut self) {
+        self.stats.delta_fallbacks += 1;
+        self.stats.full_evals += 1;
+        ftes_obs::counter(ftes_obs::names::EVAL_FALLBACK, 1);
     }
 
     /// Extends the sorted per-node prefix-lane image to cover every base
@@ -557,15 +617,25 @@ impl SystemEvaluator {
     }
 
     /// First schedule position whose process differs (in placement or
-    /// policy) from the base state; `app.process_count()` when nothing
-    /// differs, `None` when there is no base.
+    /// policy) from the base state, filling the per-process changed flags;
+    /// `app.process_count()` when nothing differs, `None` when there is no
+    /// base.
     fn dirty_position(
         &mut self,
         copies: &CopyMapping,
         policies: &PolicyAssignment,
     ) -> Option<usize> {
-        let base = self.base.as_ref()?;
-        Some(diff_against_base(base, &self.app, &self.pos_of, copies, policies, &mut self.changed))
+        let (base_copies, base_policies) = self.anchored.as_ref()?;
+        let mut dirty = self.app.process_count();
+        for (pid, _) in self.app.processes() {
+            let differs = copies.copies_of(pid) != base_copies.copies_of(pid)
+                || policies.policy(pid) != base_policies.policy(pid);
+            self.changed[pid.index()] = differs;
+            if differs {
+                dirty = dirty.min(self.pos_of[pid.index()] as usize);
+            }
+        }
+        Some(dirty)
     }
 
     /// List-schedules positions `from..` of the fixed order onto the lane
@@ -733,10 +803,10 @@ impl SystemEvaluator {
     /// Stores the just-evaluated state as the delta anchor, reusing the
     /// previous anchor's allocations.
     fn anchor(&mut self, copies: &CopyMapping, policies: &PolicyAssignment, estimate: Estimate) {
-        match &mut self.base {
-            Some(base) => {
-                base.copies.clone_from(copies);
-                base.policies.clone_from(policies);
+        match (&mut self.base, &mut self.anchored) {
+            (Some(base), Some((base_copies, base_policies))) => {
+                base_copies.clone_from(copies);
+                base_policies.clone_from(policies);
                 base.copy_end.clone_from(&self.copy_end);
                 base.copy_off.clone_from(&self.copy_off);
                 base.logs.clone_from(&self.logs);
@@ -744,10 +814,9 @@ impl SystemEvaluator {
                 base.slack.clone_from(&self.slack);
                 base.estimate = estimate;
             }
-            None => {
+            _ => {
+                self.anchored = Some((copies.clone(), policies.clone()));
                 self.base = Some(BaseState {
-                    copies: copies.clone(),
-                    policies: policies.clone(),
                     copy_end: self.copy_end.clone(),
                     copy_off: self.copy_off.clone(),
                     logs: self.logs.clone(),
@@ -764,29 +833,6 @@ impl SystemEvaluator {
 #[inline]
 fn row<'a>(copy_end: &'a [Time], copy_off: &[u32], pos: usize) -> &'a [Time] {
     &copy_end[copy_off[pos] as usize..copy_off[pos + 1] as usize]
-}
-
-/// Diffs a candidate against the base, filling per-process changed flags
-/// and returning the first dirty pop position (`process_count` when the
-/// candidate equals the base).
-fn diff_against_base(
-    base: &BaseState,
-    app: &Application,
-    pos_of: &[u32],
-    copies: &CopyMapping,
-    policies: &PolicyAssignment,
-    changed: &mut [bool],
-) -> usize {
-    let mut dirty = app.process_count();
-    for (pid, _) in app.processes() {
-        let differs = copies.copies_of(pid) != base.copies.copies_of(pid)
-            || policies.policy(pid) != base.policies.policy(pid);
-        changed[pid.index()] = differs;
-        if differs {
-            dirty = dirty.min(pos_of[pid.index()] as usize);
-        }
-    }
-    dirty
 }
 
 /// Looks up the precomputed recovery scheme of process `p` on node `node`

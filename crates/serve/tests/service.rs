@@ -376,6 +376,27 @@ fn malformed_requests_get_4xx() {
 }
 
 #[test]
+fn out_of_range_spec_sizes_get_400_and_the_daemon_lives() {
+    let server = test_server(ServeConfig { workers: 2, ..ServeConfig::default() });
+    // A spec declaring 10^11 nodes used to abort the daemon on a failed
+    // allocation: the reply came back empty and the next connection was
+    // refused.
+    let bodies = [
+        "nodes 100000000000\ndeadline 100\nk 1\nprocess a wcet 5\n",
+        "nodes -1\ndeadline 100\nk 1\nprocess a wcet 5\n",
+        "nodes 2\ndeadline 100\nk -1\nprocess a wcet 5 5\n",
+        "nodes 2\ndeadline 100\nk 100000\nprocess a wcet 5 5\n",
+    ];
+    for spec in bodies {
+        let (status, body) = call(&server, "POST", "/synthesize", spec);
+        assert_eq!(status, 400, "{spec}: {body}");
+        assert!(body.contains("is outside"), "{body}");
+    }
+    let (status, body) = call(&server, "GET", "/healthz", "");
+    assert_eq!(status, 200, "{body}");
+}
+
+#[test]
 fn healthz_reports_capacity() {
     let server =
         test_server(ServeConfig { workers: 3, queue_capacity: 17, ..ServeConfig::default() });

@@ -14,9 +14,16 @@
 //! `SystemEvaluator::evaluate_batch` over random neighborhoods must equal
 //! sequential `delta_evaluate` calls bit-for-bit — results and errors, in
 //! input order — with and without an anchored base.
+//!
+//! A third pins the search's move-as-delta path: along walks through
+//! replicated states, every change set `PlacementLoad::derive` emits holds
+//! exactly the rows where `CopyMapping::from_base` of the moved state
+//! differs from the current one, and `evaluate_changes` over the sets
+//! equals `evaluate_batch` over the materialized states — result for
+//! result, error for error, counter for counter.
 
-use ftes::ft::PolicyAssignment;
-use ftes::ftcpg::CopyMapping;
+use ftes::ft::{Policy, PolicyAssignment};
+use ftes::ftcpg::{ChangeSets, CopyMapping, PlacementLoad};
 use ftes::gen::{generate_application, GeneratorConfig};
 use ftes::model::{Application, Mapping, NodeId, ProcessId, Time};
 use ftes::opt::{apply_move, candidate_policies, CandidateMove};
@@ -224,6 +231,138 @@ proptest! {
             let stats = batch_eval.stats();
             prop_assert_eq!(stats.batch_evals, 1);
             prop_assert_eq!(stats.batch_candidates, neighborhood.len() as u64);
+        }
+    }
+
+    /// Change-set guarantee: along a walk that starts replicated (MR, or
+    /// a re-execution start whose repolicies favor replication), each
+    /// candidate move's derived change set equals the diff of its
+    /// materialized `from_base` state against the current state, and
+    /// scoring the sets equals scoring the states — including an invalid
+    /// policy (validate error) and an empty set (noop).
+    #[test]
+    fn change_sets_equal_materialized_states_along_replicated_walks(
+        seed in 0u64..1000,
+        n in 6usize..13,
+        nodes in 2usize..5,
+    ) {
+        let config = match seed % 3 {
+            0 => GeneratorConfig::new(n, nodes),
+            1 => GeneratorConfig::chainy(n, nodes),
+            _ => GeneratorConfig::wide(n, nodes),
+        };
+        let app = generate_application(&config, seed)
+            .expect("generator configs in range are valid");
+        let platform = Platform::homogeneous(nodes, Time::new(8)).expect("non-empty platform");
+        let arch = platform.architecture();
+        let invalid = Policy::reexecution(0);
+
+        for k in 0u32..=3 {
+            let mut mapping = Mapping::cheapest(&app, arch).expect("generated apps are mappable");
+            let mut policies = if (seed + u64::from(k)).is_multiple_of(2) {
+                PolicyAssignment::uniform_replication(&app, k)
+            } else {
+                PolicyAssignment::uniform_reexecution(&app, k)
+            };
+            let mut copies = CopyMapping::from_base(&app, arch, &mapping, &policies)
+                .expect("placement is total");
+            let mut load = PlacementLoad::new(&app, arch, &mapping, &policies);
+            let mut change_eval = SystemEvaluator::new(&app, &platform, k);
+            let mut batch_eval = SystemEvaluator::new(&app, &platform, k);
+            if change_eval.evaluate(&copies, &policies).is_err() {
+                continue;
+            }
+            prop_assert!(batch_eval.evaluate(&copies, &policies).is_ok());
+
+            for step in 0..6u64 {
+                // A neighborhood of the current state: remaps, and
+                // repolicies of which every other one picks replication.
+                let mut moves = Vec::new();
+                for j in 0..8u64 {
+                    let walk = step * 8 + j;
+                    let Some(mv) = step_move(&app, &mapping, k, seed, walk) else { continue };
+                    let mv = match mv {
+                        CandidateMove::Repolicy { process, .. } if k > 0 && walk % 4 == 1 => {
+                            CandidateMove::Repolicy { process, policy: Policy::replication(k) }
+                        }
+                        mv => mv,
+                    };
+                    // Searches never sample a repolicy to the current policy.
+                    if let CandidateMove::Repolicy { process, policy } = &mv {
+                        if policies.policy(*process) == policy {
+                            continue;
+                        }
+                    }
+                    moves.push(mv);
+                }
+                let mut sets = ChangeSets::new();
+                let mut kept = Vec::new();
+                let mut states: Vec<(Mapping, PolicyAssignment, CopyMapping)> = Vec::new();
+                for mv in &moves {
+                    let Some((m, p)) = apply_move(&app, arch, &mapping, &policies, mv) else {
+                        continue;
+                    };
+                    let c = CopyMapping::from_base(&app, arch, &m, &p).expect("placement is total");
+                    let process = mv.process();
+                    let row = copies.copies_of(process);
+                    match mv {
+                        CandidateMove::Remap { to, .. } => {
+                            load.derive(&app, &copies, process, *to, row.len(), None, &mut sets);
+                        }
+                        CandidateMove::Repolicy { policy, .. } => {
+                            let count = policy.copies().len();
+                            load.derive(&app, &copies, process, row[0], count, Some(policy), &mut sets);
+                        }
+                    }
+                    let mut expected = ChangeSets::new();
+                    expected.push_diff(&app, (&copies, &policies), (&c, &p));
+                    let derived: Vec<_> = sets.get(sets.len() - 1).iter().collect();
+                    let diffed: Vec<_> = expected.get(0).iter().collect();
+                    prop_assert_eq!(derived, diffed, "k={} step={} move={:?}", k, step, mv);
+                    kept.push(process);
+                    states.push((m, p, c));
+                }
+                // An invalid policy on the first process, and the state
+                // itself as an empty set.
+                let first = ProcessId::new(0);
+                if k > 0 {
+                    let row = copies.copies_of(first);
+                    load.derive(&app, &copies, first, row[0], 1, Some(&invalid), &mut sets);
+                    let mut bad = policies.clone();
+                    bad.set(first, invalid.clone());
+                    let c = CopyMapping::from_base(&app, arch, &mapping, &bad)
+                        .expect("placement is total");
+                    states.push((mapping.clone(), bad, c));
+                }
+                sets.close();
+                states.push((mapping.clone(), policies.clone(), copies.clone()));
+
+                let refs: Vec<(&CopyMapping, &PolicyAssignment)> =
+                    states.iter().map(|(_, p, c)| (c, p)).collect();
+                let by_set = change_eval.evaluate_changes(&sets);
+                let by_state = batch_eval.evaluate_batch(&refs);
+                prop_assert_eq!(&by_set, &by_state, "k={} step={}", k, step);
+                prop_assert_eq!(change_eval.stats(), batch_eval.stats());
+                for (i, (_, p, c)) in states.iter().enumerate() {
+                    let legacy = estimate_schedule_length(&app, &platform, c, p, k);
+                    prop_assert_eq!(&by_set[i], &legacy, "k={} step={} candidate={}", k, step, i);
+                }
+
+                // Walk on: accept the first feasible move, as a search does.
+                let Some(i) = (0..kept.len()).find(|&i| by_set[i].is_ok()) else { continue };
+                let process = kept[i];
+                let (m, p, c) = states.swap_remove(i);
+                load.commit(
+                    &app,
+                    process,
+                    mapping.node_of(process),
+                    m.node_of(process),
+                    c.copies_of(process).len(),
+                );
+                (mapping, policies, copies) = (m, p, c);
+                prop_assert!(change_eval.evaluate(&copies, &policies).is_ok());
+                prop_assert!(batch_eval.evaluate(&copies, &policies).is_ok());
+            }
         }
     }
 }
