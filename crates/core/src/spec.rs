@@ -525,62 +525,13 @@ mod tests {
         // Each used to panic or abort the process (a capacity overflow, a
         // failed terabyte allocation, a wrapped `k`, an OOM kill).
         let cases = [
-            (
-                "nodes -1
-deadline 100
-k 1
-",
-                1,
-                "nodes -1",
-            ),
-            (
-                "nodes 100000000000
-deadline 100
-k 1
-",
-                1,
-                "nodes 100000000000",
-            ),
-            (
-                "nodes 2
-deadline 100
-k -1
-",
-                3,
-                "k -1",
-            ),
-            (
-                "nodes 2
-deadline 100
-k 100000
-",
-                3,
-                "k 100000",
-            ),
-            (
-                "nodes 0
-deadline 100
-k 1
-",
-                1,
-                "nodes 0",
-            ),
-            (
-                "nodes 17
-deadline 100
-k 1
-",
-                1,
-                "nodes 17",
-            ),
-            (
-                "nodes 2
-deadline 100
-k 17
-",
-                3,
-                "k 17",
-            ),
+            ("nodes -1\ndeadline 100\nk 1\n", 1, "nodes -1"),
+            ("nodes 100000000000\ndeadline 100\nk 1\n", 1, "nodes 100000000000"),
+            ("nodes 2\ndeadline 100\nk -1\n", 3, "k -1"),
+            ("nodes 2\ndeadline 100\nk 100000\n", 3, "k 100000"),
+            ("nodes 0\ndeadline 100\nk 1\n", 1, "nodes 0"),
+            ("nodes 17\ndeadline 100\nk 1\n", 1, "nodes 17"),
+            ("nodes 2\ndeadline 100\nk 17\n", 3, "k 17"),
         ];
         for (text, line, needle) in cases {
             let err = parse_spec(text).unwrap_err();
@@ -588,16 +539,9 @@ k 17
             assert!(err.to_string().contains(needle), "{err}");
             assert!(err.to_string().contains("is outside"), "{err}");
         }
-        let edge = format!(
-            "nodes {MAX_NODES}
-deadline 100
-k {MAX_K}
-process a wcet 5"
-        );
-        let edge = edge
-            + &" 5".repeat(MAX_NODES - 1)
-            + "
-";
+        // The caps themselves are accepted.
+        let wcets = " 5".repeat(MAX_NODES);
+        let edge = format!("nodes {MAX_NODES}\ndeadline 100\nk {MAX_K}\nprocess a wcet{wcets}\n");
         let spec = parse_spec(&edge).unwrap();
         assert_eq!(spec.platform.architecture().node_count(), MAX_NODES);
         assert_eq!(spec.fault_model.k(), MAX_K);

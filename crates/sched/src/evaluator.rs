@@ -1151,6 +1151,44 @@ mod tests {
     }
 
     #[test]
+    fn batch_recomputes_the_slack_of_a_changed_process_that_ends_on_time() {
+        use ftes_model::{ApplicationBuilder, NodeId, ProcessSpec};
+        // A → B. Moving B off A's node to one where it runs shorter but
+        // waits for the bus can leave its completion time as it was, while
+        // its recovery slack (k re-executions of its WCET) shrinks: only
+        // the change set's changed flag keeps the batch from reusing the
+        // anchored slack.
+        let mut same_end = 0;
+        for w in 1..=10 {
+            let mut builder = ApplicationBuilder::new(2);
+            let a = builder.add_process(ProcessSpec::uniform("A", Time::new(2), 2));
+            let b = builder
+                .add_process(ProcessSpec::new("B", [Some(Time::new(10)), Some(Time::new(w))]));
+            builder.add_message("m", a, b, Time::new(1)).unwrap();
+            let app = builder.deadline(Time::new(1000)).build().unwrap();
+            let platform = Platform::homogeneous(2, Time::new(8)).unwrap();
+            let arch = platform.architecture();
+            let policies = PolicyAssignment::uniform_reexecution(&app, 2);
+            let mapping = Mapping::new(&app, arch, vec![NodeId::new(0), NodeId::new(0)]).unwrap();
+            let moved = mapping.with_move(&app, arch, b, NodeId::new(1)).unwrap();
+            let base = CopyMapping::from_base(&app, arch, &mapping, &policies).unwrap();
+            let cand = CopyMapping::from_base(&app, arch, &moved, &policies).unwrap();
+            let before = estimate_schedule_length(&app, &platform, &base, &policies, 2).unwrap();
+            let after = estimate_schedule_length(&app, &platform, &cand, &policies, 2).unwrap();
+            if after.fault_free_length != before.fault_free_length {
+                continue;
+            }
+            same_end += 1;
+            assert_ne!(after.worst_case_length, before.worst_case_length, "w={w}");
+            let mut ev = SystemEvaluator::new(&app, &platform, 2);
+            ev.evaluate(&base, &policies).unwrap();
+            assert_eq!(ev.evaluate_batch(&[(&cand, &policies)])[0], Ok(after), "w={w}");
+            assert_eq!(ev.stats().delta_evals, 1, "B's move is scored as a suffix delta");
+        }
+        assert_eq!(same_end, 1, "exactly one WCET of B reproduces its completion time");
+    }
+
+    #[test]
     fn batch_without_base_runs_full_passes() {
         let (app, platform, mapping, policies) = fig3_instance(1);
         let copies =
