@@ -185,9 +185,7 @@ impl<'a, 'p> ChangeSet<'a, 'p> {
     /// Panics if a process is out of range for the state.
     pub fn write(&self, copies: &mut CopyMapping, policies: &mut PolicyAssignment) {
         for (process, row, policy) in self.iter() {
-            let slot = &mut copies.rows[process.index()];
-            slot.clear();
-            slot.extend_from_slice(row);
+            copies.overwrite_row(process, row);
             if let Some(policy) = policy {
                 policies.set_from(process, policy);
             }
@@ -239,9 +237,7 @@ impl ChangeUndo {
     /// Restores the recorded values.
     pub fn revert(&self, copies: &mut CopyMapping, policies: &mut PolicyAssignment) {
         for &(process, start, end) in &self.rows {
-            let slot = &mut copies.rows[process.index()];
-            slot.clear();
-            slot.extend_from_slice(&self.nodes[start as usize..end as usize]);
+            copies.overwrite_row(process, &self.nodes[start as usize..end as usize]);
         }
         for (&process, policy) in self.policy_processes.iter().zip(&self.policies) {
             policies.set_from(process, policy);

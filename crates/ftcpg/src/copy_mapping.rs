@@ -21,7 +21,7 @@ use ftes_model::{Application, Architecture, Mapping, NodeId, Process, ProcessId,
 /// copies.
 #[derive(Debug, PartialEq, Eq)]
 pub struct CopyMapping {
-    pub(crate) rows: Vec<Vec<NodeId>>,
+    rows: Vec<Vec<NodeId>>,
 }
 
 // Forwards `clone_from` row by row, so re-anchoring an evaluator on a new
@@ -118,6 +118,14 @@ impl CopyMapping {
     /// Panics if `p` or `copy` is out of range.
     pub fn node_of(&self, p: ProcessId, copy: usize) -> NodeId {
         self.rows[p.index()][copy]
+    }
+
+    /// Overwrites process `p`'s row in place (change sets write and revert
+    /// through this; the caller keeps the row valid).
+    pub(crate) fn overwrite_row(&mut self, p: ProcessId, row: &[NodeId]) {
+        let slot = &mut self.rows[p.index()];
+        slot.clear();
+        slot.extend_from_slice(row);
     }
 
     /// All copy nodes of process `p` (index 0 = original).

@@ -4,7 +4,7 @@
 //! MXR \[13\]; the ablation quantifies how much the choice of metaheuristic
 //! matters on our workloads.
 
-use crate::search::Neighborhood;
+use crate::search::{objective, Neighborhood};
 use crate::{MoveSpace, OptError, PolicyMoves, SearchConfig, Synthesized};
 use ftes_model::Application;
 use ftes_sched::{Estimate, SystemEvaluator};
@@ -15,12 +15,6 @@ use rand_chacha::ChaCha8Rng;
 /// Objective trace of a search: the best objective value after each
 /// iteration (worst-case schedule length units).
 pub type SearchTrace = Vec<i64>;
-
-/// The plain objective of an estimate: worst-case length, fault-free
-/// length as tie-break (see [`Synthesized::objective`]).
-fn objective(estimate: &Estimate) -> (ftes_model::Time, ftes_model::Time) {
-    (estimate.worst_case_length, estimate.fault_free_length)
-}
 
 /// Greedy steepest descent: per iteration, sample the neighborhood and take
 /// the best move only if it improves the current state; stop early when a

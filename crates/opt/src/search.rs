@@ -82,8 +82,8 @@ impl SearchConfig {
         estimate: &Estimate,
         deadline: Time,
     ) -> (bool, Time, Time) {
-        let over = self.calibrated_over_deadline(estimate, deadline);
-        (over, estimate.worst_case_length, estimate.fault_free_length)
+        let (worst, fault_free) = objective(estimate);
+        (self.calibrated_over_deadline(estimate, deadline), worst, fault_free)
     }
 }
 
@@ -168,8 +168,13 @@ impl Synthesized {
     /// The optimization objective: worst-case length, fault-free length as
     /// tie-break.
     pub fn objective(&self) -> (Time, Time) {
-        (self.estimate.worst_case_length, self.estimate.fault_free_length)
+        objective(&self.estimate)
     }
+}
+
+/// The optimization objective of an estimate (see [`Synthesized::objective`]).
+pub(crate) fn objective(estimate: &Estimate) -> (Time, Time) {
+    (estimate.worst_case_length, estimate.fault_free_length)
 }
 
 /// Which policies a move may assign (strategy restriction).
@@ -643,7 +648,7 @@ pub fn tabu_search_guarded_with(
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
     let n = evaluator.app().process_count();
     let deadline = evaluator.app().deadline();
-    let objective = |estimate: &Estimate| config.calibrated_objective(estimate, deadline);
+    let calibrated = |estimate: &Estimate| config.calibrated_objective(estimate, deadline);
     let space =
         MoveSpace::new(evaluator.app(), evaluator.k(), policy_moves, config.max_checkpoints);
     let mut hood = Neighborhood::new(&space, evaluator, &initial);
@@ -661,11 +666,11 @@ pub fn tabu_search_guarded_with(
         let mut best_move: Option<(usize, Estimate)> = None;
         for (i, estimate) in scores.iter().enumerate() {
             let Some(estimate) = estimate else { continue };
-            let aspiration = objective(estimate) < objective(&best.estimate);
+            let aspiration = calibrated(estimate) < calibrated(&best.estimate);
             if tabu_until[hood.process(i).index()] > iter && !aspiration {
                 continue;
             }
-            if best_move.is_none_or(|(_, chosen)| objective(estimate) < objective(&chosen)) {
+            if best_move.is_none_or(|(_, chosen)| calibrated(estimate) < calibrated(&chosen)) {
                 best_move = Some((i, *estimate));
             }
         }
@@ -674,7 +679,7 @@ pub fn tabu_search_guarded_with(
             ftes_obs::counter(ftes_obs::names::SEARCH_ACCEPT, 1);
             tabu_until[hood.process(i).index()] = iter + config.tenure;
             hood.accept(evaluator, i, &mut current, estimate)?;
-            if objective(&current.estimate) < objective(&best.estimate) && guard(&current)? {
+            if calibrated(&current.estimate) < calibrated(&best.estimate) && guard(&current)? {
                 best = current.clone();
             }
             // Re-anchor the delta base at the accepted state.
