@@ -193,7 +193,7 @@ pub struct PlacementLoad {
     /// Processes with more than one copy, ascending.
     replicated: Vec<ProcessId>,
     /// The successor state's running load during a derivation.
-    scratch: Vec<Time>,
+    next_load: Vec<Time>,
 }
 
 impl PlacementLoad {
@@ -206,7 +206,7 @@ impl PlacementLoad {
     ) -> Self {
         let replicated =
             policies.iter().filter(|(_, p)| p.copies().len() > 1).map(|(pid, _)| pid).collect();
-        PlacementLoad { load: base.load(app, arch.node_count()), replicated, scratch: Vec::new() }
+        PlacementLoad { load: base.load(app, arch.node_count()), replicated, next_load: Vec::new() }
     }
 
     /// Closes into `out` the change set of moving `process` to base node
@@ -238,11 +238,11 @@ impl PlacementLoad {
             out.close();
             return;
         }
-        self.scratch.clone_from(&self.load);
+        self.next_load.clone_from(&self.load);
         if from != node {
             let proc = app.process(process);
-            self.scratch[from.index()] -= proc.wcet_on(from).expect("mapped node is feasible");
-            self.scratch[node.index()] += proc.wcet_on(node).expect("target node is feasible");
+            self.next_load[from.index()] -= proc.wcet_on(from).expect("mapped node is feasible");
+            self.next_load[node.index()] += proc.wcet_on(node).expect("target node is feasible");
         }
         // Re-place in process order, as `from_base` does: the moved process
         // at its own position, every other replicated process compared with
@@ -250,17 +250,17 @@ impl PlacementLoad {
         let mut moved = false;
         for &q in &self.replicated {
             if !moved && process <= q {
-                out.push_placed(app, process, node, copies, policy, None, &mut self.scratch);
+                out.push_placed(app, process, node, copies, policy, None, &mut self.next_load);
                 moved = true;
                 if q == process {
                     continue;
                 }
             }
             let row = current.copies_of(q);
-            out.push_placed(app, q, row[0], row.len(), None, Some(row), &mut self.scratch);
+            out.push_placed(app, q, row[0], row.len(), None, Some(row), &mut self.next_load);
         }
         if !moved {
-            out.push_placed(app, process, node, copies, policy, None, &mut self.scratch);
+            out.push_placed(app, process, node, copies, policy, None, &mut self.next_load);
         }
         out.close();
     }
