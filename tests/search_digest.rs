@@ -6,10 +6,11 @@
 //! seeded set of systems: three generator shapes, 2–4 nodes, k 0–3. The
 //! engines covered are `synthesize_with` under MX, MR and MXR,
 //! `synthesize_certified_mode` post hoc and guided, `tabu_search_traced_with`,
-//! `greedy_descent`, `simulated_annealing`, and one `explore()` portfolio
-//! run. Starts mix replicated policies in, so replica placement (whose
-//! load coupling lets one move shift other processes' replicas) is on the
-//! trajectories.
+//! `greedy_descent`, `simulated_annealing`, one `explore()` portfolio run,
+//! and the Fig. 8 checkpoint descent (`compare_checkpointing`, and
+//! `optimize_checkpoints_global` from partly replicated starts). Starts mix
+//! replicated policies in, so replica placement (whose load coupling lets
+//! one move shift other processes' replicas) is on the trajectories.
 //!
 //! The digests pin the search trajectories themselves: any change to which
 //! move is sampled, which candidate is accepted, which estimate is
@@ -18,13 +19,13 @@
 //! failure message prints the new values).
 
 use ftes::explore::{explore, PortfolioConfig};
-use ftes::ft::PolicyAssignment;
+use ftes::ft::{Policy, PolicyAssignment};
 use ftes::gen::{generate_application, GeneratorConfig};
 use ftes::model::{Application, FaultModel, Mapping, ProcessId, Time, Transparency};
 use ftes::opt::{
-    candidate_policies, greedy_descent, simulated_annealing, synthesize_certified_mode,
-    synthesize_with, tabu_search_traced_with, CertifyMode, PolicyMoves, RepairConfig, SearchConfig,
-    Strategy, Synthesized,
+    candidate_policies, compare_checkpointing, greedy_descent, optimize_checkpoints_global,
+    simulated_annealing, synthesize_certified_mode, synthesize_with, tabu_search_traced_with,
+    CertifyMode, PolicyMoves, RepairConfig, SearchConfig, Strategy, Synthesized,
 };
 use ftes::sched::{Certifier, CertifyConfig, SystemEvaluator};
 use ftes::tdma::Platform;
@@ -39,6 +40,9 @@ const CERTIFIED_DIGEST: u64 = 0xa4d6_53ed_cc85_de11;
 const ENGINE_DIGEST: u64 = 0x6faa_7129_0140_30ba;
 /// Digest of one portfolio exploration.
 const EXPLORE_DIGEST: u64 = 0x338b_4a9b_7c53_5718;
+/// Digest of the Fig. 8 checkpoint descent: the local-vs-global comparison
+/// and the global descent from partly replicated starts.
+const CHECKPOINT_DIGEST: u64 = 0xb688_3053_a2d7_9bab;
 
 const SEEDS: u64 = 9;
 const MAX_K: u32 = 3;
@@ -210,4 +214,42 @@ fn exploration_matches_the_recorded_digest() {
     )
     .unwrap();
     assert_eq!(digest.0, EXPLORE_DIGEST, "exploration digest changed: {:#x}", digest.0);
+}
+
+#[test]
+fn checkpoint_descents_match_the_recorded_digest() {
+    let mut digest = Fnv::new();
+    let (mut replicas, mut improved) = (0, 0);
+    for seed in 0..SEEDS {
+        let (app, platform) = system(seed);
+        let mapping = Mapping::cheapest(&app, platform.architecture()).expect("mappable");
+        for k in 1..=MAX_K {
+            let cmp = compare_checkpointing(&app, &platform, mapping.clone(), k, 16);
+            if let Ok(cmp) = &cmp {
+                improved += usize::from(cmp.improvement_percent() > 0.0);
+            }
+            writeln!(digest, "seed {seed} k {k} compare: {cmp:?}").unwrap();
+
+            // The local optimum with every third process replicated: the
+            // descent must leave those alone and step around them.
+            let mut policies = PolicyAssignment::local_checkpointing(&app, k, 16).unwrap();
+            for i in (seed as usize % 3..app.process_count()).step_by(3) {
+                policies.set(ProcessId::new(i), Policy::replication(k));
+            }
+            let initial = Synthesized::evaluate(&app, &platform, mapping.clone(), policies, k);
+            let global = initial.and_then(|initial| {
+                replicas += replicated(&initial);
+                let start = initial.objective();
+                let global = optimize_checkpoints_global(&app, &platform, initial, k, 16, 64);
+                if let Ok(g) = &global {
+                    improved += usize::from(g.objective() < start);
+                }
+                global
+            });
+            writeln!(digest, "seed {seed} k {k} global: {global:?}").unwrap();
+        }
+    }
+    assert!(replicas >= 50, "only {replicas} replicated processes in the starts");
+    assert!(improved >= 40, "only {improved} descents improved on their start");
+    assert_eq!(digest.0, CHECKPOINT_DIGEST, "checkpoint digest changed: {:#x}", digest.0);
 }
