@@ -1,12 +1,15 @@
 //! Criterion bench for the evaluation kernel on `specs/mixed20.ftes`:
-//! cold construct+evaluate vs reused-evaluator vs the delta path vs the
-//! batched neighborhood path — the four regimes of the synthesis hot loop
-//! after the `SystemEvaluator` refactor and its SoA/batch follow-up.
+//! cold construct+evaluate vs reused-evaluator vs one move scored alone vs
+//! a whole neighborhood scored in one batch — the regimes of the synthesis
+//! hot loop. Every incremental number goes through the kernel's one
+//! incremental path, `evaluate_batch` (a one-candidate call for a single
+//! move).
 //!
 //! Besides the console medians, the run records its numbers to
 //! `BENCH_estimate.json` at the workspace root, continuing the performance
 //! trajectory of the estimator (CI uploads the file as an artifact and
-//! fails the build if the batch path ever regresses below the delta path).
+//! fails the build if scoring a neighborhood in one batch ever costs more
+//! per candidate than scoring it one candidate per call).
 
 use criterion::{criterion_group, Criterion};
 use ftes::ft::{Policy, PolicyAssignment};
@@ -19,11 +22,6 @@ use std::time::Instant;
 
 const SPEC_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/mixed20.ftes");
 const REPORT_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_estimate.json");
-
-/// The neighborhood sizes recorded for the batch path. 24 is the default
-/// `SearchConfig::neighborhood` (the `batch_ns` headline number); 8 and 64
-/// bracket it.
-const BATCH_SIZES: [usize; 3] = [8, 24, 64];
 
 struct Instance {
     spec: SystemSpec,
@@ -41,7 +39,7 @@ fn instance() -> Instance {
     let policies = PolicyAssignment::uniform_reexecution(&spec.app, spec.fault_model.k());
     let copies = CopyMapping::from_base(&spec.app, arch, &mapping, &policies).expect("feasible");
     // A representative neighborhood move: remap the first movable process
-    // to a different candidate node (what `delta_evaluate` scores all day).
+    // to a different candidate node (the searches score such moves all day).
     let (p, to) = spec
         .app
         .processes()
@@ -113,9 +111,8 @@ fn bench_estimate_throughput(c: &mut Criterion) {
 
     let mut delta = SystemEvaluator::new(&inst.spec.app, &inst.spec.platform, k);
     delta.evaluate(&inst.copies, &inst.policies).unwrap();
-    group.bench_function("delta_evaluate", |b| {
-        b.iter(|| delta.delta_evaluate(&inst.moved_copies, &inst.policies).unwrap())
-    });
+    let moved = [(&inst.moved_copies, &inst.policies)];
+    group.bench_function("batch_evaluate_1", |b| b.iter(|| delta.evaluate_batch(&moved)));
 
     let neigh = neighborhood(&inst, 24);
     let refs: Vec<(&CopyMapping, &PolicyAssignment)> = neigh.iter().map(|(c, p)| (c, p)).collect();
@@ -124,96 +121,95 @@ fn bench_estimate_throughput(c: &mut Criterion) {
     group.bench_function("batch_evaluate_24", |b| b.iter(|| batch.evaluate_batch(&refs)));
     group.finish();
 
-    let stats = delta.stats();
-    assert!(stats.delta_evals > 0, "the bench move must exercise the delta fast path");
+    assert!(delta.stats().delta_evals > 0, "the bench move must exercise the delta fast path");
     assert!(batch.stats().delta_evals > 0, "the batch must exercise the delta fast path");
 }
 
 criterion_group!(benches, bench_estimate_throughput);
 
-/// Median nanoseconds per call over `iters` timed calls (one warm-up).
-fn median_ns(iters: usize, mut f: impl FnMut()) -> u64 {
-    f();
-    let mut samples: Vec<u64> = (0..iters)
-        .map(|_| {
+/// Median nanoseconds per call of each of `calls`, over `iters` rounds
+/// that time one call of each in turn (after one warm-up round), so
+/// machine-speed drift during the run hits every regime alike.
+fn median_ns<const N: usize>(iters: usize, mut calls: [&mut dyn FnMut(); N]) -> [u64; N] {
+    calls.iter_mut().for_each(|call| call());
+    let mut samples = [(); N].map(|_| Vec::with_capacity(iters));
+    for _ in 0..iters {
+        for (call, samples) in calls.iter_mut().zip(&mut samples) {
             let start = Instant::now();
-            f();
-            start.elapsed().as_nanos() as u64
-        })
-        .collect();
-    samples.sort_unstable();
-    samples[samples.len() / 2]
+            call();
+            samples.push(start.elapsed().as_nanos() as u64);
+        }
+    }
+    samples.map(|mut samples| {
+        samples.sort_unstable();
+        samples[samples.len() / 2]
+    })
 }
 
-/// Re-measures the four regimes and writes `BENCH_estimate.json`.
+/// Re-measures the regimes and writes `BENCH_estimate.json`.
 fn write_report() {
     let inst = instance();
     let k = inst.spec.fault_model.k();
+    let (app, platform, copies, policies) =
+        (&inst.spec.app, &inst.spec.platform, &inst.copies, &inst.policies);
     let iters = 300;
 
-    let cold = median_ns(iters, || {
-        SystemEvaluator::new(&inst.spec.app, &inst.spec.platform, k)
-            .evaluate(&inst.copies, &inst.policies)
-            .unwrap();
-    });
-    let mut evaluator = SystemEvaluator::new(&inst.spec.app, &inst.spec.platform, k);
-    let reused = median_ns(iters, || {
-        evaluator.evaluate(&inst.copies, &inst.policies).unwrap();
-    });
-    evaluator.evaluate(&inst.copies, &inst.policies).unwrap();
-    let delta = median_ns(iters, || {
-        evaluator.delta_evaluate(&inst.moved_copies, &inst.policies).unwrap();
-    });
+    // One fixed mid-schedule move scored alone (`delta_ns`) next to a
+    // from-scratch kernel and a reused one, each timed in its own warm loop.
+    let anchored = || {
+        let mut kernel = SystemEvaluator::new(app, platform, k);
+        kernel.evaluate(copies, policies).unwrap();
+        kernel
+    };
+    let mut kernel = anchored();
+    let moved = [(&inst.moved_copies, policies)];
+    let [cold] = median_ns(
+        iters,
+        [&mut || drop(SystemEvaluator::new(app, platform, k).evaluate(copies, policies))],
+    );
+    let [reused] = median_ns(iters, [&mut || drop(kernel.evaluate(copies, policies))]);
+    let [delta] = median_ns(iters, [&mut || drop(kernel.evaluate_batch(&moved))]);
     // Guard the recorded number: if the move ever degenerated into the
     // noop/fallback path (e.g. the spec changed and the moved process now
     // sits at position 0), the timing above would not measure suffix
     // re-scheduling and must not be published as `delta_ns`.
-    assert!(
-        evaluator.stats().delta_evals > 0,
-        "the recorded move must exercise the delta fast path"
-    );
+    assert!(kernel.stats().delta_evals > 0, "the recorded move must exercise the delta fast path");
+    assert!(kernel.evaluate_batch(&moved)[0].is_ok(), "the recorded move must score");
 
-    // The batch path: amortized ns/candidate at each neighborhood size,
-    // measured on a kernel anchored at the base state (the search-loop
-    // regime: one anchor, whole neighborhoods diffed against it).
-    let mut batch_per_candidate = [0u64; BATCH_SIZES.len()];
-    for (slot, &size) in BATCH_SIZES.iter().enumerate() {
-        let neigh = neighborhood(&inst, size);
-        let refs: Vec<(&CopyMapping, &PolicyAssignment)> =
-            neigh.iter().map(|(c, p)| (c, p)).collect();
-        let mut kernel = SystemEvaluator::new(&inst.spec.app, &inst.spec.platform, k);
-        kernel.evaluate(&inst.copies, &inst.policies).unwrap();
-        let total = median_ns(iters, || {
-            kernel.evaluate_batch(&refs);
-        });
-        batch_per_candidate[slot] = total / size as u64;
+    // The batch path at neighborhood sizes 8, 24 and 64 (24 is the default
+    // `SearchConfig::neighborhood`, the `batch_ns` headline number), on
+    // kernels anchored at the base state: the search-loop regime of one
+    // anchor and whole neighborhoods diffed against it. Its
+    // apples-to-apples baseline is the *same* 24 candidates scored as 24
+    // one-candidate calls (`delta_ns` above is one fixed move — a different
+    // workload from a whole neighborhood, whose candidates dirty the
+    // schedule at every depth). The four are timed in alternation.
+    let hoods = [8, 24, 64].map(|size| neighborhood(&inst, size));
+    let [r8, r24, r64] = hoods.each_ref().map(|hood| {
+        hood.iter().map(|(c, p)| (c, p)).collect::<Vec<(&CopyMapping, &PolicyAssignment)>>()
+    });
+    let mut kernels = [(); 4].map(|_| anchored());
+    let [k8, k24, k64, single] = &mut kernels;
+    let [batch8, batch24, batch64, seq] = median_ns(
+        iters,
+        [
+            &mut || drop(k8.evaluate_batch(&r8)),
+            &mut || drop(k24.evaluate_batch(&r24)),
+            &mut || drop(k64.evaluate_batch(&r64)),
+            &mut || r24.iter().for_each(|&candidate| drop(single.evaluate_batch(&[candidate]))),
+        ],
+    );
+    let (batch8, batch24, batch64, seq) = (batch8 / 8, batch24 / 24, batch64 / 64, seq / 24);
+    for kernel in &kernels {
         assert!(kernel.stats().delta_evals > 0, "the batch must exercise the delta fast path");
     }
-    let [batch8, batch24, batch64] = batch_per_candidate;
-
-    // The apples-to-apples baseline for the batch: sequential
-    // `delta_evaluate` calls over the *same* 24-candidate neighborhood on an
-    // identically anchored kernel. (`delta_ns` above times one fixed
-    // mid-schedule move — a different workload from a whole neighborhood,
-    // whose candidates dirty the schedule at every depth.)
-    let seq = {
-        let neigh = neighborhood(&inst, 24);
-        let mut kernel = SystemEvaluator::new(&inst.spec.app, &inst.spec.platform, k);
-        kernel.evaluate(&inst.copies, &inst.policies).unwrap();
-        let total = median_ns(iters, || {
-            for (c, p) in &neigh {
-                let _ = kernel.delta_evaluate(c, p);
-            }
-        });
-        total / 24
-    };
-    // The batch path must never regress below sequential delta scoring of
-    // the same neighborhood (CI re-checks this from the recorded fields;
-    // both sides are measured in the same process, so the comparison is
-    // robust to machine-speed drift between runs).
+    // One batch must never cost more per candidate than one call per
+    // candidate over the same neighborhood (CI re-checks this from the
+    // recorded fields; both sides are measured in the same process, in
+    // alternation, so the comparison is robust to machine-speed drift).
     assert!(
         batch24 <= seq,
-        "batch path ({batch24} ns/candidate) regressed below sequential delta ({seq} ns/candidate)"
+        "batch path ({batch24} ns/candidate) regressed below one-candidate calls ({seq} ns/candidate)"
     );
 
     let mut w = JsonWriter::new();

@@ -1,13 +1,13 @@
 //! Criterion bench for the tracing instrumentation's overhead on the
-//! synthesis hot path: `delta_evaluate` on `specs/mixed20.ftes` (the
-//! 1.3µs/call regime recorded in `BENCH_estimate.json`) with the trace
-//! gate off and on.
+//! synthesis hot path: one move scored as a one-candidate `evaluate_batch`
+//! call on `specs/mixed20.ftes` (the `delta_ns` regime recorded in
+//! `BENCH_estimate.json`) with the trace gate off and on.
 //!
 //! The disabled path of every span/counter is one relaxed atomic load
 //! and a branch, so `disabled_ns` must stay within noise of the
-//! pre-instrumentation `delta_ns` baseline (< 2%). The run records its
-//! numbers to `BENCH_obs.json` at the workspace root (CI uploads it as
-//! an artifact alongside `BENCH_estimate.json`).
+//! `delta_ns` baseline (< 2%). The run records its numbers to
+//! `BENCH_obs.json` at the workspace root (CI uploads it as an artifact
+//! alongside `BENCH_estimate.json`).
 
 use criterion::{criterion_group, Criterion};
 use ftes::ft::PolicyAssignment;
@@ -63,14 +63,15 @@ fn bench_obs_overhead(c: &mut Criterion) {
     let mut evaluator = SystemEvaluator::new(&inst.spec.app, &inst.spec.platform, k);
     evaluator.evaluate(&inst.copies, &inst.policies).unwrap();
 
+    let moved = [(&inst.moved_copies, &inst.policies)];
     ftes::obs::set_enabled(false);
-    group.bench_function("delta_evaluate_tracing_disabled", |b| {
-        b.iter(|| evaluator.delta_evaluate(&inst.moved_copies, &inst.policies).unwrap())
+    group.bench_function("batch_evaluate_1_tracing_disabled", |b| {
+        b.iter(|| evaluator.evaluate_batch(&moved))
     });
 
     ftes::obs::set_enabled(true);
-    group.bench_function("delta_evaluate_tracing_enabled", |b| {
-        b.iter(|| evaluator.delta_evaluate(&inst.moved_copies, &inst.policies).unwrap())
+    group.bench_function("batch_evaluate_1_tracing_enabled", |b| {
+        b.iter(|| evaluator.evaluate_batch(&moved))
     });
     ftes::obs::set_enabled(false);
     // Keep the rings from pinning a full buffer of bench events.
@@ -110,14 +111,13 @@ fn write_report() {
     let mut evaluator = SystemEvaluator::new(&inst.spec.app, &inst.spec.platform, k);
     evaluator.evaluate(&inst.copies, &inst.policies).unwrap();
 
+    let mut score = || {
+        evaluator.evaluate_batch(&[(&inst.moved_copies, &inst.policies)]).remove(0).unwrap();
+    };
     ftes::obs::set_enabled(false);
-    let disabled = median_ns(iters, || {
-        evaluator.delta_evaluate(&inst.moved_copies, &inst.policies).unwrap();
-    });
+    let disabled = median_ns(iters, &mut score);
     ftes::obs::set_enabled(true);
-    let enabled = median_ns(iters, || {
-        evaluator.delta_evaluate(&inst.moved_copies, &inst.policies).unwrap();
-    });
+    let enabled = median_ns(iters, &mut score);
     ftes::obs::set_enabled(false);
     let captured = ftes::obs::drain().len();
     assert!(captured > 0, "the enabled run must actually capture events");

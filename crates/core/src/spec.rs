@@ -44,6 +44,26 @@ pub const MAX_NODES: usize = 16;
 /// every candidate policy and fault-scenario space.
 pub const MAX_K: u32 = 16;
 
+/// Largest time value a spec may declare: `slot`, `deadline`, `period`,
+/// every WCET, `alpha`, `mu`, `chi`, `release`, `dlocal` and message
+/// transmission times. (Negative values pass this check and are rejected
+/// by the model's own validation.)
+///
+/// Time arithmetic is plain `i64` addition, so the cap is what keeps it
+/// from overflowing. No time the tools compute exceeds running everything
+/// one after another: every copy of every process (at most `k + 1` each)
+/// at its worst case, and every message with two TDMA rounds of waiting.
+/// At this cap one copy takes at most `C + x·χ + (x + 1)·α + k·(C + µ + α)`,
+/// below 10¹¹ with `k` ≤ [`MAX_K`] and the 16 checkpoints the synthesis
+/// flows consider, and one message at most its transmission plus two
+/// rounds of [`MAX_NODES`] slots, below 4·10¹⁰. A process or message
+/// declaration takes at least 8 bytes, so serve's 1 MiB body limit admits
+/// fewer than 2¹⁷ of them. With 17 copies each that is under 4·10¹⁷ in
+/// all, more than 20 times below `i64::MAX` (about 9.2·10¹⁸). The CLI
+/// reads spec files of any size; the same bound holds for any file up to
+/// 1 MiB.
+pub const MAX_TIME: i64 = 1_000_000_000;
+
 /// A parsed and validated system specification.
 #[derive(Debug, Clone)]
 pub struct SystemSpec {
@@ -224,8 +244,8 @@ struct Draft {
 /// Returns [`ParseError`] with the offending line for syntax problems,
 /// unknown names, missing mandatory directives (`nodes`, `deadline`, `k`,
 /// at least one process), out-of-range sizes (`nodes` outside
-/// 1..=[`MAX_NODES`], `k` outside 0..=[`MAX_K`]) and model-level
-/// validation failures.
+/// 1..=[`MAX_NODES`], `k` outside 0..=[`MAX_K`]), time values above
+/// [`MAX_TIME`] and model-level validation failures.
 pub fn parse_spec(text: &str) -> Result<SystemSpec, ParseError> {
     let _span = ftes_obs::span(ftes_obs::names::PARSE);
     let mut d = Draft::default();
@@ -242,9 +262,9 @@ pub fn parse_spec(text: &str) -> Result<SystemSpec, ParseError> {
             "nodes" => {
                 d.nodes = Some(int_in(&rest, line_no, "nodes", 1, MAX_NODES as i64)? as usize)
             }
-            "slot" => d.slot = Some(int(&rest, 0, line_no)?),
-            "deadline" => d.deadline = Some(int(&rest, 0, line_no)?),
-            "period" => d.period = Some(int(&rest, 0, line_no)?),
+            "slot" => d.slot = Some(time(int(&rest, 0, line_no)?, line_no, "slot")?),
+            "deadline" => d.deadline = Some(time(int(&rest, 0, line_no)?, line_no, "deadline")?),
+            "period" => d.period = Some(time(int(&rest, 0, line_no)?, line_no, "period")?),
             "k" => d.k = Some(int_in(&rest, line_no, "k", 0, i64::from(MAX_K))? as u32),
             "strategy" => {
                 let s = rest
@@ -274,6 +294,7 @@ pub fn parse_spec(text: &str) -> Result<SystemSpec, ParseError> {
                 let trans = rest[3].parse::<i64>().map_err(|_| {
                     ParseError::at(line_no, format!("bad transmission time `{}`", rest[3]))
                 })?;
+                let trans = time(trans, line_no, "transmission")?;
                 d.messages.push((
                     line_no,
                     rest[0].to_string(),
@@ -309,6 +330,14 @@ fn int(rest: &[&str], idx: usize, line: usize) -> Result<i64, ParseError> {
         .map_err(|_| ParseError::at(line, format!("bad number `{}`", rest[idx])))
 }
 
+/// A time value, which must not exceed [`MAX_TIME`].
+fn time(v: i64, line: usize, what: &str) -> Result<i64, ParseError> {
+    if v > MAX_TIME {
+        return Err(ParseError::at(line, format!("`{what} {v}` exceeds {MAX_TIME}")));
+    }
+    Ok(v)
+}
+
 /// The directive's value, which must lie in `min..=max`.
 fn int_in(rest: &[&str], line: usize, what: &str, min: i64, max: i64) -> Result<i64, ParseError> {
     let v = int(rest, 0, line)?;
@@ -338,7 +367,7 @@ fn parse_process(rest: &[&str], line: usize, d: &mut Draft) -> Result<(), ParseE
             let v = tok
                 .parse::<i64>()
                 .map_err(|_| ParseError::at(line, format!("bad wcet `{tok}`")))?;
-            wcet.push(Some(v));
+            wcet.push(Some(time(v, line, "wcet")?));
         }
         i += 1;
     }
@@ -349,6 +378,9 @@ fn parse_process(rest: &[&str], line: usize, d: &mut Draft) -> Result<(), ParseE
             return Err(ParseError::at(line, format!("unknown process option `{key}`")));
         }
         let v = int(rest, i + 1, line)?;
+        // `fixed` names a node (checked against the node count later);
+        // every other option is a time.
+        let v = if key == "fixed" { v } else { time(v, line, key)? };
         opts.insert(key.to_string(), v);
         i += 2;
     }
@@ -545,6 +577,93 @@ mod tests {
         let spec = parse_spec(&edge).unwrap();
         assert_eq!(spec.platform.architecture().node_count(), MAX_NODES);
         assert_eq!(spec.fault_model.k(), MAX_K);
+    }
+
+    /// A two-process spec, P1 → P2 over `m0`, with `edits` applied.
+    fn two_process_spec(edits: &[(&str, &str)]) -> String {
+        let mut text = "nodes 2\nslot 8\ndeadline 400\nk 1\n\
+                        process P1 wcet 30 30 alpha 5 mu 5 chi 5\nprocess P2 wcet 25 25\n\
+                        message m0 P1 P2 1\n"
+            .to_string();
+        for (from, to) in edits {
+            text = text.replace(from, to);
+        }
+        text
+    }
+
+    #[test]
+    fn time_values_above_the_cap_are_parse_errors() {
+        // The first four used to overflow `Time` addition: a wrong
+        // certified verdict in release builds (or, for `chi`, a hang), a
+        // panic in debug builds.
+        let cases = [
+            (two_process_spec(&[("slot 8", "slot 9223372036854775807")]), 2, "slot"),
+            (
+                two_process_spec(&[("k 1", "k 2"), ("wcet 25 25", "wcet 9223372036854775807 25")]),
+                6,
+                "wcet",
+            ),
+            (two_process_spec(&[("mu 5", "mu 5 release 9223372036854775800")]), 5, "release"),
+            (two_process_spec(&[("chi 5", "chi 9223372036854775800")]), 5, "chi"),
+            (two_process_spec(&[("deadline 400", "deadline 1000000001")]), 3, "deadline"),
+            (
+                two_process_spec(&[("deadline 400", "deadline 400\nperiod 9223372036854775807")]),
+                4,
+                "period",
+            ),
+            (two_process_spec(&[("alpha 5", "alpha 9223372036854775807")]), 5, "alpha"),
+            (two_process_spec(&[("mu 5", "mu 9223372036854775807")]), 5, "mu"),
+            (two_process_spec(&[("mu 5", "mu 5 dlocal 9223372036854775807")]), 5, "dlocal"),
+            (two_process_spec(&[("P2 1", "P2 9223372036854775807")]), 7, "transmission"),
+        ];
+        for (text, line, what) in cases {
+            let err = parse_spec(&text).unwrap_err();
+            assert_eq!(err.line, line, "{err}");
+            assert!(err.message.starts_with(&format!("`{what} ")), "{err}");
+            assert!(err.message.ends_with(&format!("exceeds {MAX_TIME}")), "{err}");
+        }
+        // The cap itself is accepted wherever a time goes.
+        let max = MAX_TIME.to_string();
+        let edge = two_process_spec(&[
+            ("slot 8", &format!("slot {max}")),
+            ("deadline 400", &format!("deadline {max}\nperiod {max}")),
+            ("30 30 alpha 5 mu 5 chi 5", &format!("{max} {max} alpha {max} mu {max} chi {max}")),
+            ("wcet 25 25", &format!("wcet {max} {max} release {max} dlocal {max}")),
+            ("P2 1", &format!("P2 {max}")),
+        ]);
+        let spec = parse_spec(&edge).unwrap();
+        assert_eq!(spec.app.deadline(), Time::new(MAX_TIME));
+        assert_eq!(spec.platform.bus().round_length(), Time::new(2 * MAX_TIME));
+    }
+
+    #[test]
+    fn a_spec_with_every_time_at_the_cap_synthesizes_without_overflow() {
+        // Debug builds check every `Time` addition for overflow, so running
+        // the whole flow here proves the cap's headroom on the widest
+        // platform: three chained processes on 16 nodes, every time value
+        // at the cap (k stays small: the exact schedule grows fast in k).
+        let max = MAX_TIME;
+        let wcets = format!(" {max}").repeat(MAX_NODES);
+        let opts = format!("alpha {max} mu {max} chi {max} release {max} dlocal {max}");
+        let text = format!(
+            "nodes {MAX_NODES}\nslot {max}\ndeadline {max}\nperiod {max}\nk 2\n\
+             process P1 wcet{wcets} {opts}\nprocess P2 wcet{wcets} {opts}\n\
+             process P3 wcet{wcets} {opts}\n\
+             message m0 P1 P2 {max}\nmessage m1 P2 P3 {max}\n"
+        );
+        let spec = parse_spec(&text).unwrap();
+        let psi = crate::synthesize_system(
+            &spec.app,
+            &spec.platform,
+            spec.fault_model,
+            &spec.transparency,
+            crate::FlowConfig::default(),
+        )
+        .unwrap();
+        let exact = psi.exact.as_ref().expect("three processes get exact tables");
+        assert!(!psi.schedulable, "a chain of three capped WCETs cannot meet a capped deadline");
+        assert!(exact.schedule.length() >= Time::new(3 * max), "{:?}", exact.schedule.length());
+        assert!(exact.schedule.length() >= psi.estimate.fault_free_length);
     }
 
     #[test]

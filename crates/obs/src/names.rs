@@ -53,15 +53,17 @@ pub const CERTIFY_SUBTREE_HIT: &str = "certify.subtree_hit";
 /// nothing was scheduled (the verdict is estimate-only).
 pub const CERTIFY_OVERBUDGET: &str = "certify.overbudget";
 
-// ---- estimator kernel counters (the delta-evaluate hot path)
+// ---- estimator kernel counters (the neighborhood-scoring hot path)
 
-/// Incremental (suffix-only) evaluation served the neighbor.
+/// Incremental (suffix-only) evaluation scored a candidate.
 pub const EVAL_DELTA: &str = "eval.delta";
-/// The delta path fell back to a full evaluation.
+/// A candidate was scored by a full pass instead of a suffix.
 pub const EVAL_FALLBACK: &str = "eval.fallback";
-/// A full (non-delta) evaluation ran.
+/// An anchoring full evaluation ran (`SystemEvaluator::evaluate`).
 pub const EVAL_FULL: &str = "eval.full";
-/// One batched neighborhood evaluation ran (`evaluate_batch` call).
+/// One neighborhood-scoring call ran: `SystemEvaluator::evaluate_changes`,
+/// directly or through its full-state front end `evaluate_batch`, for one
+/// candidate or many.
 pub const EVAL_BATCH: &str = "eval.batch";
 /// Candidates scored by a batched evaluation (counter delta per batch).
 pub const EVAL_BATCH_CANDIDATES: &str = "eval.batch_candidates";

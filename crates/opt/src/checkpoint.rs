@@ -13,10 +13,12 @@
 //! *estimated worst-case schedule length* of the whole application, until
 //! no move improves (or the iteration cap is reached).
 
+use crate::search::objective;
 use crate::{OptError, Synthesized};
 use ftes_ft::{Policy, PolicyAssignment};
+use ftes_ftcpg::{ChangeSets, CopyMapping};
 use ftes_model::{Application, Mapping};
-use ftes_sched::SystemEvaluator;
+use ftes_sched::{Estimate, SystemEvaluator};
 use ftes_tdma::Platform;
 
 /// Result of the checkpoint-optimization comparison for one instance.
@@ -62,11 +64,14 @@ pub fn checkpointing_local(
 /// (greedy steepest descent over ±1 moves, \[15\]).
 ///
 /// Only single-copy checkpointing policies are touched; replicated
-/// processes keep their plans.
+/// processes keep their plans. `initial.copies` must be the
+/// [`CopyMapping::from_base`] placement of its mapping and policies, as
+/// every [`Synthesized`] constructor builds it.
 ///
 /// # Errors
 ///
-/// Propagates evaluation errors.
+/// Propagates evaluation errors: the first failing candidate of a step, in
+/// candidate order.
 pub fn optimize_checkpoints_global(
     app: &Application,
     platform: &Platform,
@@ -75,13 +80,22 @@ pub fn optimize_checkpoints_global(
     max_checkpoints: u32,
     max_iterations: usize,
 ) -> Result<Synthesized, OptError> {
-    // One kernel for the whole descent; ±1-checkpoint candidates are
-    // neighbors of the accepted state, so they take the delta path.
+    debug_assert_eq!(
+        CopyMapping::from_base(app, platform.architecture(), &initial.mapping, &initial.policies)
+            .ok()
+            .as_ref(),
+        Some(&initial.copies),
+        "descent states carry their derived copy placement"
+    );
+    // One kernel for the whole descent. Placement load counts WCETs only,
+    // so a one-copy policy change moves no copy row: each step scores its
+    // ±1-checkpoint candidates as one batch of policy-only change sets over
+    // the accepted state.
     let mut evaluator = SystemEvaluator::new(app, platform, k);
     evaluator.evaluate(&initial.copies, &initial.policies)?;
     let mut best = initial;
     for _ in 0..max_iterations {
-        let mut improved: Option<Synthesized> = None;
+        let mut moves = Vec::new();
         for (pid, _) in app.processes() {
             let policy = best.policies.policy(pid);
             if policy.copies().len() != 1 {
@@ -93,25 +107,28 @@ pub fn optimize_checkpoints_global(
                 if x < 0 || x > i64::from(max_checkpoints) {
                     continue;
                 }
-                let mut policies = best.policies.clone();
-                policies.set(pid, Policy::checkpointing(plan.recoveries, x as u32));
-                let cand =
-                    Synthesized::evaluate_neighbor(&mut evaluator, best.mapping.clone(), policies)?;
-                let beats_current = cand.objective()
-                    < improved.as_ref().map_or(best.objective(), |s| s.objective());
-                if beats_current {
-                    improved = Some(cand);
-                }
+                moves.push((pid, Policy::checkpointing(plan.recoveries, x as u32)));
             }
         }
-        match improved {
-            Some(next) => {
-                best = next;
-                // Re-anchor the delta base at the accepted state.
-                evaluator.evaluate(&best.copies, &best.policies)?;
-            }
-            None => break,
+        let mut sets = ChangeSets::new();
+        for (pid, policy) in &moves {
+            sets.push(*pid, best.copies.copies_of(*pid), Some(policy));
+            sets.close();
         }
+        let mut improved: Option<(usize, Estimate)> = None;
+        for (i, estimate) in evaluator.evaluate_changes(&sets).into_iter().enumerate() {
+            let estimate = estimate?;
+            let to_beat = improved.map_or(best.estimate, |(_, chosen)| chosen);
+            if objective(&estimate) < objective(&to_beat) {
+                improved = Some((i, estimate));
+            }
+        }
+        let Some((i, estimate)) = improved else { break };
+        let (pid, policy) = moves.swap_remove(i);
+        best.policies.set(pid, policy);
+        best.estimate = estimate;
+        // Re-anchor the kernel at the accepted state.
+        evaluator.evaluate(&best.copies, &best.policies)?;
     }
     Ok(best)
 }

@@ -123,7 +123,7 @@ impl Synthesized {
     }
 
     /// Evaluates a (mapping, policies) state through a reusable evaluator
-    /// kernel, anchoring it as the kernel's delta base.
+    /// kernel, anchoring it as the kernel's base state.
     ///
     /// # Errors
     ///
@@ -140,28 +140,6 @@ impl Synthesized {
             &policies,
         )?;
         let estimate = evaluator.evaluate(&copies, &policies)?;
-        Ok(Synthesized { mapping, policies, copies, estimate })
-    }
-
-    /// Evaluates a *neighbor* of the evaluator's anchored base state via
-    /// the delta path (falling back to a full evaluation when the dirty
-    /// region cascades — never to a wrong result).
-    ///
-    /// # Errors
-    ///
-    /// Propagates estimator and copy-placement errors.
-    pub fn evaluate_neighbor(
-        evaluator: &mut SystemEvaluator,
-        mapping: Mapping,
-        policies: PolicyAssignment,
-    ) -> Result<Self, OptError> {
-        let copies = CopyMapping::from_base(
-            evaluator.app(),
-            evaluator.platform().architecture(),
-            &mapping,
-            &policies,
-        )?;
-        let estimate = evaluator.delta_evaluate(&copies, &policies)?;
         Ok(Synthesized { mapping, policies, copies, estimate })
     }
 

@@ -30,12 +30,14 @@
 //! one is built. Calibration is measured in `tests/` and EXPERIMENTS.md.
 //!
 //! The implementation lives in the reusable
-//! [`SystemEvaluator`](crate::SystemEvaluator) kernel and its three
-//! scoring tiers — full (`evaluate`, anchors the delta base), suffix-only
-//! (`delta_evaluate`) and batched neighborhood (`evaluate_batch`, shares
-//! one schedule-prefix image across all candidates); this module keeps the
-//! [`Estimate`] value type and the one-shot compatibility wrapper, which
-//! constructs a throwaway kernel and runs a single full pass.
+//! [`SystemEvaluator`](crate::SystemEvaluator) kernel and its two entry
+//! points — full (`evaluate`, the only call that anchors a state) and
+//! neighborhood (`evaluate_changes`, which re-schedules each change set's
+//! suffix off one shared schedule-prefix image and leaves the anchor in
+//! place; `evaluate_batch` is its front end for whole states); this module
+//! keeps the [`Estimate`] value type and the one-shot compatibility
+//! wrapper, which constructs a throwaway kernel and runs a single full
+//! pass.
 
 use crate::{SchedError, SystemEvaluator};
 use ftes_ft::PolicyAssignment;

@@ -6,38 +6,34 @@
 //! the list-scheduling order, recovery schemes, resource tables and
 //! transitive-successor structure from scratch on every call — fine for a
 //! one-shot estimate, wasteful inside the optimization loops where only the
-//! candidate `(mapping, policies)` state changes between calls. The kernel
-//! splits the work into a **three-tier contract**:
+//! candidate `(mapping, policies)` state changes between calls.
+//! **Construction** precomputes the invariants: the exact pop order of the
+//! root-schedule list scheduler (a pure function of the DAG and the
+//! downward ranks, both state-independent), one [`RecoveryScheme`] per
+//! feasible `(process, node)` pair, and reusable per-processor lane and
+//! per-process completion buffers. Two entry points then share them:
 //!
-//! * **Construction** precomputes the invariants: the exact pop order of
-//!   the root-schedule list scheduler (a pure function of the DAG and the
-//!   downward ranks, both state-independent), one [`RecoveryScheme`] per
-//!   feasible `(process, node)` pair, and reusable per-processor lane and
-//!   per-process completion buffers.
-//! * **[`evaluate`](SystemEvaluator::evaluate)** — tier 1, full — re-scores
-//!   a candidate state against those buffers with zero steady-state
-//!   allocation, and anchors the evaluator's *base state* for delta
-//!   re-estimation.
-//! * **[`delta_evaluate`](SystemEvaluator::delta_evaluate)** — tier 2,
-//!   incremental — re-scores a neighbor of the base state by diffing copy
-//!   placements and policies: the root-schedule prefix before the first
-//!   dirty process is provably identical (the pop order is fixed and every
-//!   reservation at position `< p` derives from positions `< p` only), so
-//!   only the suffix is re-scheduled and only processes whose inputs
-//!   changed re-run the adversarial slack analysis. When the dirty region
-//!   reaches position 0 the call degrades to a full evaluation — never to
-//!   a wrong one.
-//! * **[`evaluate_changes`](SystemEvaluator::evaluate_changes)** — tier 3,
-//!   neighborhood — scores a whole set of neighbors in one pass, each given
-//!   as a change set over the base state (the processes whose copy row or
-//!   policy differs, from `ftes_ftcpg::ChangeSets`): a set's first dirty
-//!   pop position is its lowest, its changed flags are its entries, and
-//!   only its changed policies are validated. Sets are sorted by dirty
-//!   position (stably; results come back in input order), the shared
-//!   schedule prefix is materialized incrementally as a sorted per-lane
-//!   reservation image, and each set is written into the single anchored
-//!   copy, scored by forking its suffix off that image with flat `memcpy`
-//!   restores, and reverted. The batch never moves the base state.
+//! * **[`evaluate`](SystemEvaluator::evaluate)** — a full pass — re-scores
+//!   a state against those buffers with zero steady-state allocation, and
+//!   anchors it as the evaluator's *base state*. It is the only call that
+//!   moves the anchor.
+//! * **[`evaluate_changes`](SystemEvaluator::evaluate_changes)** — the
+//!   incremental path — scores a whole neighborhood of the base state in
+//!   one pass, each neighbor given as a change set (the processes whose
+//!   copy row or policy differs, from `ftes_ftcpg::ChangeSets`). The
+//!   root-schedule prefix before a set's first dirty process is provably
+//!   identical to the base's (the pop order is fixed and every reservation
+//!   at position `< p` derives from positions `< p` only), so only the
+//!   suffix is re-scheduled, and only the set's processes and those whose
+//!   completion times moved re-run the adversarial slack analysis. A set's
+//!   first dirty pop position is its lowest, and only its changed policies
+//!   are validated. Sets are sorted by dirty position (stably; results
+//!   come back in input order), the shared schedule prefix is materialized
+//!   incrementally as a sorted per-lane reservation image, and each set is
+//!   written into the single anchored copy, scored by forking its suffix
+//!   off that image with flat `memcpy` restores, and reverted. A set whose
+//!   dirty region reaches position 0 is scored by a full pass instead —
+//!   never a wrong one — and still leaves the anchor where it was.
 //!   [`evaluate_batch`](SystemEvaluator::evaluate_batch) is the front end
 //!   for whole states: it diffs each into a change set and calls the same
 //!   core.
@@ -61,8 +57,9 @@
 //! Equality with the legacy free function is bit-for-bit — including which
 //! process is reported critical and which error is reported for infeasible
 //! states — and is locked in by `tests/evaluator_equality.rs` at the
-//! workspace root, which also pins `evaluate_batch` to the sequential
-//! delta path result-for-result and error-for-error, in input order, and
+//! workspace root for both entry points: `evaluate` along random walks,
+//! `evaluate_batch` over random neighborhoods (result for result and error
+//! for error, in input order, and equal to one-candidate calls), and
 //! `evaluate_changes` to `evaluate_batch` counter for counter.
 
 use crate::{worst_case_delivery, Estimate, ReplicaLadder, SchedError};
@@ -78,19 +75,21 @@ use std::collections::BinaryHeap;
 pub struct EvaluatorStats {
     /// Evaluator constructions (1 per [`SystemEvaluator::new`]).
     pub constructions: u64,
-    /// Full evaluations (including delta fallbacks).
+    /// Full passes: [`SystemEvaluator::evaluate`] calls plus the candidates
+    /// counted in `delta_fallbacks`.
     pub full_evals: u64,
-    /// Delta evaluations that re-scheduled only a suffix.
+    /// Candidates scored by re-scheduling only a suffix.
     pub delta_evals: u64,
-    /// Delta calls whose state equalled the base (answered from the anchor).
+    /// Candidates equal to the base state (empty change sets, answered from
+    /// the anchor).
     pub delta_noops: u64,
-    /// Delta calls that fell back to a full evaluation (no base yet, or the
-    /// dirty region reached position 0).
+    /// Candidates scored by a full pass instead of a suffix (no base yet,
+    /// or the dirty region reached position 0). The anchor stays put.
     pub delta_fallbacks: u64,
-    /// Batched neighborhood evaluations
-    /// ([`SystemEvaluator::evaluate_batch`] invocations).
+    /// Neighborhood scoring calls ([`SystemEvaluator::evaluate_changes`],
+    /// directly or through [`SystemEvaluator::evaluate_batch`]).
     pub batch_evals: u64,
-    /// Candidates scored through the batch path (each also counted in the
+    /// Candidates those calls scored (each also counted in the
     /// full/delta/noop buckets above, so [`EvaluatorStats::evaluations`]
     /// needs no extra term).
     pub batch_candidates: u64,
@@ -129,8 +128,8 @@ impl EvaluatorStats {
 /// evaluation must surface the same [`FtError`] the legacy path would.
 type SchemeSlot = Option<Result<RecoveryScheme, FtError>>;
 
-/// The schedule image of the anchored state, which `delta_evaluate` and
-/// the batch tier restore prefixes from.
+/// The schedule image of the anchored state, which change sets restore
+/// their schedule prefixes from.
 ///
 /// Mirrors the evaluator's flat SoA scratch: `copy_end`/`copy_off` store the
 /// base root schedule pop-position-major, so any schedule prefix restores
@@ -158,6 +157,12 @@ struct BaseState {
 /// outlive the caller's borrows (the `ftes-serve` evaluator bank keeps warm
 /// evaluators across requests). All scratch buffers are reused between
 /// calls; steady-state evaluation allocates nothing.
+///
+/// Only [`evaluate`](SystemEvaluator::evaluate) moves the anchored base
+/// state. Scoring — [`evaluate_changes`](SystemEvaluator::evaluate_changes)
+/// and [`evaluate_batch`](SystemEvaluator::evaluate_batch) — never does,
+/// not even for a candidate it scores by a full pass, so a search anchors
+/// its current state once and re-anchors only on acceptance.
 ///
 /// # Examples
 ///
@@ -225,9 +230,9 @@ pub struct SystemEvaluator {
     batch_order: Vec<(u32, u32)>,
     /// What the change set being scored overwrote in the anchored state.
     undo: ChangeUndo,
-    // ---- delta anchor + counters ----
+    // ---- anchor + counters ----
     /// The anchored `(copies, policies)`: `Some` exactly when `base` is,
-    /// and taken out only while the batch tier writes change sets over it.
+    /// and taken out only while change sets are written over it.
     anchored: Option<(CopyMapping, PolicyAssignment)>,
     base: Option<BaseState>,
     stats: EvaluatorStats,
@@ -301,9 +306,8 @@ impl SystemEvaluator {
         self.stats
     }
 
-    /// Evaluates a candidate state from scratch (reusing all buffers) and
-    /// anchors it as the base state for subsequent
-    /// [`delta_evaluate`](SystemEvaluator::delta_evaluate) calls.
+    /// Evaluates a state from scratch (reusing all buffers) and anchors it
+    /// as the base state that change sets are scored against.
     ///
     /// # Errors
     ///
@@ -318,23 +322,16 @@ impl SystemEvaluator {
     ) -> Result<Estimate, SchedError> {
         self.stats.full_evals += 1;
         ftes_obs::counter(ftes_obs::names::EVAL_FULL, 1);
-        self.evaluate_inner(copies, policies)
-    }
-
-    fn evaluate_inner(
-        &mut self,
-        copies: &CopyMapping,
-        policies: &PolicyAssignment,
-    ) -> Result<Estimate, SchedError> {
         let estimate = self.full_pass(copies, policies, true)?;
         self.anchor(copies, policies, estimate);
         Ok(estimate)
     }
 
     /// A full from-scratch evaluation without anchoring: the shared body of
-    /// the full tier and the batch path's fallback candidates. Position
-    /// logs (consumed only by [`anchor`](SystemEvaluator::anchor)) are
-    /// recorded only when the caller is about to anchor.
+    /// [`evaluate`](SystemEvaluator::evaluate) and the candidates scored by
+    /// a full pass. Position logs (consumed only by
+    /// [`anchor`](SystemEvaluator::anchor)) are recorded only when the
+    /// caller is about to anchor.
     fn full_pass(
         &mut self,
         copies: &CopyMapping,
@@ -358,76 +355,16 @@ impl SystemEvaluator {
         self.finish_estimate(copies, policies, makespan, None)
     }
 
-    /// Re-scores a *neighbor* of the base state: only positions from the
-    /// first changed process onward are re-scheduled, and only processes
-    /// whose policy, placement or completion times changed re-run the
-    /// adversarial slack analysis. Falls back to a full evaluation (and
-    /// re-anchors) when no base exists or the dirty region reaches
-    /// position 0. The base state is left untouched otherwise, so a search
-    /// can score a whole neighborhood and re-anchor only on acceptance.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`evaluate`](SystemEvaluator::evaluate) — bit-for-bit, the
-    /// same inputs produce the same `Result` on both paths.
-    pub fn delta_evaluate(
-        &mut self,
-        copies: &CopyMapping,
-        policies: &PolicyAssignment,
-    ) -> Result<Estimate, SchedError> {
-        let Some(dirty_from) = self.dirty_position(copies, policies) else {
-            // No base to diff against: full evaluation.
-            self.count_fallback();
-            return self.evaluate_inner(copies, policies);
-        };
-        policies.validate(self.k)?;
-        let n = self.app.process_count();
-        if dirty_from >= n {
-            // The candidate *is* the base state.
-            self.stats.delta_noops += 1;
-            return Ok(self.base.as_ref().expect("dirty_position requires a base").estimate);
-        }
-        if dirty_from == 0 {
-            // Dirty region cascades to the front: nothing to reuse.
-            self.count_fallback();
-            return self.evaluate_inner(copies, policies);
-        }
-        self.stats.delta_evals += 1;
-        ftes_obs::counter(ftes_obs::names::EVAL_DELTA, 1);
-
-        // Rebuild the (provably identical) prefix from the base state: the
-        // flat pop-position-major layout makes it two memcpys.
-        let base = self.base.as_ref().expect("dirty_position requires a base");
-        let cut = base.copy_off[dirty_from] as usize;
-        self.copy_end.clear();
-        self.copy_end.extend_from_slice(&base.copy_end[..cut]);
-        self.copy_off.clear();
-        self.copy_off.extend_from_slice(&base.copy_off[..=dirty_from]);
-        for (lane, log) in self.lanes.iter_mut().zip(&base.logs) {
-            let cut = log.partition_point(|&(pos, _, _)| (pos as usize) < dirty_from);
-            lane.clear();
-            lane.extend(log[..cut].iter().map(|&(_, s, e)| (s, e)));
-            lane.sort_unstable();
-        }
-        let prefix_makespan = base.makespan_after[dirty_from - 1];
-        self.makespan_after.clear();
-        self.makespan_after.extend_from_slice(&base.makespan_after[..dirty_from]);
-
-        let makespan =
-            self.schedule_suffix(copies, policies, dirty_from, prefix_makespan, false)?;
-        self.finish_estimate(copies, policies, makespan, Some(dirty_from))
-    }
-
     /// Scores a whole neighborhood of full states against the base state,
     /// returning one `Result` per candidate **in input order** — each
-    /// bit-for-bit equal (estimate *and* error) to what a sequential
-    /// [`delta_evaluate`](SystemEvaluator::delta_evaluate) call would
-    /// return for the same candidate.
+    /// bit-for-bit equal (estimate *and* error) to
+    /// [`estimate_schedule_length`](crate::estimate_schedule_length) of the
+    /// same candidate.
     ///
     /// A thin front end of [`evaluate_changes`]: each candidate is diffed
     /// against the anchored state into a change set, and the change sets
     /// are scored. With no base anchored yet, every candidate runs a full
-    /// pass (the same fallback the sequential path takes).
+    /// pass. Either way the anchor does not move.
     ///
     /// [`evaluate_changes`]: SystemEvaluator::evaluate_changes
     pub fn evaluate_batch(
@@ -453,9 +390,9 @@ impl SystemEvaluator {
 
     /// Scores a whole neighborhood given as change sets against the
     /// anchored state, returning one `Result` per set **in input order** —
-    /// each bit-for-bit equal (estimate *and* error) to what a sequential
-    /// [`delta_evaluate`](SystemEvaluator::delta_evaluate) call would
-    /// return for the anchored state with the set written over it.
+    /// each bit-for-bit equal (estimate *and* error) to
+    /// [`estimate_schedule_length`](crate::estimate_schedule_length) of the
+    /// anchored state with the set written over it.
     ///
     /// Each set is written into the single anchored copy, scored, and
     /// reverted, so no neighbor is ever built as a whole configuration.
@@ -496,9 +433,6 @@ impl SystemEvaluator {
             lane.clear();
         }
         self.prefix_cursor.iter_mut().for_each(|c| *c = 0);
-        // The sequential tier leaves arbitrary flags behind; each set raises
-        // and lowers only its own.
-        self.changed.fill(false);
 
         let mut out: Vec<Option<Result<Estimate, SchedError>>> = (0..m).map(|_| None).collect();
         let batch_order = std::mem::take(&mut self.batch_order);
@@ -513,9 +447,8 @@ impl SystemEvaluator {
     }
 
     /// Scores one change set over the anchored state (`copies`/`policies`,
-    /// taken out of the evaluator), mirroring the sequential tiers' counter
-    /// and error behavior exactly (minus any anchoring), and leaves the
-    /// anchored state as it found it.
+    /// taken out of the evaluator), raising and lowering only the set's own
+    /// changed flags, and leaves the anchored state as it found it.
     fn score_change_set(
         &mut self,
         copies: &mut CopyMapping,
@@ -591,7 +524,7 @@ impl SystemEvaluator {
         ftes_obs::counter(ftes_obs::names::EVAL_BATCH_CANDIDATES, m as u64);
     }
 
-    /// Counts one delta call answered by a full pass instead.
+    /// Counts one candidate scored by a full pass instead of a suffix.
     fn count_fallback(&mut self) {
         self.stats.delta_fallbacks += 1;
         self.stats.full_evals += 1;
@@ -602,7 +535,7 @@ impl SystemEvaluator {
     /// reservation before pop position `depth`. Depths are non-decreasing
     /// within a batch (candidates are sorted), so each base reservation is
     /// binary-inserted exactly once per batch; the resulting sequence is
-    /// identical to the sort the sequential delta path performs per call.
+    /// the sorted list of the base reservations before `depth`.
     fn advance_prefix(&mut self, depth: usize) {
         let Some(base) = self.base.as_ref() else { return };
         for (node, log) in base.logs.iter().enumerate() {
@@ -614,28 +547,6 @@ impl SystemEvaluator {
             }
             self.prefix_cursor[node] = cursor;
         }
-    }
-
-    /// First schedule position whose process differs (in placement or
-    /// policy) from the base state, filling the per-process changed flags;
-    /// `app.process_count()` when nothing differs, `None` when there is no
-    /// base.
-    fn dirty_position(
-        &mut self,
-        copies: &CopyMapping,
-        policies: &PolicyAssignment,
-    ) -> Option<usize> {
-        let (base_copies, base_policies) = self.anchored.as_ref()?;
-        let mut dirty = self.app.process_count();
-        for (pid, _) in self.app.processes() {
-            let differs = copies.copies_of(pid) != base_copies.copies_of(pid)
-                || policies.policy(pid) != base_policies.policy(pid);
-            self.changed[pid.index()] = differs;
-            if differs {
-                dirty = dirty.min(self.pos_of[pid.index()] as usize);
-            }
-        }
-        Some(dirty)
     }
 
     /// List-schedules positions `from..` of the fixed order onto the lane
@@ -661,7 +572,7 @@ impl SystemEvaluator {
             // consumer copy on a foreign node; memoize it per position.
             // Filled lazily so a candidate whose consumer copies are all
             // co-located with a predecessor never runs the window scan —
-            // exactly where the sequential path would skip it (the scan can
+            // exactly where the legacy estimator skips it (the scan can
             // fail, and errors must surface identically).
             self.arrival_memo.clear();
             for (c, &cpu) in copies.copies_of(pid).iter().enumerate() {
@@ -713,8 +624,9 @@ impl SystemEvaluator {
 
     /// Phases 2 + 3: downstream-finish structure and recovery slack. With
     /// `reuse_from = Some(dirty)`, slack values of processes untouched by
-    /// the current delta (same policy, placement and completion times as
-    /// the base) are reused instead of re-running the adversarial join.
+    /// the change set being scored (same policy, placement and completion
+    /// times as the base) are reused instead of re-running the adversarial
+    /// join.
     fn finish_estimate(
         &mut self,
         copies: &CopyMapping,
@@ -800,8 +712,8 @@ impl SystemEvaluator {
         })
     }
 
-    /// Stores the just-evaluated state as the delta anchor, reusing the
-    /// previous anchor's allocations.
+    /// Stores the just-evaluated state as the anchor, reusing the previous
+    /// anchor's allocations.
     fn anchor(&mut self, copies: &CopyMapping, policies: &PolicyAssignment, estimate: Estimate) {
         match (&mut self.base, &mut self.anchored) {
             (Some(base), Some((base_copies, base_policies))) => {
@@ -929,7 +841,7 @@ pub(crate) fn app_ranks(app: &Application) -> Vec<Time> {
 /// The exact pop order of the root-schedule list scheduler: a priority
 /// topological sort by `(downward rank, lowest index)` — a pure function of
 /// the application, independent of any candidate state, which is what makes
-/// prefix reuse in `delta_evaluate` and `evaluate_batch` sound.
+/// prefix reuse in `evaluate_changes` sound.
 fn schedule_order(app: &Application) -> Vec<ProcessId> {
     let n = app.process_count();
     let rank = app_ranks(app);
@@ -998,9 +910,8 @@ mod tests {
             let mut moved = policies.clone();
             moved.set(ProcessId::new(p), Policy::checkpointing(2, 2));
             let moved_copies = CopyMapping::from_base(&app, &arch, &mapping, &moved).unwrap();
-            let delta = ev.delta_evaluate(&moved_copies, &moved).unwrap();
-            let legacy =
-                estimate_schedule_length(&app, &platform, &moved_copies, &moved, 2).unwrap();
+            let delta = ev.evaluate_batch(&[(&moved_copies, &moved)]).remove(0);
+            let legacy = estimate_schedule_length(&app, &platform, &moved_copies, &moved, 2);
             assert_eq!(delta, legacy, "repolicy of P{p}");
         }
         let stats = ev.stats();
@@ -1025,9 +936,8 @@ mod tests {
                 }
                 let Ok(moved) = mapping.with_move(&app, &arch, pid, node) else { continue };
                 let moved_copies = CopyMapping::from_base(&app, &arch, &moved, &policies).unwrap();
-                let delta = ev.delta_evaluate(&moved_copies, &policies).unwrap();
-                let legacy =
-                    estimate_schedule_length(&app, &platform, &moved_copies, &policies, 1).unwrap();
+                let delta = ev.evaluate_batch(&[(&moved_copies, &policies)]).remove(0);
+                let legacy = estimate_schedule_length(&app, &platform, &moved_copies, &policies, 1);
                 assert_eq!(delta, legacy, "remap of {pid:?} to {node:?}");
             }
         }
@@ -1039,8 +949,8 @@ mod tests {
         let copies =
             CopyMapping::from_base(&app, platform.architecture(), &mapping, &policies).unwrap();
         let mut ev = SystemEvaluator::new(&app, &platform, 2);
-        let full = ev.evaluate(&copies, &policies).unwrap();
-        assert_eq!(ev.delta_evaluate(&copies, &policies).unwrap(), full);
+        let full = ev.evaluate(&copies, &policies);
+        assert_eq!(ev.evaluate_batch(&[(&copies, &policies)]).remove(0), full);
         assert_eq!(ev.stats().delta_noops, 1);
     }
 
@@ -1050,10 +960,12 @@ mod tests {
         let copies =
             CopyMapping::from_base(&app, platform.architecture(), &mapping, &policies).unwrap();
         let mut ev = SystemEvaluator::new(&app, &platform, 2);
-        let delta = ev.delta_evaluate(&copies, &policies).unwrap();
-        let legacy = estimate_schedule_length(&app, &platform, &copies, &policies, 2).unwrap();
-        assert_eq!(delta, legacy);
-        assert_eq!(ev.stats().delta_fallbacks, 1);
+        let legacy = estimate_schedule_length(&app, &platform, &copies, &policies, 2);
+        // Scoring never anchors: the second call finds no base either.
+        for calls in 1..=2 {
+            assert_eq!(ev.evaluate_batch(&[(&copies, &policies)]).remove(0), legacy);
+            assert_eq!(ev.stats().delta_fallbacks, calls);
+        }
     }
 
     #[test]
@@ -1099,7 +1011,7 @@ mod tests {
         for _ in 0..3 {
             ev.evaluate(&copies, &policies).unwrap();
         }
-        ev.delta_evaluate(&copies, &policies).unwrap();
+        ev.evaluate_batch(&[(&copies, &policies)]).remove(0).unwrap();
         let stats = ev.stats();
         assert_eq!(stats.constructions, 1);
         assert_eq!(stats.full_evals, 3);
@@ -1111,7 +1023,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_sequential_delta_in_input_order() {
+    fn batch_matches_one_candidate_calls_in_input_order() {
         let (app, platform, mapping, policies) = fig3_instance(2);
         let arch = platform.architecture().clone();
         let copies = CopyMapping::from_base(&app, &arch, &mapping, &policies).unwrap();
@@ -1136,18 +1048,21 @@ mod tests {
             neighborhood.iter().map(|(c, p)| (c, p)).collect();
         let batch = batch_ev.evaluate_batch(&refs);
 
-        let mut seq_ev = SystemEvaluator::new(&app, &platform, 2);
-        seq_ev.evaluate(&copies, &policies).unwrap();
-        for (i, (c, p)) in neighborhood.iter().enumerate() {
-            assert_eq!(batch[i], seq_ev.delta_evaluate(c, p), "candidate {i}");
-        }
-
         let stats = batch_ev.stats();
         assert_eq!(stats.batch_evals, 1);
         assert_eq!(stats.batch_candidates, neighborhood.len() as u64);
         assert_eq!(stats.delta_noops, 1, "the base candidate answers from the anchor");
-        // The batch never moves the base: a noop still answers instantly.
-        assert_eq!(batch_ev.delta_evaluate(&copies, &policies).unwrap(), batch[1].clone().unwrap());
+
+        let mut one_ev = SystemEvaluator::new(&app, &platform, 2);
+        one_ev.evaluate(&copies, &policies).unwrap();
+        for (i, (c, p)) in neighborhood.iter().enumerate() {
+            let one = one_ev.evaluate_batch(&[(c, p)]).remove(0);
+            assert_eq!(batch[i], one, "candidate {i}");
+            assert_eq!(one, estimate_schedule_length(&app, &platform, c, p, 2), "candidate {i}");
+        }
+        // The batch never moves the base: the base still answers as a noop.
+        assert_eq!(batch_ev.evaluate_batch(&[(&copies, &policies)])[0], batch[1]);
+        assert_eq!(batch_ev.stats().delta_noops, 2);
     }
 
     #[test]

@@ -9,15 +9,15 @@
 //!   scenarios overlap), TDMA bus windows, condition broadcasts (§5.2);
 //! * [`ScheduleTables`] — the per-node tables of Fig. 6;
 //! * [`SystemEvaluator`] — the reusable evaluation kernel behind the
-//!   optimization loops, a three-tier contract over flat
-//!   structure-of-arrays state: construction precomputes everything
-//!   invariant per `(application, platform, k)`, `evaluate` (tier 1)
-//!   re-scores candidate states with zero steady-state allocation and
-//!   anchors the delta base, `delta_evaluate` (tier 2) re-schedules only
-//!   the suffix a single move can affect, and `evaluate_batch` (tier 3)
-//!   scores a whole search neighborhood in one pass off a shared,
-//!   incrementally grown prefix image — bit-for-bit equal to sequential
-//!   scoring, in input order;
+//!   optimization loops, over flat structure-of-arrays state: construction
+//!   precomputes everything invariant per `(application, platform, k)`,
+//!   and two entry points share it. `evaluate` re-scores a state with zero
+//!   steady-state allocation and is the only call that anchors one;
+//!   `evaluate_changes` scores a whole search neighborhood, given as change
+//!   sets over the anchored state, in one pass off a shared, incrementally
+//!   grown prefix image, re-scheduling only each neighbor's suffix and
+//!   never moving the anchor (`evaluate_batch` is its front end for whole
+//!   states) — bit-for-bit equal to one-shot estimation, in input order;
 //! * [`Certifier`] — on-demand, memoized exact certification of candidate
 //!   configurations under a work budget: the kernel behind the
 //!   certify-and-repair loops that keep search incumbents honest against

@@ -397,6 +397,22 @@ fn out_of_range_spec_sizes_get_400_and_the_daemon_lives() {
 }
 
 #[test]
+fn overflowing_spec_times_get_400_and_the_daemon_lives() {
+    // One worker: a `chi` this large used to overflow `Time` addition. A
+    // debug build answered 500; a release build hung the worker, and every
+    // later request timed out behind it.
+    let server = test_server(ServeConfig { workers: 1, ..ServeConfig::default() });
+    let spec = "nodes 2\nslot 8\ndeadline 400\nk 1\n\
+                process P1 wcet 30 30 alpha 5 mu 5 chi 9223372036854775800\n\
+                process P2 wcet 25 25\nmessage m0 P1 P2 1\n";
+    let (status, body) = call(&server, "POST", "/synthesize", spec);
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("exceeds"), "{body}");
+    let (status, body) = call(&server, "GET", "/healthz", "");
+    assert_eq!(status, 200, "{body}");
+}
+
+#[test]
 fn healthz_reports_capacity() {
     let server =
         test_server(ServeConfig { workers: 3, queue_capacity: 17, ..ServeConfig::default() });

@@ -1,7 +1,7 @@
 //! The tentpole guarantee of the evaluation kernel: on random
 //! applications, platforms and move sequences, `SystemEvaluator::evaluate`
-//! (reused, warm buffers) and `SystemEvaluator::delta_evaluate` (suffix
-//! re-scheduling off an anchored base) both equal a fresh
+//! (reused, warm buffers) and one-candidate `SystemEvaluator::evaluate_batch`
+//! calls (suffix re-scheduling off an anchored base) both equal a fresh
 //! `estimate_schedule_length` run **bit-for-bit** — same `Estimate`
 //! (including the critical process), same error on infeasible states — for
 //! every fault budget k ∈ {0..3}.
@@ -10,10 +10,10 @@
 //! in the test itself), mixing remaps and repolicies exactly like the
 //! search engines' neighborhood vocabulary.
 //!
-//! A second property extends the same discipline to the batch tier:
-//! `SystemEvaluator::evaluate_batch` over random neighborhoods must equal
-//! sequential `delta_evaluate` calls bit-for-bit — results and errors, in
-//! input order — with and without an anchored base.
+//! A second property extends the same discipline to whole neighborhoods:
+//! `SystemEvaluator::evaluate_batch` over a random neighborhood must equal
+//! one-candidate calls and `estimate_schedule_length` bit-for-bit —
+//! results and errors, in input order — with and without an anchored base.
 //!
 //! A third pins the search's move-as-delta path: along walks through
 //! replicated states, every change set `PlacementLoad::derive` emits holds
@@ -88,8 +88,8 @@ proptest! {
             let mut mapping = Mapping::cheapest(&app, arch).expect("generated apps are mappable");
             let mut policies = PolicyAssignment::uniform_reexecution(&app, k);
 
-            // One evaluator reused for full evaluations, one driven purely
-            // through the delta path off its anchored base.
+            // One evaluator reused for full evaluations, one scoring each
+            // move as a one-candidate batch off its anchored base.
             let mut full_eval = SystemEvaluator::new(&app, &platform, k);
             let mut delta_eval = SystemEvaluator::new(&app, &platform, k);
             let copies = CopyMapping::from_base(&app, arch, &mapping, &policies)
@@ -113,7 +113,7 @@ proptest! {
                 let legacy =
                     estimate_schedule_length(&app, &platform, &copies, &next_policies, k);
                 let full = full_eval.evaluate(&copies, &next_policies);
-                let delta = delta_eval.delta_evaluate(&copies, &next_policies);
+                let delta = delta_eval.evaluate_batch(&[(&copies, &next_policies)]).remove(0);
                 prop_assert_eq!(
                     &full, &legacy,
                     "reused full evaluation diverged (k={}, step={}, move={:?})", k, step, mv
@@ -142,12 +142,13 @@ proptest! {
 
     /// Batch-path guarantee: `evaluate_batch` over a random neighborhood is
     /// bit-for-bit equal — results *and* errors, in input order — to
-    /// sequential `delta_evaluate` calls on an identically anchored kernel.
-    /// The neighborhood deliberately mixes remaps, repolicies, the base
-    /// state itself (a noop) and, when k > 0, an invalid policy assignment
-    /// (a validate error), so every batch code path is compared.
+    /// one-candidate calls on an identically anchored kernel, and each of
+    /// those to `estimate_schedule_length`, an oracle independent of the
+    /// batch core. The neighborhood deliberately mixes remaps, repolicies,
+    /// the base state itself (a noop) and, when k > 0, an invalid policy
+    /// assignment (a validate error), so every batch code path is compared.
     #[test]
-    fn batch_equals_sequential_delta_on_random_neighborhoods(
+    fn batch_equals_one_candidate_calls_on_random_neighborhoods(
         seed in 0u64..1000,
         n in 6usize..13,
         nodes in 2usize..4,
@@ -190,15 +191,13 @@ proptest! {
                 neighborhood.insert(1, (bad_copies, bad));
             }
 
-            // Anchored batch kernel vs. an identically anchored sequential
-            // kernel (whose base may drift through fallback re-anchoring —
-            // estimates are pure functions of the candidate state, so the
-            // batch must still match it value-for-value).
+            // Anchored batch kernel vs. an identically anchored kernel
+            // scoring one candidate per call.
             let mut batch_eval = SystemEvaluator::new(&app, &platform, k);
-            let mut seq_eval = SystemEvaluator::new(&app, &platform, k);
+            let mut one_eval = SystemEvaluator::new(&app, &platform, k);
             prop_assert_eq!(
                 &batch_eval.evaluate(&base_copies, &policies),
-                &seq_eval.evaluate(&base_copies, &policies)
+                &one_eval.evaluate(&base_copies, &policies)
             );
 
             let refs: Vec<(&CopyMapping, &PolicyAssignment)> =
@@ -206,24 +205,23 @@ proptest! {
             let batch = batch_eval.evaluate_batch(&refs);
             prop_assert_eq!(batch.len(), neighborhood.len());
 
-            for (i, (copies, pols)) in neighborhood.iter().enumerate() {
-                let sequential = seq_eval.delta_evaluate(copies, pols);
-                prop_assert_eq!(
-                    &batch[i], &sequential,
-                    "batch diverged from sequential delta (k={}, candidate={})", k, i
-                );
-            }
-
-            // A no-base batch must equal the sequential fallback path too.
+            // A no-base batch runs full passes; it must agree as well.
             let mut cold_batch = SystemEvaluator::new(&app, &platform, k);
             let cold = cold_batch.evaluate_batch(&refs);
-            for (i, (copies, pols)) in neighborhood.iter().enumerate() {
-                // Fresh kernel per candidate: the cold batch never anchors,
-                // so each sequential comparison starts from no base as well.
-                let mut fresh = SystemEvaluator::new(&app, &platform, k);
+            for (i, &(copies, pols)) in refs.iter().enumerate() {
+                let legacy = estimate_schedule_length(&app, &platform, copies, pols, k);
+                let one = one_eval.evaluate_batch(&[(copies, pols)]).remove(0);
                 prop_assert_eq!(
-                    &cold[i], &fresh.delta_evaluate(copies, pols),
-                    "cold batch diverged from no-base fallback (k={}, candidate={})", k, i
+                    &batch[i], &one,
+                    "batch diverged from a one-candidate call (k={}, candidate={})", k, i
+                );
+                prop_assert_eq!(
+                    &one, &legacy,
+                    "one-candidate call diverged from legacy (k={}, candidate={})", k, i
+                );
+                prop_assert_eq!(
+                    &cold[i], &legacy,
+                    "cold batch diverged from legacy (k={}, candidate={})", k, i
                 );
             }
 
