@@ -64,9 +64,14 @@ pub fn checkpointing_local(
 /// (greedy steepest descent over ±1 moves, \[15\]).
 ///
 /// Only single-copy checkpointing policies are touched; replicated
-/// processes keep their plans. `initial.copies` must be the
-/// [`CopyMapping::from_base`] placement of its mapping and policies, as
-/// every [`Synthesized`] constructor builds it.
+/// processes keep their plans.
+///
+/// # Panics
+///
+/// Panics if `initial.copies` is not the [`CopyMapping::from_base`]
+/// placement of its mapping and policies, as every [`Synthesized`]
+/// constructor builds it (a caller bug: the descent reuses that placement
+/// for every candidate).
 ///
 /// # Errors
 ///
@@ -80,13 +85,9 @@ pub fn optimize_checkpoints_global(
     max_checkpoints: u32,
     max_iterations: usize,
 ) -> Result<Synthesized, OptError> {
-    debug_assert_eq!(
-        CopyMapping::from_base(app, platform.architecture(), &initial.mapping, &initial.policies)
-            .ok()
-            .as_ref(),
-        Some(&initial.copies),
-        "descent states carry their derived copy placement"
-    );
+    let derived =
+        CopyMapping::from_base(app, platform.architecture(), &initial.mapping, &initial.policies)?;
+    assert_eq!(derived, initial.copies, "descent states carry their derived copy placement");
     // One kernel for the whole descent. Placement load counts WCETs only,
     // so a one-copy policy change moves no copy row: each step scores its
     // ±1-checkpoint candidates as one batch of policy-only change sets over

@@ -910,8 +910,9 @@ mod tests {
             let mut moved = policies.clone();
             moved.set(ProcessId::new(p), Policy::checkpointing(2, 2));
             let moved_copies = CopyMapping::from_base(&app, &arch, &mapping, &moved).unwrap();
-            let delta = ev.evaluate_batch(&[(&moved_copies, &moved)]).remove(0);
-            let legacy = estimate_schedule_length(&app, &platform, &moved_copies, &moved, 2);
+            let delta = ev.evaluate_batch(&[(&moved_copies, &moved)]).remove(0).unwrap();
+            let legacy =
+                estimate_schedule_length(&app, &platform, &moved_copies, &moved, 2).unwrap();
             assert_eq!(delta, legacy, "repolicy of P{p}");
         }
         let stats = ev.stats();
@@ -936,8 +937,9 @@ mod tests {
                 }
                 let Ok(moved) = mapping.with_move(&app, &arch, pid, node) else { continue };
                 let moved_copies = CopyMapping::from_base(&app, &arch, &moved, &policies).unwrap();
-                let delta = ev.evaluate_batch(&[(&moved_copies, &policies)]).remove(0);
-                let legacy = estimate_schedule_length(&app, &platform, &moved_copies, &policies, 1);
+                let delta = ev.evaluate_batch(&[(&moved_copies, &policies)]).remove(0).unwrap();
+                let legacy =
+                    estimate_schedule_length(&app, &platform, &moved_copies, &policies, 1).unwrap();
                 assert_eq!(delta, legacy, "remap of {pid:?} to {node:?}");
             }
         }
@@ -949,8 +951,8 @@ mod tests {
         let copies =
             CopyMapping::from_base(&app, platform.architecture(), &mapping, &policies).unwrap();
         let mut ev = SystemEvaluator::new(&app, &platform, 2);
-        let full = ev.evaluate(&copies, &policies);
-        assert_eq!(ev.evaluate_batch(&[(&copies, &policies)]).remove(0), full);
+        let full = ev.evaluate(&copies, &policies).unwrap();
+        assert_eq!(ev.evaluate_batch(&[(&copies, &policies)]).remove(0).unwrap(), full);
         assert_eq!(ev.stats().delta_noops, 1);
     }
 
@@ -960,10 +962,10 @@ mod tests {
         let copies =
             CopyMapping::from_base(&app, platform.architecture(), &mapping, &policies).unwrap();
         let mut ev = SystemEvaluator::new(&app, &platform, 2);
-        let legacy = estimate_schedule_length(&app, &platform, &copies, &policies, 2);
+        let legacy = estimate_schedule_length(&app, &platform, &copies, &policies, 2).unwrap();
         // Scoring never anchors: the second call finds no base either.
         for calls in 1..=2 {
-            assert_eq!(ev.evaluate_batch(&[(&copies, &policies)]).remove(0), legacy);
+            assert_eq!(ev.evaluate_batch(&[(&copies, &policies)]).remove(0).unwrap(), legacy);
             assert_eq!(ev.stats().delta_fallbacks, calls);
         }
     }
