@@ -206,9 +206,6 @@ pub(crate) fn evaluate_batch_keyed(
             }
         }
     }
-    if miss_idx.is_empty() {
-        return out;
-    }
     // Phase 2: derive copy placements for the misses. Infeasible placements
     // cache as `None` without ever reaching the kernel (the same "move
     // unavailable" convention as `evaluate_state`).
@@ -239,7 +236,8 @@ pub(crate) fn evaluate_batch_keyed(
     }
     // Phase 4: publish the scored results, completing this batch's
     // reservations (`resolve` never overwrites a value another worker got
-    // there first with), then forward within-batch duplicates.
+    // there first with), then forward within-batch duplicates — also when
+    // every other candidate hit the cache.
     for &i in &miss_idx {
         cache.resolve(out[i].0.clone(), out[i].1);
     }
@@ -299,6 +297,27 @@ mod tests {
         // Pool counters account for exactly the cache misses (every miss is
         // scored by the kernel, even the in-batch duplicate).
         assert_eq!(pool.stats().evaluations(), cache.stats().misses);
+    }
+
+    #[test]
+    fn duplicates_are_filled_when_the_rest_of_the_batch_hits() {
+        let (app, arch) = samples::fig3();
+        let node_count = arch.node_count();
+        let platform =
+            Platform::new(arch, ftes_tdma::TdmaBus::uniform(node_count, Time::new(8)).unwrap())
+                .unwrap();
+        let mapping = Mapping::cheapest(&app, platform.architecture()).unwrap();
+        let k = 2;
+        let a = (mapping.clone(), PolicyAssignment::uniform_reexecution(&app, k));
+        let b = (mapping, PolicyAssignment::local_checkpointing(&app, k, 16).unwrap());
+        let cache = EstimateCache::new();
+        let pool = EvaluatorPool::new(&app, &platform, k, 1);
+        let first = evaluate_batch(&pool, &cache, &[a.clone(), b.clone()]);
+        assert!(first.iter().all(Option::is_some));
+        // Every key of this batch hits the cache; the repeated `a` must
+        // still read its first occurrence's estimate, not infeasibility.
+        let again = evaluate_batch(&pool, &cache, &[a.clone(), b, a]);
+        assert_eq!(again, vec![first[0], first[1], first[0]]);
     }
 
     #[test]
