@@ -8,13 +8,13 @@
 //! bounded by single-core estimator throughput. This crate lifts that
 //! limit with four cooperating pieces:
 //!
-//! * **Batched neighborhood evaluation** ([`evaluate_batch`]) — a search
-//!   iteration samples its whole neighborhood first (via the move
-//!   primitives `ftes-opt` exposes), probes the cache for every candidate,
-//!   then scores all misses in one cache-warm pass of the SoA evaluator
-//!   kernel (`SystemEvaluator::evaluate_batch`), sharing the schedule
-//!   prefix across the neighborhood; workers parallelize above it on
-//!   scoped threads.
+//! * **Change-set neighborhood scoring** — a search iteration samples its
+//!   whole neighborhood first (via the move primitives `ftes-opt`
+//!   exposes), probes the cache for every candidate state, then derives
+//!   each miss's change set (`Move::derive`) and scores all of them in one
+//!   `SystemEvaluator::evaluate_changes` pass over the worker's own
+//!   kernel, anchored at its current state — the path every `ftes-opt`
+//!   search takes. Workers parallelize above it on scoped threads.
 //! * **Memoized estimate cache** ([`EstimateCache`]) — candidate states
 //!   are keyed by a canonical, collision-free encoding ([`StateKey`]);
 //!   any state revisited by any worker is answered without re-running the
@@ -43,7 +43,7 @@
 //! cross-worker communication happens at round barriers with canonical
 //! (`StateKey`) tie-breaks. The rendered reports are byte-identical for
 //! any split too: they carry no wall clocks and no evaluator-kernel work
-//! counters ([`PointOutcome::evals`] follows the thread split).
+//! counters ([`PointOutcome::evals`] depends on the thread split).
 //!
 //! ## Example
 //!
@@ -69,14 +69,12 @@
 
 mod archive;
 mod cache;
-mod pool;
 mod portfolio;
 mod report;
 mod suite;
 
 pub use archive::{table_cost, ArchiveEntry, Objectives, ParetoArchive};
 pub use cache::{fnv1a64, CacheStats, CertifyCache, CertifyProbe, EstimateCache, Probe, StateKey};
-pub use pool::{evaluate_batch, evaluate_state, EvaluatorPool};
 pub use portfolio::{
     default_portfolio, explore, EngineKind, Exploration, ExploreError, PortfolioConfig, WorkerSpec,
 };

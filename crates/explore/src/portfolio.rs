@@ -8,10 +8,13 @@
 //! advances independently — its trajectory depends only on its own seeded
 //! RNG, its engine (tabu / simulated annealing / greedy descent, reusing
 //! the move vocabulary `ftes-opt` exposes) and the round-start incumbent.
-//! Workers run on scoped threads and score each sampled neighborhood in
-//! one pass through the [batched evaluator](crate::evaluate_batch) — the
-//! shared [`EstimateCache`] is probed first, only misses reach the warm
-//! kernel. At the round barrier the per-worker archives merge
+//! Workers run on scoped threads. Each owns one evaluator kernel anchored
+//! at its current state and scores a sampled neighborhood the way every
+//! `ftes-opt` search does: the shared [`EstimateCache`] is probed for every
+//! candidate state first, and only the misses are derived as change sets
+//! ([`Move::derive`]) and scored in one
+//! [`evaluate_changes`](SystemEvaluator::evaluate_changes) pass. At the
+//! round barrier the per-worker archives merge
 //! (order-independent, see [`ParetoArchive`]), the global incumbent is
 //! recomputed with a canonical tie-break, and workers whose current state
 //! is worse than the incumbent adopt it.
@@ -27,19 +30,23 @@
 //! `tests/determinism.rs` locks in.
 
 use crate::archive::{ArchiveEntry, ParetoArchive};
-use crate::cache::{CacheStats, CertifyCache, CertifyProbe, EstimateCache, StateKey};
-use crate::pool::{evaluate_batch_keyed, evaluate_state, indexed_parallel, EvaluatorPool};
+use crate::cache::{CacheStats, CertifyCache, CertifyProbe, EstimateCache, Probe, StateKey};
 use ftes_ft::PolicyAssignment;
-use ftes_ftcpg::CopyMapping;
-use ftes_model::{Application, Architecture, FaultModel, Mapping, Time, Transparency};
+use ftes_ftcpg::{ChangeSets, CopyMapping, PlacementLoad};
+use ftes_model::{Application, Architecture, FaultModel, Mapping, ProcessId, Time, Transparency};
 use ftes_opt::{
-    apply_move, constructive_mapping, CandidateMove, MoveSpace, OptError, PolicyMoves, Synthesized,
+    apply_move, constructive_mapping, Move, MoveSpace, OptError, PolicyMoves, Synthesized,
 };
-use ftes_sched::{BoundedCert, CertOutcome, Certifier, CertifyConfig, EvaluatorStats};
+use ftes_sched::{
+    BoundedCert, CertOutcome, Certifier, CertifyConfig, Estimate, EvaluatorStats, SystemEvaluator,
+};
 use ftes_tdma::Platform;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+// ftes-lint: allow(determinism) reason="in-batch duplicate lookup only; entries are never iterated into results"
+use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Error produced by the exploration engine.
@@ -133,7 +140,7 @@ pub struct PortfolioConfig {
     /// Search iterations each worker runs per round.
     pub iterations_per_round: usize,
     /// Total threads the engine may occupy (bounds how many workers run
-    /// concurrently; each worker scores its neighborhoods through one warm
+    /// concurrently; each worker scores its neighborhoods on its own
     /// kernel, so there is no per-candidate fan-out below the workers).
     pub threads: usize,
     /// Cap on checkpoint counts in candidate policies.
@@ -187,7 +194,7 @@ pub struct Exploration {
     /// Estimate-cache counters for the whole run.
     pub cache: CacheStats,
     /// Evaluator-kernel counters (constructions, full/delta evaluations,
-    /// reuse) aggregated over the per-thread pool.
+    /// reuse) summed over the workers' kernels, one per worker.
     pub evals: EvaluatorStats,
     /// Certify-guided admit-cache counters (all zero when
     /// [`PortfolioConfig::certify_guided`] is off). Deterministic for any
@@ -204,6 +211,7 @@ struct Worker {
     tabu_until: Vec<usize>,
     iteration: usize,
     temperature: f64,
+    kernel: Kernel,
 }
 
 /// A candidate state plus its evaluation (always feasible by construction).
@@ -216,15 +224,114 @@ struct Candidate {
 }
 
 impl Candidate {
-    fn new(mapping: Mapping, policies: PolicyAssignment, estimate: ftes_sched::Estimate) -> Self {
-        let key = StateKey::encode(&mapping, &policies);
-        Candidate { mapping, policies, estimate, key }
-    }
-
     /// Search objective: worst case, fault-free tie-break, canonical key as
     /// the final deterministic tie-break.
     fn objective(&self) -> (Time, Time, &StateKey) {
         (self.estimate.worst_case_length, self.estimate.fault_free_length, &self.key)
+    }
+}
+
+/// One worker's evaluator kernel, anchored at one state, plus that state's
+/// copy placement and placement inputs — what [`Move::derive`] derives the
+/// change sets of its neighbors from.
+struct Kernel {
+    evaluator: SystemEvaluator,
+    key: StateKey,
+    copies: CopyMapping,
+    load: PlacementLoad,
+}
+
+impl Kernel {
+    /// A kernel anchored at `(mapping, policies)`, with that state's
+    /// estimate.
+    fn new(
+        app: &Application,
+        platform: &Platform,
+        k: u32,
+        mapping: &Mapping,
+        policies: &PolicyAssignment,
+    ) -> Result<(Kernel, Estimate), OptError> {
+        let mut evaluator = SystemEvaluator::new(app, platform, k);
+        let state = Synthesized::evaluate_with(&mut evaluator, mapping.clone(), policies.clone())?;
+        let kernel = Kernel {
+            evaluator,
+            key: StateKey::encode(mapping, policies),
+            copies: state.copies,
+            load: PlacementLoad::new(app, platform.architecture(), mapping, policies),
+        };
+        Ok((kernel, state.estimate))
+    }
+
+    /// Re-anchors at `state` unless the kernel is anchored there already
+    /// (keys are collision-free, so equal keys are equal states).
+    fn anchor(&mut self, state: &Candidate) {
+        if self.key == state.key {
+            return;
+        }
+        let (app, arch) = (self.evaluator.app(), self.evaluator.platform().architecture());
+        self.copies = CopyMapping::from_base(app, arch, &state.mapping, &state.policies)
+            .expect("a scored state has a copy placement");
+        self.load = PlacementLoad::new(app, arch, &state.mapping, &state.policies);
+        self.evaluator
+            .evaluate(&self.copies, &state.policies)
+            .expect("a state scored feasible evaluates feasible");
+        self.key = state.key.clone();
+    }
+
+    /// Scores `neighbors` — moves of the anchored state, each with the state
+    /// it leads to — through `cache`, returning every neighbor's key and
+    /// estimate in input order (`None` = infeasible).
+    ///
+    /// Every key is probed first, in input order, reserving the misses; only
+    /// the misses are derived as change sets and scored, in one
+    /// [`SystemEvaluator::evaluate_changes`] pass, and their results are
+    /// published back. A key sampled twice in the batch is scored once (the
+    /// repeat probe hits this batch's own reservation and takes the first
+    /// occurrence's result); a key another worker is still computing counts
+    /// as the hit it would be sequentially, and is scored here rather than
+    /// waited on.
+    fn score(
+        &mut self,
+        cache: &EstimateCache,
+        neighbors: &[(Move<'_>, Mapping, PolicyAssignment)],
+    ) -> Vec<(StateKey, Option<Estimate>)> {
+        let app = self.evaluator.app();
+        let mut out: Vec<(StateKey, Option<Estimate>)> = Vec::with_capacity(neighbors.len());
+        let mut misses: Vec<usize> = Vec::new();
+        let mut sets = ChangeSets::new();
+        let mut first_at: HashMap<StateKey, usize> = HashMap::new();
+        let mut dup_of: Vec<(usize, usize)> = Vec::new();
+        for (i, (mv, mapping, policies)) in neighbors.iter().enumerate() {
+            let key = StateKey::encode(mapping, policies);
+            if let Some(&src) = first_at.get(&key) {
+                let _ = cache.probe_or_reserve(&key);
+                dup_of.push((i, src));
+                out.push((key, None));
+                continue;
+            }
+            first_at.insert(key.clone(), i);
+            match cache.probe_or_reserve(&key) {
+                Probe::Ready(value) => out.push((key, value)),
+                Probe::Pending | Probe::Reserved => {
+                    mv.derive(app, &mut self.load, &self.copies, &mut sets);
+                    misses.push(i);
+                    out.push((key, None));
+                }
+            }
+        }
+        if !sets.is_empty() {
+            for (&i, result) in misses.iter().zip(self.evaluator.evaluate_changes(&sets)) {
+                out[i].1 = result.ok();
+            }
+        }
+        // `resolve` never overwrites a value another worker published first.
+        for &i in &misses {
+            cache.resolve(out[i].0.clone(), out[i].1);
+        }
+        for (dup, src) in dup_of {
+            out[dup].1 = out[src].1;
+        }
+        out
     }
 }
 
@@ -309,19 +416,25 @@ pub fn explore(
     }
 
     // Deterministic feasible starting point (same as the serial strategies).
-    let initial_mapping = constructive_mapping(app, platform.architecture())
+    let mapping = constructive_mapping(app, platform.architecture())
         .map_err(|e| ExploreError::Infeasible(OptError::from(e)))?;
-    let initial_policies = PolicyAssignment::uniform_reexecution(app, k);
-    // One warm evaluator kernel per evaluation thread for the whole run.
-    let pool = EvaluatorPool::new(app, platform, k, config.threads.max(1));
-    let initial_estimate = pool
-        .with(0, |ev| evaluate_state(ev, &initial_mapping, &initial_policies))
-        .ok_or_else(|| {
+    let policies = PolicyAssignment::uniform_reexecution(app, k);
+    // One evaluator kernel per worker for the whole run, each anchored at
+    // the starting state.
+    let (kernels, estimates): (Vec<Kernel>, Vec<Estimate>) = config
+        .workers
+        .iter()
+        .map(|_| Kernel::new(app, platform, k, &mapping, &policies))
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|_| {
             ExploreError::Infeasible(OptError::NoFeasibleConfiguration(
                 "initial re-execution configuration is infeasible".into(),
             ))
-        })?;
-    let initial = Candidate::new(initial_mapping, initial_policies, initial_estimate);
+        })?
+        .into_iter()
+        .unzip();
+    let key = StateKey::encode(&mapping, &policies);
+    let initial = Candidate { mapping, policies, estimate: estimates[0], key };
 
     let cache = EstimateCache::new();
     let space = MoveSpace::new(app, k, PolicyMoves::Full, config.max_checkpoints);
@@ -334,8 +447,9 @@ pub fn explore(
     let workers: Vec<Mutex<Worker>> = config
         .workers
         .iter()
+        .zip(kernels)
         .enumerate()
-        .map(|(i, spec)| {
+        .map(|(i, (spec, kernel))| {
             // Decorrelate workers: golden-ratio mix of master seed, offset
             // and index.
             let seed = config
@@ -351,6 +465,7 @@ pub fn explore(
                 tabu_until: vec![0; app.process_count()],
                 iteration: 0,
                 temperature: (initial.estimate.worst_case_length.as_f64() * 0.05).max(1.0),
+                kernel,
             })
         })
         .collect();
@@ -385,7 +500,7 @@ pub fn explore(
     for _ in 0..config.rounds {
         // Workers advance in parallel; each returns its round archive.
         let round_archives: Vec<ParetoArchive> =
-            indexed_parallel(worker_count, worker_threads, |thread, i| {
+            indexed_parallel(worker_count, worker_threads, |i| {
                 let mut worker = workers[i].lock().expect("worker state poisoned");
                 let mut certifier = certifiers
                     .as_ref()
@@ -397,7 +512,7 @@ pub fn explore(
                     arch: platform.architecture(),
                     deadline: app.deadline(),
                 });
-                run_round(app, platform, config, &space, &cache, &pool, thread, &mut worker, guard)
+                run_round(app, platform.architecture(), config, &space, &cache, &mut worker, guard)
             });
         for local in round_archives {
             archive.merge(local);
@@ -420,75 +535,59 @@ pub fn explore(
         }
     }
 
+    let mut workers: Vec<Worker> =
+        workers.into_iter().map(|w| w.into_inner().expect("worker state poisoned")).collect();
     let best = workers
-        .into_iter()
-        .map(|w| w.into_inner().expect("worker state poisoned").best)
+        .iter()
+        .map(|w| &w.best)
         .min_by(|a, b| a.objective().cmp(&b.objective()))
-        .expect("portfolio is non-empty");
+        .expect("portfolio is non-empty")
+        .clone();
     // Rebuild the full synthesized configuration (replica placement) for
     // the winner; its feasibility was established when it was evaluated.
-    let best = pool.with(0, |ev| Synthesized::evaluate_with(ev, best.mapping, best.policies))?;
+    let best =
+        Synthesized::evaluate_with(&mut workers[0].kernel.evaluator, best.mapping, best.policies)?;
+    let evals = workers
+        .iter()
+        .map(|w| w.kernel.evaluator.stats())
+        .fold(EvaluatorStats::default(), EvaluatorStats::merged);
 
-    Ok(Exploration {
-        best,
-        archive,
-        cache: cache.stats(),
-        evals: pool.stats(),
-        certify: certify_cache.stats(),
-    })
+    Ok(Exploration { best, archive, cache: cache.stats(), evals, certify: certify_cache.stats() })
 }
 
 /// Advances one worker by `iterations_per_round` batched iterations.
-/// `thread` is the worker's scoped-thread slot, passed through as the
-/// preferred evaluator-pool slot so concurrent workers keep their own warm
-/// kernel.
-#[allow(clippy::too_many_arguments)]
 fn run_round(
     app: &Application,
-    platform: &Platform,
+    arch: &Architecture,
     config: &PortfolioConfig,
     space: &MoveSpace,
     cache: &EstimateCache,
-    pool: &EvaluatorPool,
-    thread: usize,
     worker: &mut Worker,
     mut guard: Option<Guard<'_>>,
 ) -> ParetoArchive {
-    let arch = platform.architecture();
     let mut local_archive = ParetoArchive::new();
 
     for _ in 0..config.iterations_per_round {
-        // 1. Sample the whole neighborhood without evaluating. Candidates
+        // 1. Anchor the kernel at the current state, which changes only on
+        // an accepted move or when the worker adopts the incumbent.
+        worker.kernel.anchor(&worker.current);
+
+        // 2. Sample the whole neighborhood without evaluating. Candidates
         // stay whole states: the estimate cache keys on them.
-        let mut moves = Vec::with_capacity(worker.spec.neighborhood);
+        let mut neighbors = Vec::with_capacity(worker.spec.neighborhood);
         for _ in 0..worker.spec.neighborhood {
-            let current = &worker.current;
-            if let Some(mv) = space.sample(&current.mapping, &current.policies, &mut worker.rng) {
-                moves.push(CandidateMove::from(mv));
-            }
-        }
-        let mut move_idxs = Vec::with_capacity(moves.len());
-        let mut batch: Vec<(Mapping, PolicyAssignment)> = Vec::with_capacity(moves.len());
-        for (i, mv) in moves.iter().enumerate() {
-            if let Some(state) =
-                apply_move(app, arch, &worker.current.mapping, &worker.current.policies, mv)
-            {
-                move_idxs.push(i);
-                batch.push(state);
+            let (mapping, policies) = (&worker.current.mapping, &worker.current.policies);
+            let Some(mv) = space.sample(mapping, policies, &mut worker.rng) else { continue };
+            if let Some((mapping, policies)) = apply_move(app, arch, mapping, policies, mv) {
+                neighbors.push((mv, mapping, policies));
             }
         }
 
-        // 2. One cache-backed kernel batch pass for the whole neighborhood,
-        // anchored at the worker's current state; keys come back alongside
-        // so candidates need no re-encoding.
-        let anchor = (&worker.current.mapping, &worker.current.policies);
-        let keyed = evaluate_batch_keyed(pool, cache, Some(anchor), &batch, thread);
-
-        // 3. Feasible candidates, in sample order.
-        let mut candidates: Vec<(usize, Candidate)> = Vec::with_capacity(batch.len());
-        for ((move_idx, (mapping, policies)), (key, estimate)) in
-            move_idxs.into_iter().zip(batch).zip(keyed)
-        {
+        // 3. Probe the cache, score the misses as change sets in one kernel
+        // pass, and keep the feasible candidates, in sample order.
+        let scored = worker.kernel.score(cache, &neighbors);
+        let mut candidates: Vec<(ProcessId, Candidate)> = Vec::with_capacity(neighbors.len());
+        for ((mv, mapping, policies), (key, estimate)) in neighbors.into_iter().zip(scored) {
             if let Some(estimate) = estimate {
                 let candidate = Candidate { mapping, policies, estimate, key };
                 local_archive.insert(ArchiveEntry::new(
@@ -496,13 +595,13 @@ fn run_round(
                     candidate.policies.clone(),
                     candidate.estimate,
                 ));
-                candidates.push((move_idx, candidate));
+                candidates.push((mv.process(), candidate));
             }
         }
 
         // 4. Engine-specific acceptance.
         match worker.spec.engine {
-            EngineKind::Tabu => accept_tabu(worker, &mut guard, &moves, candidates),
+            EngineKind::Tabu => accept_tabu(worker, &mut guard, candidates),
             EngineKind::Greedy => accept_greedy(worker, &mut guard, candidates),
             EngineKind::Anneal => accept_anneal(worker, &mut guard, candidates),
         }
@@ -529,13 +628,11 @@ fn touch_best(worker: &mut Worker, guard: &mut Option<Guard<'_>>, candidate: &Ca
 fn accept_tabu(
     worker: &mut Worker,
     guard: &mut Option<Guard<'_>>,
-    moves: &[CandidateMove],
-    candidates: Vec<(usize, Candidate)>,
+    candidates: Vec<(ProcessId, Candidate)>,
 ) {
     let iteration = worker.iteration;
-    let mut chosen: Option<(usize, Candidate)> = None;
-    for (move_idx, candidate) in candidates {
-        let process = moves[move_idx].process();
+    let mut chosen: Option<(ProcessId, Candidate)> = None;
+    for (process, candidate) in candidates {
         let aspiration = candidate.objective() < worker.best.objective();
         if worker.tabu_until[process.index()] > iteration && !aspiration {
             continue;
@@ -543,11 +640,11 @@ fn accept_tabu(
         let better =
             chosen.as_ref().map(|(_, c)| candidate.objective() < c.objective()).unwrap_or(true);
         if better {
-            chosen = Some((move_idx, candidate));
+            chosen = Some((process, candidate));
         }
     }
-    if let Some((move_idx, next)) = chosen {
-        worker.tabu_until[moves[move_idx].process().index()] = iteration + worker.spec.tenure;
+    if let Some((process, next)) = chosen {
+        worker.tabu_until[process.index()] = iteration + worker.spec.tenure;
         touch_best(worker, guard, &next);
         worker.current = next;
     }
@@ -556,7 +653,7 @@ fn accept_tabu(
 fn accept_greedy(
     worker: &mut Worker,
     guard: &mut Option<Guard<'_>>,
-    candidates: Vec<(usize, Candidate)>,
+    candidates: Vec<(ProcessId, Candidate)>,
 ) {
     // Same rule as the serial `greedy_descent`: take the best sampled move,
     // and only if it strictly improves the current state.
@@ -579,7 +676,7 @@ fn accept_greedy(
 fn accept_anneal(
     worker: &mut Worker,
     guard: &mut Option<Guard<'_>>,
-    candidates: Vec<(usize, Candidate)>,
+    candidates: Vec<(ProcessId, Candidate)>,
 ) {
     for (_, candidate) in candidates {
         let delta = (candidate.estimate.worst_case_length
@@ -595,11 +692,56 @@ fn accept_anneal(
     worker.temperature = (worker.temperature * 0.95).max(1e-3);
 }
 
+/// Runs `f(0..n)` across up to `threads` scoped threads, returning results
+/// in index order. Work is claimed from a shared atomic counter, so uneven
+/// item costs balance automatically — no channels, no pool object to keep
+/// alive, and the results never depend on which thread computed them (the
+/// property every determinism guarantee in this crate leans on).
+pub(crate) fn indexed_parallel<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let threads = threads.clamp(1, n.max(1));
+    if threads <= 1 {
+        return (0..n).map(f).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let buckets: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                let f = &f;
+                let next = &next;
+                scope.spawn(move || {
+                    let mut out = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        out.push((i, f(i)));
+                    }
+                    out
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("worker thread panicked")).collect()
+    });
+    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    for bucket in buckets {
+        for (i, v) in bucket {
+            slots[i] = Some(v);
+        }
+    }
+    slots.into_iter().map(|s| s.expect("every index claimed exactly once")).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use ftes_gen::{generate_application, GeneratorConfig};
     use ftes_model::samples;
+    use ftes_opt::candidate_policies;
 
     fn fig3_platform() -> (Application, Platform) {
         let (app, arch) = samples::fig3();
@@ -607,6 +749,89 @@ mod tests {
         let platform =
             Platform::new(arch, ftes_tdma::TdmaBus::uniform(nodes, Time::new(8)).unwrap()).unwrap();
         (app, platform)
+    }
+
+    /// Fig. 3 at k = 2 and a kernel anchored at its cheapest mapping under
+    /// uniform re-execution.
+    fn fig3_kernel() -> (Application, Platform, Mapping, PolicyAssignment, Kernel) {
+        let (app, platform) = fig3_platform();
+        let mapping = Mapping::cheapest(&app, platform.architecture()).unwrap();
+        let policies = PolicyAssignment::uniform_reexecution(&app, 2);
+        let (kernel, _) = Kernel::new(&app, &platform, 2, &mapping, &policies).unwrap();
+        (app, platform, mapping, policies, kernel)
+    }
+
+    #[test]
+    fn indexed_parallel_preserves_order() {
+        for threads in [1, 2, 7] {
+            let out = indexed_parallel(100, threads, |i| i * i);
+            assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
+        }
+        assert!(indexed_parallel(0, 4, |i| i).is_empty());
+    }
+
+    #[test]
+    fn batch_matches_fresh_evaluation() {
+        let (app, platform, mapping, policies, mut kernel) = fig3_kernel();
+        let arch = platform.architecture();
+        let space = MoveSpace::new(&app, 2, PolicyMoves::Full, 16);
+        let mut rng = ChaCha8Rng::seed_from_u64(7);
+        let neighbors: Vec<_> = (0..48)
+            .filter_map(|_| space.sample(&mapping, &policies, &mut rng))
+            .filter_map(|mv| {
+                apply_move(&app, arch, &mapping, &policies, mv).map(|(m, p)| (mv, m, p))
+            })
+            .collect();
+        let cache = EstimateCache::new();
+        let scored = kernel.score(&cache, &neighbors);
+        let mut fresh = SystemEvaluator::new(&app, &platform, 2);
+        let mut keys = Vec::new();
+        for ((_, m, p), (key, estimate)) in neighbors.iter().zip(&scored) {
+            let oracle = Synthesized::evaluate_with(&mut fresh, m.clone(), p.clone()).ok();
+            assert_eq!(*estimate, oracle.map(|s| s.estimate), "duplicates included");
+            assert_eq!(*key, StateKey::encode(m, p));
+            keys.push(key.clone());
+        }
+        keys.sort();
+        keys.dedup();
+        assert!(keys.len() < neighbors.len(), "the sample must repeat a state");
+        // One entry and one miss per distinct state; the kernel scores
+        // exactly the misses.
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.misses), (keys.len(), keys.len() as u64));
+        assert_eq!(kernel.evaluator.stats().batch_candidates, stats.misses);
+    }
+
+    #[test]
+    fn duplicates_are_filled_when_the_rest_of_the_batch_hits() {
+        let (app, platform, mapping, policies, mut kernel) = fig3_kernel();
+        let arch = platform.architecture();
+        let (p0, p1) = (ProcessId::new(0), ProcessId::new(1));
+        let (c0, c1) = (candidate_policies(&app, p0, 2, 16), candidate_policies(&app, p1, 2, 16));
+        let [a, b] = [(p0, &c0[1]), (p1, &c1[1])].map(|(process, policy)| {
+            let mv = Move::Repolicy { process, policy };
+            let (m, p) = apply_move(&app, arch, &mapping, &policies, mv).unwrap();
+            (mv, m, p)
+        });
+        let cache = EstimateCache::new();
+        let first = kernel.score(&cache, &[a.clone(), b.clone()]);
+        assert!(first.iter().all(|(_, estimate)| estimate.is_some()));
+        // Every key of this batch hits the cache; the repeated `a` must
+        // still read its first occurrence's estimate, not infeasibility.
+        let again = kernel.score(&cache, &[a.clone(), b, a]);
+        assert_eq!(again, vec![first[0].clone(), first[1].clone(), first[0].clone()]);
+    }
+
+    #[test]
+    fn each_worker_scores_on_one_reused_kernel() {
+        let (app, platform) = fig3_platform();
+        for threads in [1, 3] {
+            let config = PortfolioConfig { threads, ..PortfolioConfig::quick(2) };
+            let result = explore(&app, &platform, 1, &config).unwrap();
+            assert_eq!(result.evals.constructions, config.workers.len() as u64);
+            assert!(result.evals.delta_evals > 0, "neighbors are scored as change sets");
+            assert!(result.evals.reused() > 0);
+        }
     }
 
     #[test]

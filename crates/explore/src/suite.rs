@@ -207,10 +207,10 @@ pub struct PointOutcome {
     /// [`PortfolioConfig::certify_guided`] is on).
     pub certify_cache: CacheStats,
     /// Evaluator-kernel counters of the point (constructions, evaluations,
-    /// reuse across the per-thread pool). They depend on the thread split —
-    /// constructions follow the thread count, and a prober that races a
-    /// pending cache reservation recomputes the value itself — so no report
-    /// renders them; they are in-memory diagnostics only.
+    /// reuse), summed over the workers' kernels. Constructions follow the
+    /// worker count, but the rest depends on the thread split — a prober
+    /// that races a pending cache reservation scores the state itself — so
+    /// no report renders them; they are in-memory diagnostics only.
     pub evals: EvaluatorStats,
     /// Exact-certification verdict of the reported incumbent.
     pub certified: CertifyVerdict,
@@ -644,7 +644,7 @@ mod tests {
             // archive when an objective tie broke to a different key).
             assert_eq!(p.front_certified.len(), p.archive.len());
             assert!(p.evals.evaluations() > 0, "points must report kernel work");
-            assert!(p.evals.reused() > 0, "per-thread kernels must be reused within a point");
+            assert!(p.evals.reused() > 0, "worker kernels must be reused within a point");
         }
         assert!(outcome.total_cache().misses > 0);
     }

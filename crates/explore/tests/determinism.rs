@@ -7,11 +7,12 @@
 //!    computed ones on every state the exploration visits.
 
 use ftes_explore::{
-    evaluate_state, explore, paper_grid, run_suite, suite_to_csv, suite_to_json, EstimateCache,
-    PortfolioConfig, ScenarioPoint, StateKey, SuiteConfig, SuiteOutcome,
+    explore, paper_grid, run_suite, suite_to_csv, suite_to_json, EstimateCache, PortfolioConfig,
+    ScenarioPoint, StateKey, SuiteConfig, SuiteOutcome,
 };
 use ftes_gen::{generate_application, GeneratorConfig};
 use ftes_model::Time;
+use ftes_opt::Synthesized;
 use ftes_sched::SystemEvaluator;
 use ftes_tdma::Platform;
 
@@ -104,10 +105,15 @@ fn cached_estimates_match_fresh_computation() {
     let result = explore(&app, &platform, k, &PortfolioConfig::quick(23)).unwrap();
     let mut evaluator = SystemEvaluator::new(&app, &platform, k);
 
+    let mut fresh = |entry: &ftes_explore::ArchiveEntry| {
+        Synthesized::evaluate_with(&mut evaluator, entry.mapping.clone(), entry.policies.clone())
+            .ok()
+            .map(|s| s.estimate)
+    };
+
     // Every archived state's estimate must equal a from-scratch evaluation.
     for entry in result.archive.entries() {
-        let fresh = evaluate_state(&mut evaluator, &entry.mapping, &entry.policies)
-            .expect("archived states are feasible");
+        let fresh = fresh(entry).expect("archived states are feasible");
         assert_eq!(entry.estimate, fresh, "cache must never distort an estimate");
     }
 
@@ -115,9 +121,7 @@ fn cached_estimates_match_fresh_computation() {
     let cache = EstimateCache::new();
     for entry in result.archive.entries() {
         let key = StateKey::encode(&entry.mapping, &entry.policies);
-        let through = cache.get_or_compute(key.clone(), || {
-            evaluate_state(&mut evaluator, &entry.mapping, &entry.policies)
-        });
+        let through = cache.get_or_compute(key.clone(), || fresh(entry));
         let again = cache.get_or_compute(key, || panic!("second lookup must hit"));
         assert_eq!(through, again);
         assert_eq!(through, Some(entry.estimate));

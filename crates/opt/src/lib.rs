@@ -55,7 +55,7 @@ pub use repair::{
 };
 pub use search::{
     apply_move, candidate_policies, tabu_search, tabu_search_guarded_with, tabu_search_traced,
-    tabu_search_traced_with, tabu_search_with, BestGuard, CandidateMove, Move, MoveSpace,
-    PolicyMoves, SearchConfig, Synthesized,
+    tabu_search_traced_with, tabu_search_with, BestGuard, Move, MoveSpace, PolicyMoves,
+    SearchConfig, Synthesized,
 };
 pub use strategy::{synthesize, synthesize_with, Strategy};

@@ -225,39 +225,8 @@ fn checkpointed_candidate(
 
 /// One transformation of a candidate `(mapping, policies)` state — the
 /// neighborhood vocabulary shared by every search engine (tabu, annealing,
-/// greedy descent and the parallel portfolio workers of `ftes-explore`),
-/// owning its policy. [`MoveSpace::sample`] draws the borrowing form,
-/// [`Move`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CandidateMove {
-    /// Move one process to another feasible node.
-    Remap {
-        /// The process being remapped.
-        process: ProcessId,
-        /// The target node.
-        to: NodeId,
-    },
-    /// Switch one process to another candidate policy.
-    Repolicy {
-        /// The process whose policy changes.
-        process: ProcessId,
-        /// The new fault-tolerance policy.
-        policy: Policy,
-    },
-}
-
-impl CandidateMove {
-    /// The process the move touches (the unit of tabu bookkeeping).
-    pub fn process(&self) -> ProcessId {
-        match self {
-            CandidateMove::Remap { process, .. } | CandidateMove::Repolicy { process, .. } => {
-                *process
-            }
-        }
-    }
-}
-
-/// A move drawn from a [`MoveSpace`], borrowing its policy from the space.
+/// greedy descent and the parallel portfolio workers of `ftes-explore`).
+/// Drawn from a [`MoveSpace`], whose policies it borrows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Move<'s> {
     /// Move one process to another feasible node.
@@ -276,21 +245,38 @@ pub enum Move<'s> {
     },
 }
 
-impl Move<'_> {
+impl<'s> Move<'s> {
     /// The process the move touches (the unit of tabu bookkeeping).
     pub fn process(&self) -> ProcessId {
         match self {
             Move::Remap { process, .. } | Move::Repolicy { process, .. } => *process,
         }
     }
-}
 
-impl From<Move<'_>> for CandidateMove {
-    fn from(mv: Move<'_>) -> Self {
-        match mv {
-            Move::Remap { process, to } => CandidateMove::Remap { process, to },
+    /// Closes into `out` the move's change set against `current`, the copy
+    /// placement of the state `load` describes: the rows (and policy) where
+    /// the successor's [`CopyMapping::from_base`] placement differs from
+    /// `current`, as [`PlacementLoad::derive`] defines them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a remap targets a node that is not feasible for its
+    /// process ([`apply_move`] rejects such a move).
+    pub fn derive(
+        self,
+        app: &Application,
+        load: &mut PlacementLoad,
+        current: &CopyMapping,
+        out: &mut ChangeSets<'s>,
+    ) {
+        let row = current.copies_of(self.process());
+        match self {
+            Move::Remap { process, to } => {
+                load.derive(app, current, process, to, row.len(), None, out);
+            }
             Move::Repolicy { process, policy } => {
-                CandidateMove::Repolicy { process, policy: policy.clone() }
+                let copies = policy.copies().len();
+                load.derive(app, current, process, row[0], copies, Some(policy), out);
             }
         }
     }
@@ -379,16 +365,16 @@ pub fn apply_move(
     arch: &Architecture,
     mapping: &Mapping,
     policies: &PolicyAssignment,
-    mv: &CandidateMove,
+    mv: Move<'_>,
 ) -> Option<(Mapping, PolicyAssignment)> {
     match mv {
-        CandidateMove::Remap { process, to } => {
-            let mapping = mapping.with_move(app, arch, *process, *to).ok()?;
+        Move::Remap { process, to } => {
+            let mapping = mapping.with_move(app, arch, process, to).ok()?;
             Some((mapping, policies.clone()))
         }
-        CandidateMove::Repolicy { process, policy } => {
+        Move::Repolicy { process, policy } => {
             let mut policies = policies.clone();
-            policies.set(*process, policy.clone());
+            policies.set(process, policy.clone());
             Some((mapping.clone(), policies))
         }
     }
@@ -450,37 +436,12 @@ impl<'s> Neighborhood<'s> {
             let Some(mv) = self.space.sample(&current.mapping, &current.policies, rng) else {
                 continue;
             };
-            let row = current.copies.copies_of(mv.process());
-            match mv {
-                Move::Remap { process, to } => {
-                    // The mapping validation `apply_move` runs: the target
-                    // must be a node of the architecture.
-                    if to.index() >= node_count {
-                        continue;
-                    }
-                    self.load.derive(
-                        app,
-                        &current.copies,
-                        process,
-                        to,
-                        row.len(),
-                        None,
-                        &mut self.sets,
-                    );
-                }
-                Move::Repolicy { process, policy } => {
-                    let copies = policy.copies().len();
-                    self.load.derive(
-                        app,
-                        &current.copies,
-                        process,
-                        row[0],
-                        copies,
-                        Some(policy),
-                        &mut self.sets,
-                    );
-                }
+            // The mapping validation `apply_move` runs: a remap target must
+            // be a node of the architecture.
+            if matches!(mv, Move::Remap { to, .. } if to.index() >= node_count) {
+                continue;
             }
+            mv.derive(app, &mut self.load, &current.copies, &mut self.sets);
             self.moves.push(mv);
         }
     }

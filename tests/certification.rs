@@ -33,7 +33,7 @@ use ftes::ft::PolicyAssignment;
 use ftes::ftcpg::CopyMapping;
 use ftes::gen::{generate_application, GeneratorConfig};
 use ftes::model::{FaultModel, Mapping, ProcessId, Time, Transparency};
-use ftes::opt::{apply_move, candidate_policies, CandidateMove, SearchConfig};
+use ftes::opt::{apply_move, candidate_policies, Move, SearchConfig};
 use ftes::sched::{CertOutcome, Certifier, CertifyConfig, SystemEvaluator};
 use ftes::tdma::Platform;
 use ftes::{synthesize_system, Certification, FlowConfig};
@@ -112,9 +112,9 @@ fn estimator_calibration_envelope_on_random_systems() {
                         as usize,
                 );
                 let cands = candidate_policies(&app, p, k, 8);
-                let policy = cands[((seed + step) % cands.len() as u64) as usize].clone();
-                let mv = CandidateMove::Repolicy { process: p, policy };
-                if let Some((_, next)) = apply_move(&app, arch, &mapping, &policies, &mv) {
+                let policy = &cands[((seed + step) % cands.len() as u64) as usize];
+                let mv = Move::Repolicy { process: p, policy };
+                if let Some((_, next)) = apply_move(&app, arch, &mapping, &policies, mv) {
                     policies = next;
                 }
             }

@@ -16,11 +16,11 @@
 //! against fresh monolithic runs too.
 
 use ftes::explore::StateKey;
-use ftes::ft::PolicyAssignment;
+use ftes::ft::{Policy, PolicyAssignment};
 use ftes::ftcpg::CopyMapping;
 use ftes::gen::{generate_application, GeneratorConfig};
 use ftes::model::{Application, FaultModel, Mapping, NodeId, ProcessId, Time, Transparency};
-use ftes::opt::{apply_move, candidate_policies, CandidateMove};
+use ftes::opt::{apply_move, candidate_policies, Move};
 use ftes::sched::{BoundedCert, CertOutcome, Certifier, CertifyConfig, CertifyError};
 use ftes::tdma::Platform;
 use proptest::prelude::*;
@@ -28,13 +28,13 @@ use proptest::prelude::*;
 /// Deterministic move for one step of the walk: even steps remap, odd
 /// steps repolicy, indices rotated by `seed` so different cases take
 /// different trajectories (same vocabulary as `evaluator_equality.rs`).
-fn step_move(
+fn step_move<'c>(
     app: &Application,
     mapping: &Mapping,
-    k: u32,
+    cands: &'c [Vec<Policy>],
     seed: u64,
     step: u64,
-) -> Option<CandidateMove> {
+) -> Option<Move<'c>> {
     let n = app.process_count() as u64;
     let p = ProcessId::new(((seed.wrapping_mul(31) + step.wrapping_mul(7)) % n) as usize);
     if step.is_multiple_of(2) {
@@ -50,12 +50,18 @@ fn step_move(
         if to == mapping.node_of(p) {
             return None;
         }
-        Some(CandidateMove::Remap { process: p, to })
+        Some(Move::Remap { process: p, to })
     } else {
-        let cands = candidate_policies(app, p, k, 8);
-        let policy = cands[((seed + step) % cands.len() as u64) as usize].clone();
-        Some(CandidateMove::Repolicy { process: p, policy })
+        let cands = &cands[p.index()];
+        let policy = &cands[((seed + step) % cands.len() as u64) as usize];
+        Some(Move::Repolicy { process: p, policy })
     }
+}
+
+/// Every process's candidate policies under `k` (checkpoints capped at 8):
+/// the lists `step_move` borrows its repolicies from.
+fn candidates(app: &Application, k: u32) -> Vec<Vec<Policy>> {
+    app.processes().map(|(p, _)| candidate_policies(app, p, k, 8)).collect()
 }
 
 /// An unbudgeted certifier — the warm/monolithic comparison must never
@@ -126,6 +132,7 @@ proptest! {
         let arch = platform.architecture();
 
         for k in 0u32..=3 {
+            let cands = candidates(&app, k);
             let mut mapping = Mapping::cheapest(&app, arch).expect("generated apps are mappable");
             let mut policies = PolicyAssignment::uniform_reexecution(&app, k);
             let mut inc = fresh_certifier(&app, &platform, k);
@@ -141,9 +148,9 @@ proptest! {
 
             let mut fresh_states = 0u32;
             for step in 0..8u64 {
-                let Some(mv) = step_move(&app, &mapping, k, seed, step) else { continue };
+                let Some(mv) = step_move(&app, &mapping, &cands, seed, step) else { continue };
                 let Some((next_mapping, next_policies)) =
-                    apply_move(&app, arch, &mapping, &policies, &mv)
+                    apply_move(&app, arch, &mapping, &policies, mv)
                 else {
                     continue;
                 };
@@ -226,6 +233,7 @@ proptest! {
         let arch = platform.architecture();
 
         for k in 0u32..=3 {
+            let cands = candidates(&app, k);
             let mut mapping = Mapping::cheapest(&app, arch).expect("generated apps are mappable");
             let mut policies = PolicyAssignment::uniform_reexecution(&app, k);
             let mut warm = fresh_certifier(&app, &platform, k);
@@ -237,8 +245,8 @@ proptest! {
             let mut seen = std::collections::HashSet::new();
 
             for step in 0..6u64 {
-                if let Some(mv) = step_move(&app, &mapping, k, seed, step) {
-                    if let Some((m, p)) = apply_move(&app, arch, &mapping, &policies, &mv) {
+                if let Some(mv) = step_move(&app, &mapping, &cands, seed, step) {
+                    if let Some((m, p)) = apply_move(&app, arch, &mapping, &policies, mv) {
                         if CopyMapping::from_base(&app, arch, &m, &p).is_ok() {
                             mapping = m;
                             policies = p;

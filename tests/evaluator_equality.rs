@@ -26,7 +26,7 @@ use ftes::ft::{Policy, PolicyAssignment};
 use ftes::ftcpg::{ChangeSets, CopyMapping, PlacementLoad};
 use ftes::gen::{generate_application, GeneratorConfig};
 use ftes::model::{Application, Mapping, NodeId, ProcessId, Time};
-use ftes::opt::{apply_move, candidate_policies, CandidateMove};
+use ftes::opt::{apply_move, candidate_policies, Move};
 use ftes::sched::{estimate_schedule_length, SystemEvaluator};
 use ftes::tdma::Platform;
 use proptest::prelude::*;
@@ -34,13 +34,13 @@ use proptest::prelude::*;
 /// Deterministic move for one step of the walk: even steps remap, odd
 /// steps repolicy, indices rotated by `seed` so different cases take
 /// different trajectories.
-fn step_move(
+fn step_move<'c>(
     app: &Application,
     mapping: &Mapping,
-    k: u32,
+    cands: &'c [Vec<Policy>],
     seed: u64,
     step: u64,
-) -> Option<CandidateMove> {
+) -> Option<Move<'c>> {
     let n = app.process_count() as u64;
     let p = ProcessId::new(((seed.wrapping_mul(31) + step.wrapping_mul(7)) % n) as usize);
     if step.is_multiple_of(2) {
@@ -56,12 +56,18 @@ fn step_move(
         if to == mapping.node_of(p) {
             return None;
         }
-        Some(CandidateMove::Remap { process: p, to })
+        Some(Move::Remap { process: p, to })
     } else {
-        let cands = candidate_policies(app, p, k, 8);
-        let policy = cands[((seed + step) % cands.len() as u64) as usize].clone();
-        Some(CandidateMove::Repolicy { process: p, policy })
+        let cands = &cands[p.index()];
+        let policy = &cands[((seed + step) % cands.len() as u64) as usize];
+        Some(Move::Repolicy { process: p, policy })
     }
+}
+
+/// Every process's candidate policies under `k` (checkpoints capped at 8):
+/// the lists `step_move` borrows its repolicies from.
+fn candidates(app: &Application, k: u32) -> Vec<Vec<Policy>> {
+    app.processes().map(|(p, _)| candidate_policies(app, p, k, 8)).collect()
 }
 
 proptest! {
@@ -98,10 +104,11 @@ proptest! {
             prop_assert_eq!(&full_eval.evaluate(&copies, &policies), &initial);
             prop_assert_eq!(&delta_eval.evaluate(&copies, &policies), &initial);
 
+            let cands = candidates(&app, k);
             for step in 0..10u64 {
-                let Some(mv) = step_move(&app, &mapping, k, seed, step) else { continue };
+                let Some(mv) = step_move(&app, &mapping, &cands, seed, step) else { continue };
                 let Some((next_mapping, next_policies)) =
-                    apply_move(&app, arch, &mapping, &policies, &mv)
+                    apply_move(&app, arch, &mapping, &policies, mv)
                 else {
                     continue;
                 };
@@ -172,9 +179,10 @@ proptest! {
             // Build the neighborhood from the same deterministic move
             // vocabulary as the walk test.
             let mut neighborhood: Vec<(CopyMapping, PolicyAssignment)> = Vec::new();
+            let cands = candidates(&app, k);
             for step in 0..12u64 {
-                let Some(mv) = step_move(&app, &mapping, k, seed, step) else { continue };
-                let Some((m, p)) = apply_move(&app, arch, &mapping, &policies, &mv) else {
+                let Some(mv) = step_move(&app, &mapping, &cands, seed, step) else { continue };
+                let Some((m, p)) = apply_move(&app, arch, &mapping, &policies, mv) else {
                     continue;
                 };
                 let Ok(copies) = CopyMapping::from_base(&app, arch, &m, &p) else { continue };
@@ -271,6 +279,7 @@ proptest! {
                 continue;
             }
             prop_assert!(batch_eval.evaluate(&copies, &policies).is_ok());
+            let (cands, replication) = (candidates(&app, k), Policy::replication(k));
 
             for step in 0..6u64 {
                 // A neighborhood of the current state: remaps, and
@@ -278,16 +287,18 @@ proptest! {
                 let mut moves = Vec::new();
                 for j in 0..8u64 {
                     let walk = step * 8 + j;
-                    let Some(mv) = step_move(&app, &mapping, k, seed, walk) else { continue };
+                    let Some(mv) = step_move(&app, &mapping, &cands, seed, walk) else {
+                        continue;
+                    };
                     let mv = match mv {
-                        CandidateMove::Repolicy { process, .. } if k > 0 && walk % 4 == 1 => {
-                            CandidateMove::Repolicy { process, policy: Policy::replication(k) }
+                        Move::Repolicy { process, .. } if k > 0 && walk % 4 == 1 => {
+                            Move::Repolicy { process, policy: &replication }
                         }
                         mv => mv,
                     };
                     // Searches never sample a repolicy to the current policy.
-                    if let CandidateMove::Repolicy { process, policy } = &mv {
-                        if policies.policy(*process) == policy {
+                    if let Move::Repolicy { process, policy } = mv {
+                        if policies.policy(process) == policy {
                             continue;
                         }
                     }
@@ -296,22 +307,13 @@ proptest! {
                 let mut sets = ChangeSets::new();
                 let mut kept = Vec::new();
                 let mut states: Vec<(Mapping, PolicyAssignment, CopyMapping)> = Vec::new();
-                for mv in &moves {
+                for &mv in &moves {
                     let Some((m, p)) = apply_move(&app, arch, &mapping, &policies, mv) else {
                         continue;
                     };
                     let c = CopyMapping::from_base(&app, arch, &m, &p).expect("placement is total");
                     let process = mv.process();
-                    let row = copies.copies_of(process);
-                    match mv {
-                        CandidateMove::Remap { to, .. } => {
-                            load.derive(&app, &copies, process, *to, row.len(), None, &mut sets);
-                        }
-                        CandidateMove::Repolicy { policy, .. } => {
-                            let count = policy.copies().len();
-                            load.derive(&app, &copies, process, row[0], count, Some(policy), &mut sets);
-                        }
-                    }
+                    mv.derive(&app, &mut load, &copies, &mut sets);
                     let mut expected = ChangeSets::new();
                     expected.push_diff(&app, (&copies, &policies), (&c, &p));
                     let derived: Vec<_> = sets.get(sets.len() - 1).iter().collect();

@@ -6,7 +6,7 @@ use ftes::explore::{
     explore, run_suite, suite_to_csv, suite_to_json, PortfolioConfig, ScenarioPoint, SuiteConfig,
 };
 use ftes::model::Time;
-use ftes::opt::{apply_move, synthesize, CandidateMove, SearchConfig, Strategy};
+use ftes::opt::{apply_move, synthesize, Move, SearchConfig, Strategy};
 use ftes::tdma::Platform;
 use ftes_cli::{ExploreCommand, ExploreFormat};
 
@@ -48,11 +48,9 @@ fn move_primitives_compose_from_the_facade() {
     let (app, arch) = ftes::model::samples::fig3();
     let mapping = ftes::model::Mapping::cheapest(&app, &arch).expect("mapping");
     let policies = ftes::ft::PolicyAssignment::uniform_reexecution(&app, 1);
-    let mv = CandidateMove::Repolicy {
-        process: ftes::model::ProcessId::new(0),
-        policy: ftes::ft::Policy::replication(1),
-    };
-    let (m2, p2) = apply_move(&app, &arch, &mapping, &policies, &mv).expect("feasible");
+    let replication = ftes::ft::Policy::replication(1);
+    let mv = Move::Repolicy { process: ftes::model::ProcessId::new(0), policy: &replication };
+    let (m2, p2) = apply_move(&app, &arch, &mapping, &policies, mv).expect("feasible");
     assert_eq!(m2, mapping, "repolicy leaves the mapping untouched");
     assert_eq!(p2.policy(ftes::model::ProcessId::new(0)).replica_count(), 1);
 }

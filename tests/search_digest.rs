@@ -46,7 +46,7 @@ const EXPLORE_DIGEST: u64 = 0x6a5e_99ed_b5aa_438d;
 /// Digest of the same exploration's evaluator-kernel counters, kept apart
 /// so a change to how the portfolio scores candidates can re-record them
 /// without touching the results pin.
-const EXPLORE_EVALS_DIGEST: u64 = 0xd7ed_115a_cf40_b89e;
+const EXPLORE_EVALS_DIGEST: u64 = 0x74e0_b78d_2b6d_ff91;
 /// Digest of the Fig. 8 checkpoint descent: the local-vs-global comparison
 /// and the global descent from partly replicated starts.
 const CHECKPOINT_DIGEST: u64 = 0xb688_3053_a2d7_9bab;
