@@ -1,23 +1,24 @@
-//! Memoized estimate cache: a sharded, lock-light map from canonical
-//! candidate-state encodings to root-schedule estimates.
+//! Memo tables over candidate states: a sharded, lock-light map from
+//! canonical candidate-state encodings to values computed from the state.
 //!
 //! The portfolio workers of this crate repeatedly revisit states — tabu
 //! cycles, annealing re-acceptance, and *cross-worker* convergence on the
-//! same basins — and the root-schedule evaluation (now the
-//! `ftes_sched::SystemEvaluator` kernel) is the dominant cost of every
-//! visit. The cache keys a candidate `(mapping, policies)` state by a
-//! canonical byte encoding (exact, collision-free) with a precomputed FNV
-//! hash for shard selection, so repeated states never re-run the estimator,
-//! no matter which worker or thread saw them first.
+//! same basins. One table type, [`StateCache`], memoizes both per-state
+//! facts they compute: root-schedule estimates ([`EstimateCache`], the
+//! dominant cost of every visit) and certify-guided admit verdicts
+//! ([`CertifyCache`]). A table keys a candidate `(mapping, policies)`
+//! state by a canonical byte encoding (exact, collision-free) with a
+//! precomputed FNV hash for shard selection, so a repeated state is never
+//! recomputed, no matter which worker or thread saw it first.
 //!
-//! A cache instance is scoped to one problem instance (one
+//! A table instance is scoped to one problem instance (one
 //! `(application, platform, k)` triple): keys encode only the candidate
 //! state, not the context.
 
 use ftes_ft::PolicyAssignment;
 use ftes_model::Mapping;
 use ftes_sched::Estimate;
-// ftes-lint: allow(determinism) reason="hash-keyed estimate lookup only; entries are never iterated into results"
+// ftes-lint: allow(determinism) reason="hash-keyed state lookup only; entries are never iterated into results"
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -96,12 +97,12 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Hit/miss/size snapshot of an [`EstimateCache`].
+/// Hit/miss/size snapshot of a [`StateCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Lookups answered from the cache.
     pub hits: u64,
-    /// Lookups that ran the estimator.
+    /// Lookups that computed the value.
     pub misses: u64,
     /// Distinct states currently cached.
     pub entries: usize,
@@ -127,123 +128,106 @@ impl CacheStats {
     }
 }
 
-/// One cached slot. `Ready(None)` caches *infeasibility*, so known-dead
-/// states are never re-tried; `Pending` reserves a key whose first prober
-/// is still computing it, which pins the miss accounting: exactly one miss
-/// per unique key, no matter how probes interleave across workers.
+/// One memo slot. `Pending` reserves a key whose first prober is still
+/// computing it, which pins the miss accounting: exactly one miss per
+/// unique key, no matter how probes interleave across workers.
 #[derive(Debug, Clone, Copy)]
-enum Slot {
+enum Slot<V> {
     Pending,
-    Ready(Option<Estimate>),
+    Ready(V),
 }
 
-/// What a [`probe_or_reserve`](EstimateCache::probe_or_reserve) found.
+/// What a [`probe_or_reserve`](StateCache::probe_or_reserve) found.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Probe {
-    /// The key is cached (`None` = cached infeasibility). Counted as a hit.
-    Ready(Option<Estimate>),
+pub enum Probe<V> {
+    /// The key's value is cached. Counted as a hit.
+    Ready(V),
     /// Another prober reserved the key and is still computing it. Counted
     /// as a hit (sequentially the reserver would have finished first); the
-    /// caller computes the value itself rather than waiting — both arrive
-    /// at the same value, and the first
-    /// [`resolve`](EstimateCache::resolve) wins.
+    /// caller computes the value itself rather than waiting — values are
+    /// pure facts of the state, so both arrive at the same one, and the
+    /// first [`resolve`](StateCache::resolve) wins.
     Pending,
     /// The key was absent; this call reserved it. Counted as the key's one
-    /// miss — the caller must compute and [`resolve`](EstimateCache::resolve).
+    /// miss — the caller must compute and [`resolve`](StateCache::resolve).
     Reserved,
 }
 
-/// One cache shard.
-type Shard = Mutex<HashMap<StateKey, Slot>>;
+/// One table shard.
+type Shard<V> = Mutex<HashMap<StateKey, Slot<V>>>;
 
-/// Sharded memo table from [`StateKey`] to the state's estimate.
+/// Sharded memo table from [`StateKey`] to a value that is a pure function
+/// of the keyed state.
+///
+/// Callers probe first and compute only on a miss: the pending reservation
+/// a miss leaves is what keeps the hit/miss counters — part of the
+/// deterministic report surface — independent of thread count. Each
+/// unique key misses exactly once, on the probe that reserved it, and
+/// every later probe is a hit, however the workers' probe→resolve windows
+/// interleave.
 #[derive(Debug)]
-pub struct EstimateCache {
-    shards: Box<[Shard]>,
+pub struct StateCache<V> {
+    shards: Box<[Shard<V>]>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
-impl Default for EstimateCache {
+/// State → root-schedule estimate; `None` caches infeasibility, so
+/// known-dead states are never re-tried.
+pub type EstimateCache = StateCache<Option<Estimate>>;
+
+/// State → certify-guided admit verdict (`true` = the state may become a
+/// worker's best, `false` = demoted). Certifiers run unbudgeted in guided
+/// mode precisely so that verdicts are pure facts of the state.
+pub type CertifyCache = StateCache<bool>;
+
+impl<V: Copy> Default for StateCache<V> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl EstimateCache {
-    /// A cache with the default shard count (64: enough that a dozen worker
-    /// threads rarely contend on a shard lock).
+impl<V: Copy> StateCache<V> {
+    /// An empty table with 64 shards: enough that a dozen worker threads
+    /// rarely contend on a shard lock.
     pub fn new() -> Self {
-        Self::with_shards(64)
-    }
-
-    /// A cache with an explicit shard count (rounded up to at least 1).
-    pub fn with_shards(shards: usize) -> Self {
-        let shards = shards.max(1);
-        EstimateCache {
-            shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
+        StateCache {
+            shards: (0..64).map(|_| Mutex::new(HashMap::new())).collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
     }
 
-    fn shard(&self, key: &StateKey) -> &Shard {
+    fn shard(&self, key: &StateKey) -> &Shard<V> {
         &self.shards[(key.hash64() % self.shards.len() as u64) as usize]
     }
 
-    /// Returns the cached evaluation of `key`, or runs `compute` and caches
-    /// its result. The shard lock is **not** held while computing; the
-    /// pending-slot reservation makes the hit/miss accounting
-    /// interleaving-independent (a racing prober counts a hit and computes
-    /// the — identical — value itself rather than waiting).
-    pub fn get_or_compute(
-        &self,
-        key: StateKey,
-        compute: impl FnOnce() -> Option<Estimate>,
-    ) -> Option<Estimate> {
-        match self.probe_or_reserve(&key) {
-            Probe::Ready(value) => return value,
-            Probe::Pending | Probe::Reserved => {}
-        }
-        let value = compute();
-        self.resolve(key, value);
-        value
-    }
-
     /// Looks `key` up without computing anything, reserving it on a miss.
-    /// The batch path probes all candidates first, batch-evaluates only
-    /// the [`Probe::Reserved`]/[`Probe::Pending`] ones, and
-    /// [`resolve`](EstimateCache::resolve)s the results. The reservation
-    /// is what keeps the hit/miss counters deterministic for any thread
-    /// count: each unique key misses exactly once — on the probe that
-    /// reserved it — and every later probe is a hit, however the workers'
-    /// probe→resolve windows interleave.
-    pub fn probe_or_reserve(&self, key: &StateKey) -> Probe {
+    /// The shard lock is held only for the lookup, never while the caller
+    /// computes.
+    pub fn probe_or_reserve(&self, key: &StateKey) -> Probe<V> {
         let mut shard = self.shard(key).lock().expect("cache shard poisoned");
         match shard.get(key) {
             Some(Slot::Ready(value)) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                ftes_obs::counter(ftes_obs::names::ESTIMATE_CACHE_HIT, 1);
                 Probe::Ready(*value)
             }
             Some(Slot::Pending) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                ftes_obs::counter(ftes_obs::names::ESTIMATE_CACHE_HIT, 1);
                 Probe::Pending
             }
             None => {
                 shard.insert(key.clone(), Slot::Pending);
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                ftes_obs::counter(ftes_obs::names::ESTIMATE_CACHE_MISS, 1);
                 Probe::Reserved
             }
         }
     }
 
-    /// Publishes a computed evaluation, completing a reservation. The
-    /// first resolve of a key wins; later ones (racing probers that saw
+    /// Publishes a computed value, completing a reservation. The first
+    /// resolve of a key wins; later ones (racing probers that saw
     /// [`Probe::Pending`] and computed the same value) are no-ops.
-    pub fn resolve(&self, key: StateKey, value: Option<Estimate>) {
+    pub fn resolve(&self, key: StateKey, value: V) {
         let mut shard = self.shard(&key).lock().expect("cache shard poisoned");
         let slot = shard.entry(key).or_insert(Slot::Pending);
         if matches!(slot, Slot::Pending) {
@@ -260,112 +244,6 @@ impl EstimateCache {
                 .shards
                 .iter()
                 .map(|s| s.lock().expect("cache shard poisoned").len())
-                .sum(),
-        }
-    }
-}
-
-/// One cached certify-admit slot (see [`CertifyCache`]).
-#[derive(Debug, Clone, Copy)]
-enum AdmitSlot {
-    Pending,
-    Ready(bool),
-}
-
-/// What a [`probe_or_reserve`](CertifyCache::probe_or_reserve) found.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CertifyProbe {
-    /// The key's admit verdict is cached. Counted as a hit.
-    Ready(bool),
-    /// Another prober reserved the key and is still certifying it. Counted
-    /// as a hit; the caller certifies the state itself — verdicts are pure
-    /// facts of the state, so both arrive at the same answer and the first
-    /// [`resolve`](CertifyCache::resolve) wins.
-    Pending,
-    /// The key was absent; this call reserved it. Counted as the key's one
-    /// miss — the caller must certify and
-    /// [`resolve`](CertifyCache::resolve).
-    Reserved,
-}
-
-/// Sharded memo table from [`StateKey`] to a certify-guided admit verdict
-/// (`true` = the state may become a worker's best, `false` = demoted).
-///
-/// Same pending-reservation discipline as [`EstimateCache`], for the same
-/// reason: each unique key misses exactly once no matter how worker
-/// probe→resolve windows interleave, so the hit/miss counters — part of
-/// the deterministic report surface — never depend on thread count.
-/// Verdicts must be pure facts of the keyed state (certifiers run
-/// unbudgeted in guided mode precisely so a racing prober re-derives the
-/// identical answer).
-#[derive(Debug)]
-pub struct CertifyCache {
-    shards: Box<[Mutex<HashMap<StateKey, AdmitSlot>>]>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl Default for CertifyCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl CertifyCache {
-    /// A cache with the default shard count.
-    pub fn new() -> Self {
-        let shards = 64;
-        CertifyCache {
-            shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    fn shard(&self, key: &StateKey) -> &Mutex<HashMap<StateKey, AdmitSlot>> {
-        &self.shards[(key.hash64() % self.shards.len() as u64) as usize]
-    }
-
-    /// Looks `key` up without certifying anything, reserving it on a miss.
-    pub fn probe_or_reserve(&self, key: &StateKey) -> CertifyProbe {
-        let mut shard = self.shard(key).lock().expect("certify cache shard poisoned");
-        match shard.get(key) {
-            Some(AdmitSlot::Ready(admit)) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                CertifyProbe::Ready(*admit)
-            }
-            Some(AdmitSlot::Pending) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                CertifyProbe::Pending
-            }
-            None => {
-                shard.insert(key.clone(), AdmitSlot::Pending);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                CertifyProbe::Reserved
-            }
-        }
-    }
-
-    /// Publishes an admit verdict, completing a reservation. The first
-    /// resolve of a key wins; later ones (racing probers that derived the
-    /// same verdict) are no-ops.
-    pub fn resolve(&self, key: StateKey, admit: bool) {
-        let mut shard = self.shard(&key).lock().expect("certify cache shard poisoned");
-        let slot = shard.entry(key).or_insert(AdmitSlot::Pending);
-        if matches!(slot, AdmitSlot::Pending) {
-            *slot = AdmitSlot::Ready(admit);
-        }
-    }
-
-    /// Current hit/miss/size counters.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self
-                .shards
-                .iter()
-                .map(|s| s.lock().expect("certify cache shard poisoned").len())
                 .sum(),
         }
     }
@@ -408,21 +286,17 @@ mod tests {
     fn cache_memoizes_and_counts() {
         let (mapping, policies) = fig3_state();
         let key = StateKey::encode(&mapping, &policies);
-        let cache = EstimateCache::with_shards(4);
+        let cache = EstimateCache::new();
         let est = Estimate {
             fault_free_length: Time::new(10),
             worst_case_length: Time::new(20),
             critical_process: ftes_model::ProcessId::new(0),
         };
-        let mut computed = 0;
-        for _ in 0..5 {
-            let got = cache.get_or_compute(key.clone(), || {
-                computed += 1;
-                Some(est)
-            });
-            assert_eq!(got, Some(est));
+        assert_eq!(cache.probe_or_reserve(&key), Probe::Reserved);
+        cache.resolve(key.clone(), Some(est));
+        for _ in 0..4 {
+            assert_eq!(cache.probe_or_reserve(&key), Probe::Ready(Some(est)));
         }
-        assert_eq!(computed, 1, "estimator runs once");
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (4, 1, 1));
         assert!(stats.hit_rate() > 0.79);
@@ -433,9 +307,10 @@ mod tests {
         let (mapping, policies) = fig3_state();
         let key = StateKey::encode(&mapping, &policies);
         let cache = EstimateCache::new();
-        assert_eq!(cache.get_or_compute(key.clone(), || None), None);
-        // Second lookup must not recompute.
-        assert_eq!(cache.get_or_compute(key, || panic!("cached")), None);
+        assert_eq!(cache.probe_or_reserve(&key), Probe::Reserved);
+        cache.resolve(key.clone(), None);
+        // A later lookup reads the cached infeasibility.
+        assert_eq!(cache.probe_or_reserve(&key), Probe::Ready(None));
     }
 
     #[test]
@@ -444,14 +319,14 @@ mod tests {
         let key = StateKey::encode(&mapping, &policies);
         let cache = CertifyCache::new();
         // First probe is the key's one miss; it reserves.
-        assert_eq!(cache.probe_or_reserve(&key), CertifyProbe::Reserved);
+        assert_eq!(cache.probe_or_reserve(&key), Probe::Reserved);
         // A racing prober sees the pending reservation as a hit and
         // certifies on its own.
-        assert_eq!(cache.probe_or_reserve(&key), CertifyProbe::Pending);
+        assert_eq!(cache.probe_or_reserve(&key), Probe::Pending);
         cache.resolve(key.clone(), false);
         // The racer's later (identical) verdict is a no-op: first wins.
         cache.resolve(key.clone(), false);
-        assert_eq!(cache.probe_or_reserve(&key), CertifyProbe::Ready(false));
+        assert_eq!(cache.probe_or_reserve(&key), Probe::Ready(false));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (2, 1, 1));
     }

@@ -18,7 +18,8 @@
 //! * **Memoized estimate cache** ([`EstimateCache`]) — candidate states
 //!   are keyed by a canonical, collision-free encoding ([`StateKey`]);
 //!   any state revisited by any worker is answered without re-running the
-//!   estimator, and infeasibility is cached too.
+//!   estimator, and infeasibility is cached too. The certify-guided admit
+//!   verdicts live in the same table type ([`StateCache`]).
 //! * **Pareto archive** ([`ParetoArchive`]) — every visited candidate is
 //!   offered to an order-independent non-dominated archive over the §3.3
 //!   trade-off (worst-case length, recovery slack, schedule-table size),
@@ -74,7 +75,7 @@ mod report;
 mod suite;
 
 pub use archive::{table_cost, ArchiveEntry, Objectives, ParetoArchive};
-pub use cache::{fnv1a64, CacheStats, CertifyCache, CertifyProbe, EstimateCache, Probe, StateKey};
+pub use cache::{fnv1a64, CacheStats, CertifyCache, EstimateCache, Probe, StateCache, StateKey};
 pub use portfolio::{
     default_portfolio, explore, EngineKind, Exploration, ExploreError, PortfolioConfig, WorkerSpec,
 };

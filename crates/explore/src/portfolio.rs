@@ -30,7 +30,7 @@
 //! `tests/determinism.rs` locks in.
 
 use crate::archive::{ArchiveEntry, ParetoArchive};
-use crate::cache::{CacheStats, CertifyCache, CertifyProbe, EstimateCache, Probe, StateKey};
+use crate::cache::{CacheStats, CertifyCache, EstimateCache, Probe, StateKey};
 use ftes_ft::PolicyAssignment;
 use ftes_ftcpg::{ChangeSets, CopyMapping, PlacementLoad};
 use ftes_model::{Application, Architecture, FaultModel, Mapping, ProcessId, Time, Transparency};
@@ -304,13 +304,13 @@ impl Kernel {
         for (i, (mv, mapping, policies)) in neighbors.iter().enumerate() {
             let key = StateKey::encode(mapping, policies);
             if let Some(&src) = first_at.get(&key) {
-                let _ = cache.probe_or_reserve(&key);
+                probe(cache, &key);
                 dup_of.push((i, src));
                 out.push((key, None));
                 continue;
             }
             first_at.insert(key.clone(), i);
-            match cache.probe_or_reserve(&key) {
+            match probe(cache, &key) {
                 Probe::Ready(value) => out.push((key, value)),
                 Probe::Pending | Probe::Reserved => {
                     mv.derive(app, &mut self.load, &self.copies, &mut sets);
@@ -333,6 +333,18 @@ impl Kernel {
         }
         out
     }
+}
+
+/// Probes the estimate cache, reporting the probe on the
+/// `cache.estimate_hit`/`cache.estimate_miss` trace counters.
+fn probe(cache: &EstimateCache, key: &StateKey) -> Probe<Option<Estimate>> {
+    let probe = cache.probe_or_reserve(key);
+    let name = match probe {
+        Probe::Reserved => ftes_obs::names::ESTIMATE_CACHE_MISS,
+        Probe::Ready(_) | Probe::Pending => ftes_obs::names::ESTIMATE_CACHE_HIT,
+    };
+    ftes_obs::counter(name, 1);
+    probe
 }
 
 /// The certify-guided admission gate of one worker: an incremental
@@ -358,8 +370,8 @@ impl Guard<'_> {
             return true;
         }
         match self.cache.probe_or_reserve(&candidate.key) {
-            CertifyProbe::Ready(admit) => admit,
-            CertifyProbe::Pending | CertifyProbe::Reserved => {
+            Probe::Ready(admit) => admit,
+            Probe::Pending | Probe::Reserved => {
                 let admit = self.certify(candidate);
                 self.cache.resolve(candidate.key.clone(), admit);
                 admit
@@ -439,7 +451,8 @@ pub fn explore(
     let cache = EstimateCache::new();
     let space = MoveSpace::new(app, k, PolicyMoves::Full, config.max_checkpoints);
     // Seed the cache with the initial state so workers hit it immediately.
-    cache.get_or_compute(initial.key.clone(), || Some(initial.estimate));
+    probe(&cache, &initial.key);
+    cache.resolve(initial.key.clone(), Some(initial.estimate));
 
     let worker_count = config.workers.len();
     let worker_threads = config.threads.clamp(1, worker_count);

@@ -8,7 +8,7 @@
 
 use ftes_explore::{
     explore, paper_grid, run_suite, suite_to_csv, suite_to_json, EstimateCache, PortfolioConfig,
-    ScenarioPoint, StateKey, SuiteConfig, SuiteOutcome,
+    Probe, ScenarioPoint, StateKey, SuiteConfig, SuiteOutcome,
 };
 use ftes_gen::{generate_application, GeneratorConfig};
 use ftes_model::Time;
@@ -117,14 +117,13 @@ fn cached_estimates_match_fresh_computation() {
         assert_eq!(entry.estimate, fresh, "cache must never distort an estimate");
     }
 
-    // And the cache itself is transparent: compute-through equals bypass.
+    // And the cache itself is transparent: a resolved value reads back.
     let cache = EstimateCache::new();
     for entry in result.archive.entries() {
         let key = StateKey::encode(&entry.mapping, &entry.policies);
-        let through = cache.get_or_compute(key.clone(), || fresh(entry));
-        let again = cache.get_or_compute(key, || panic!("second lookup must hit"));
-        assert_eq!(through, again);
-        assert_eq!(through, Some(entry.estimate));
+        assert_eq!(cache.probe_or_reserve(&key), Probe::Reserved);
+        cache.resolve(key.clone(), fresh(entry));
+        assert_eq!(cache.probe_or_reserve(&key), Probe::Ready(Some(entry.estimate)));
     }
 }
 
