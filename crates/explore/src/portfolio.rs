@@ -37,9 +37,7 @@ use ftes_model::{Application, Architecture, FaultModel, Mapping, ProcessId, Time
 use ftes_opt::{
     apply_move, constructive_mapping, Move, MoveSpace, OptError, PolicyMoves, Synthesized,
 };
-use ftes_sched::{
-    BoundedCert, CertOutcome, Certifier, CertifyConfig, Estimate, EvaluatorStats, SystemEvaluator,
-};
+use ftes_sched::{Certifier, CertifyConfig, Estimate, EvaluatorStats, SystemEvaluator};
 use ftes_tdma::Platform;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -359,50 +357,32 @@ struct Guard<'a> {
 }
 
 impl Guard<'_> {
-    /// Whether `candidate` may become a worker's best. Demotes (returns
-    /// `false`) only on explicit negative exact evidence: a bounded run
-    /// that pruned past the deadline, or an exact schedule that misses it.
+    /// Whether `candidate` may become a worker's best, by
+    /// [`Certifier::admits`] behind the shared admit cache.
     fn admits(&mut self, candidate: &Candidate) -> bool {
-        // The estimate already prices the candidate past the deadline:
-        // certifying cannot improve the verdict the ranking gives it, so
-        // admit untested (mirrors the repair-loop guard in `ftes-opt`).
-        if candidate.estimate.worst_case_length > self.deadline {
+        let estimate = candidate.estimate.worst_case_length;
+        // The rule admits a state estimated past the deadline untested, so
+        // such a state takes no admit-cache slot.
+        if estimate > self.deadline {
             return true;
         }
         match self.cache.probe_or_reserve(&candidate.key) {
             Probe::Ready(admit) => admit,
             Probe::Pending | Probe::Reserved => {
-                let admit = self.certify(candidate);
+                // A placement or certification failure is no exact evidence
+                // either way: admit, degrading to the estimate-only regime
+                // rather than aborting the search.
+                let (mapping, policies) = (&candidate.mapping, &candidate.policies);
+                let admit = match CopyMapping::from_base(self.app, self.arch, mapping, policies) {
+                    Ok(copies) => self
+                        .certifier
+                        .admits(&copies, policies, estimate, self.deadline)
+                        .unwrap_or(true),
+                    Err(_) => true,
+                };
                 self.cache.resolve(candidate.key.clone(), admit);
                 admit
             }
-        }
-    }
-
-    fn certify(&mut self, candidate: &Candidate) -> bool {
-        let copies = match CopyMapping::from_base(
-            self.app,
-            self.arch,
-            &candidate.mapping,
-            &candidate.policies,
-        ) {
-            Ok(copies) => copies,
-            // Candidates reached here evaluated feasible; a placement
-            // failure means no exact evidence either way — admit.
-            Err(_) => return true,
-        };
-        match self.certifier.certify_bounded(&copies, &candidate.policies, self.deadline) {
-            Ok(BoundedCert::Verdict(CertOutcome::Exact { exact_len, deadline_met })) => {
-                self.certifier.record_estimate(exact_len, candidate.estimate.worst_case_length);
-                deadline_met
-            }
-            // Estimate-only regime (FT-CPG over the size budget): no exact
-            // evidence — admit, exactly like the post-hoc walk would.
-            Ok(BoundedCert::Verdict(CertOutcome::OverBudget)) => true,
-            Ok(BoundedCert::Pruned { .. }) => false,
-            // Hard construction/scheduling failures degrade to the
-            // estimate-only regime rather than aborting the search.
-            Err(_) => true,
         }
     }
 }

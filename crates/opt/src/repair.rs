@@ -30,7 +30,7 @@ use crate::{
     Synthesized,
 };
 use ftes_ft::PolicyAssignment;
-use ftes_sched::{calibration_milli, BoundedCert, CertOutcome, Certifier, SystemEvaluator};
+use ftes_sched::{calibration_milli, CertOutcome, Certifier, SystemEvaluator};
 
 /// Tunables of the certify-and-repair loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -224,32 +224,18 @@ pub fn synthesize_certified_mode(
     }
 }
 
-/// The certify-guided admission guard: candidates whose estimate already
-/// misses the deadline are admitted untested (they rank exactly as the
-/// estimator says; an exact run buys nothing), candidates that *look*
-/// schedulable are incrementally certified against the deadline as an
-/// upper bound — a pruned refutation or an exact deadline miss demotes
-/// them during the search. `OverBudget` (size or work budget) admits: in
-/// the estimate-only regime the guided search degrades to the classic one.
+/// The certify-guided admission guard: [`Certifier::admits`] on every
+/// candidate that would displace the search's best, demoting refuted
+/// states during the search.
 fn certify_guard(
     certifier: &mut Certifier,
     deadline: ftes_model::Time,
 ) -> impl FnMut(&Synthesized) -> Result<bool, OptError> + '_ {
     move |cand: &Synthesized| {
-        if cand.estimate.worst_case_length > deadline {
-            return Ok(true);
-        }
-        match certifier
-            .certify_bounded(&cand.copies, &cand.policies, deadline)
-            .map_err(certify_to_opt_error)?
-        {
-            BoundedCert::Verdict(CertOutcome::Exact { exact_len, deadline_met }) => {
-                certifier.record_estimate(exact_len, cand.estimate.worst_case_length);
-                Ok(deadline_met)
-            }
-            BoundedCert::Verdict(CertOutcome::OverBudget) => Ok(true),
-            BoundedCert::Pruned { .. } => Ok(false),
-        }
+        let estimate = cand.estimate.worst_case_length;
+        certifier
+            .admits(&cand.copies, &cand.policies, estimate, deadline)
+            .map_err(certify_to_opt_error)
     }
 }
 

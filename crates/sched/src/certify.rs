@@ -477,6 +477,43 @@ impl Certifier {
         }
     }
 
+    /// The certify-guided admission rule: whether a configuration whose
+    /// estimated worst case is `estimate` may displace a search's best
+    /// under `deadline`.
+    ///
+    /// An estimate already past the deadline admits untested: the search
+    /// ranks it exactly as the estimator says, so an exact run buys
+    /// nothing. Otherwise the configuration is certified with the deadline
+    /// as the bound ([`Certifier::certify_bounded`]): an exact schedule
+    /// records the calibration ([`Certifier::record_estimate`]) and admits
+    /// when it meets the deadline, a graph over the size budget admits (the
+    /// estimate-only regime, where a guided search degrades to the classic
+    /// one), and a pruned run — a proven miss — demotes.
+    ///
+    /// # Errors
+    ///
+    /// Hard construction/scheduling failures, exactly as
+    /// [`Certifier::certify_bounded`].
+    pub fn admits(
+        &mut self,
+        copies: &CopyMapping,
+        policies: &PolicyAssignment,
+        estimate: Time,
+        deadline: Time,
+    ) -> Result<bool, CertifyError> {
+        if estimate > deadline {
+            return Ok(true);
+        }
+        Ok(match self.certify_bounded(copies, policies, deadline)? {
+            BoundedCert::Verdict(CertOutcome::Exact { exact_len, deadline_met }) => {
+                self.record_estimate(exact_len, estimate);
+                deadline_met
+            }
+            BoundedCert::Verdict(CertOutcome::OverBudget) => true,
+            BoundedCert::Pruned { .. } => false,
+        })
+    }
+
     /// Takes the FT-CPG and exact schedule of the most recent certification
     /// if it was for exactly this configuration — the flow uses this to
     /// avoid rebuilding the winner's graph for table generation.
@@ -837,6 +874,30 @@ mod tests {
         assert!(complete.is_certified() || !verdict.is_certified());
         assert_eq!(c.certify(&copies, &policies).unwrap(), verdict);
         assert_eq!(c.stats().cache_hits, 2);
+    }
+
+    #[test]
+    fn admission_certifies_only_estimates_within_the_deadline() {
+        let (app, platform, copies, policies) = fig3_instance(2);
+        let mut reference = certifier(&app, &platform, 2, CertifyConfig::default());
+        let verdict = reference.certify(&copies, &policies).unwrap();
+        let exact = verdict.exact_len().expect("fig3 fits the budget");
+        let tight = Time::new(exact.units() - 1);
+
+        // An estimate past the deadline is admitted untested.
+        let mut c = certifier(&app, &platform, 2, CertifyConfig::default());
+        assert!(c.admits(&copies, &policies, exact, tight).unwrap());
+        assert_eq!(c.stats().requests, 0);
+        // Within it, a run pruned past the deadline demotes.
+        assert!(!c.admits(&copies, &policies, tight, tight).unwrap());
+        // An exact schedule admits as its verdict says and calibrates.
+        let estimate = Time::new(exact.units() / 2);
+        assert_eq!(c.admits(&copies, &policies, estimate, exact).unwrap(), verdict.is_certified());
+        assert_eq!(c.calibration_milli(), calibration_milli(exact, estimate));
+        // A graph over the size budget admits.
+        let cfg = CertifyConfig { cpg: BuildConfig { node_limit: 2 }, ..CertifyConfig::default() };
+        let mut small = certifier(&app, &platform, 2, cfg);
+        assert!(small.admits(&copies, &policies, tight, tight).unwrap());
     }
 
     #[test]
