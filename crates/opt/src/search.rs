@@ -262,6 +262,9 @@ impl<'s> Move<'s> {
     ///
     /// Panics if a remap targets a node that is not feasible for its
     /// process ([`apply_move`] rejects such a move).
+    // Inlined so that `Neighborhood::sample`, on every search's hot path,
+    // derives each move without an extra call.
+    #[inline]
     pub fn derive(
         self,
         app: &Application,
