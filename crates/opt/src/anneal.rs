@@ -17,8 +17,10 @@ use rand_chacha::ChaCha8Rng;
 pub type SearchTrace = Vec<i64>;
 
 /// Greedy steepest descent: per iteration, sample the neighborhood and take
-/// the best move only if it improves the current state; stop early when a
-/// full iteration finds no improvement.
+/// the best move only if it improves the current state. An iteration whose
+/// sample holds no improving move stays put; the descent still runs its
+/// whole iteration budget, since a sample is a small slice of the
+/// neighborhood and a later one may hold an improving move.
 ///
 /// # Errors
 ///
@@ -58,11 +60,7 @@ pub fn greedy_descent(
                 // Re-anchor the delta base at the accepted state.
                 evaluator.evaluate(&current.copies, &current.policies)?;
             }
-            None => {
-                ftes_obs::counter(ftes_obs::names::SEARCH_REJECT, 1);
-                trace.push(current.estimate.worst_case_length.units());
-                break;
-            }
+            None => ftes_obs::counter(ftes_obs::names::SEARCH_REJECT, 1),
         }
         trace.push(current.estimate.worst_case_length.units());
     }
@@ -172,6 +170,7 @@ mod tests {
         let (result, trace) =
             greedy_descent(&app, &platform, 2, initial, PolicyMoves::Full, cfg(0)).unwrap();
         assert!(result.objective() <= start);
+        assert_eq!(trace.len(), 20, "greedy runs its whole iteration budget");
         for w in trace.windows(2) {
             assert!(w[1] <= w[0], "greedy trace is non-increasing");
         }

@@ -39,7 +39,7 @@ const STRATEGY_DIGEST: u64 = 0x115a_863e_9699_ee7d;
 const CERTIFIED_DIGEST: u64 = 0xa4d6_53ed_cc85_de11;
 /// Digest of the traced tabu, greedy and annealing engines from mixed
 /// (partly replicated) starts.
-const ENGINE_DIGEST: u64 = 0x6faa_7129_0140_30ba;
+const ENGINE_DIGEST: u64 = 0x33f5_df55_a030_49cd;
 /// Digest of one portfolio exploration's results: best state, Pareto
 /// archive, estimate-cache and certify-cache counters.
 const EXPLORE_DIGEST: u64 = 0x6a5e_99ed_b5aa_438d;
