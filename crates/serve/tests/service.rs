@@ -371,7 +371,12 @@ fn malformed_requests_get_4xx() {
     let (status, _) = read_response(&stream).unwrap();
     assert_eq!(status, 400);
 
-    // 4xx traffic lands in the metrics status classes.
+    // 4xx traffic lands in the metrics status classes. Workers record a
+    // request only after replying, so give the last one a moment.
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while server.metrics().status_4xx < 5 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
     assert!(server.metrics().status_4xx >= 5);
 }
 
