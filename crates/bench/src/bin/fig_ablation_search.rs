@@ -11,9 +11,8 @@
 
 use ftes::ft::PolicyAssignment;
 use ftes::model::Mapping;
-use ftes::opt::{
-    greedy_descent, simulated_annealing, tabu_search_traced, PolicyMoves, SearchConfig, Synthesized,
-};
+use ftes::opt::{search, EngineKind, PolicyMoves, SearchConfig, SearchTrace, Synthesized};
+use ftes::sched::SystemEvaluator;
 use ftes_bench::{mean, platform, workload, ExperimentPoint};
 
 fn main() {
@@ -27,8 +26,11 @@ fn main() {
     );
     println!("{:<10} | {:>12} | {:>14}", "engine", "avg objective", "last improve");
 
-    let mut rows: Vec<(&str, Vec<f64>, Vec<f64>)> =
-        vec![("greedy", vec![], vec![]), ("tabu", vec![], vec![]), ("annealing", vec![], vec![])];
+    let mut rows: Vec<(&str, EngineKind, Vec<f64>, Vec<f64>)> = vec![
+        ("greedy", EngineKind::Greedy, vec![], vec![]),
+        ("tabu", EngineKind::Tabu, vec![], vec![]),
+        ("annealing", EngineKind::Anneal, vec![], vec![]),
+    ];
     for seed in 0..seeds {
         let app = workload(point, seed);
         let mapping = Mapping::cheapest(&app, plat.architecture()).expect("mappable");
@@ -36,22 +38,18 @@ fn main() {
         let initial = Synthesized::evaluate(&app, &plat, mapping, policies, point.k)
             .expect("initial state evaluates");
         let cfg = SearchConfig { seed, ..cfg };
-        let runs: Vec<(Synthesized, Vec<i64>)> = vec![
-            greedy_descent(&app, &plat, point.k, initial.clone(), PolicyMoves::Full, cfg)
-                .expect("greedy runs"),
-            tabu_search_traced(&app, &plat, point.k, initial.clone(), PolicyMoves::Full, cfg)
-                .expect("tabu runs"),
-            simulated_annealing(&app, &plat, point.k, initial, PolicyMoves::Full, cfg)
-                .expect("annealing runs"),
-        ];
-        for (row, (result, trace)) in rows.iter_mut().zip(runs) {
-            row.1.push(result.estimate.worst_case_length.as_f64());
+        for (_, engine, objectives, improves) in &mut rows {
+            let mut evaluator = SystemEvaluator::new(&app, &plat, point.k);
+            let (result, trace): (Synthesized, SearchTrace) =
+                search(&mut evaluator, *engine, initial.clone(), PolicyMoves::Full, cfg, None)
+                    .expect("engine runs");
+            objectives.push(result.estimate.worst_case_length.as_f64());
             let last_improve =
                 trace.windows(2).rposition(|w| w[1] < w[0]).map(|i| i + 1).unwrap_or(0);
-            row.2.push(last_improve as f64);
+            improves.push(last_improve as f64);
         }
     }
-    for (name, objectives, improves) in &rows {
+    for (name, _, objectives, improves) in &rows {
         println!("{name:<10} | {:>12.1} | {:>14.1}", mean(objectives), mean(improves));
     }
     println!("# tabu's diversification should match or beat greedy; annealing trails on");

@@ -13,8 +13,9 @@
 //!   exposes), probes the cache for every candidate state, then derives
 //!   each miss's change set (`Move::derive`) and scores all of them in one
 //!   `SystemEvaluator::evaluate_changes` pass over the worker's own
-//!   kernel, anchored at its current state — the path every `ftes-opt`
-//!   search takes. Workers parallelize above it on scoped threads.
+//!   kernel, anchored at its current state — the path the serial
+//!   `ftes-opt` search takes. Workers parallelize above it on scoped
+//!   threads.
 //! * **Memoized estimate cache** ([`EstimateCache`]) — candidate states
 //!   are keyed by a canonical, collision-free encoding ([`StateKey`]);
 //!   any state revisited by any worker is answered without re-running the
@@ -25,9 +26,11 @@
 //!   trade-off (worst-case length, recovery slack, schedule-table size),
 //!   so one run yields the whole front.
 //! * **Portfolio of diversified searchers** ([`explore`]) — tabu /
-//!   simulated-annealing / greedy workers with distinct seeds and
-//!   tunables run concurrently, sharing the cache continuously and
-//!   incumbents at deterministic round barriers.
+//!   simulated-annealing / greedy workers ([`EngineKind`]) with distinct
+//!   seeds and tunables run concurrently, sharing the cache continuously
+//!   and incumbents at deterministic round barriers. Each worker steps
+//!   `ftes-opt`'s `Acceptance`, the one definition of the three
+//!   engines' acceptance rules the serial search uses too.
 //!
 //! A [scenario-suite runner](run_suite) sweeps the §6 experiment grid
 //! ([`paper_grid`]: 20–100 processes, 2–6 nodes, k = 3–7) with
@@ -76,8 +79,9 @@ mod suite;
 
 pub use archive::{table_cost, ArchiveEntry, Objectives, ParetoArchive};
 pub use cache::{fnv1a64, CacheStats, CertifyCache, EstimateCache, Probe, StateCache, StateKey};
+pub use ftes_opt::EngineKind;
 pub use portfolio::{
-    default_portfolio, explore, EngineKind, Exploration, ExploreError, PortfolioConfig, WorkerSpec,
+    default_portfolio, explore, Exploration, ExploreError, PortfolioConfig, WorkerSpec,
 };
 pub use report::{suite_to_csv, suite_to_json};
 pub use suite::{

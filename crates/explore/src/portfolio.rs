@@ -6,15 +6,19 @@
 //!
 //! A portfolio run is a sequence of **rounds**. Within a round every worker
 //! advances independently — its trajectory depends only on its own seeded
-//! RNG, its engine (tabu / simulated annealing / greedy descent, reusing
-//! the move vocabulary `ftes-opt` exposes) and the round-start incumbent.
-//! Workers run on scoped threads. Each owns one evaluator kernel anchored
-//! at its current state and scores a sampled neighborhood the way every
-//! `ftes-opt` search does: the shared [`EstimateCache`] is probed for every
-//! candidate state first, and only the misses are derived as change sets
+//! RNG, its engine and the round-start incumbent. Workers run on scoped
+//! threads. Each owns one evaluator kernel anchored at its current state
+//! and scores a sampled neighborhood the way the serial `ftes-opt` search
+//! does: the shared [`EstimateCache`] is probed for every candidate state
+//! first, and only the misses are derived as change sets
 //! ([`Move::derive`]) and scored in one
-//! [`evaluate_changes`](SystemEvaluator::evaluate_changes) pass. At the
-//! round barrier the per-worker archives merge
+//! [`evaluate_changes`](SystemEvaluator::evaluate_changes) pass. The
+//! engine's acceptance is `ftes-opt`'s too: each worker holds one
+//! [`Acceptance`] (tabu, simulated annealing or greedy descent) and steps
+//! it once per iteration, ordering candidates by (worst case, fault-free
+//! length, [`StateKey`]) and admitting a new best through the
+//! certify-guided gate when that is on. At the round barrier the
+//! per-worker archives merge
 //! (order-independent, see [`ParetoArchive`]), the global incumbent is
 //! recomputed with a canonical tie-break, and workers whose current state
 //! is worse than the incumbent adopt it.
@@ -35,14 +39,16 @@ use ftes_ft::PolicyAssignment;
 use ftes_ftcpg::{ChangeSets, CopyMapping, PlacementLoad};
 use ftes_model::{Application, Architecture, FaultModel, Mapping, ProcessId, Time, Transparency};
 use ftes_opt::{
-    apply_move, constructive_mapping, Move, MoveSpace, OptError, PolicyMoves, Synthesized,
+    apply_move, constructive_mapping, Acceptance, EngineKind, Move, MoveSpace, OptError,
+    PolicyMoves, Scored, Synthesized,
 };
 use ftes_sched::{Certifier, CertifyConfig, Estimate, EvaluatorStats, SystemEvaluator};
 use ftes_tdma::Platform;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 // ftes-lint: allow(determinism) reason="in-batch duplicate lookup only; entries are never iterated into results"
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -79,28 +85,6 @@ impl std::error::Error for ExploreError {
 impl From<OptError> for ExploreError {
     fn from(e: OptError) -> Self {
         ExploreError::Infeasible(e)
-    }
-}
-
-/// The metaheuristic a portfolio worker runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EngineKind {
-    /// Tabu search (the paper's MXR engine) with per-worker tenure.
-    Tabu,
-    /// Simulated annealing with geometric cooling.
-    Anneal,
-    /// Greedy steepest descent (only improving moves).
-    Greedy,
-}
-
-impl fmt::Display for EngineKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            EngineKind::Tabu => "tabu",
-            EngineKind::Anneal => "anneal",
-            EngineKind::Greedy => "greedy",
-        };
-        write!(f, "{s}")
     }
 }
 
@@ -206,9 +190,7 @@ struct Worker {
     rng: ChaCha8Rng,
     current: Candidate,
     best: Candidate,
-    tabu_until: Vec<usize>,
-    iteration: usize,
-    temperature: f64,
+    acceptance: Acceptance,
     kernel: Kernel,
 }
 
@@ -226,6 +208,11 @@ impl Candidate {
     /// the final deterministic tie-break.
     fn objective(&self) -> (Time, Time, &StateKey) {
         (self.estimate.worst_case_length, self.estimate.fault_free_length, &self.key)
+    }
+
+    /// The candidate as the engines' [`Acceptance::step`] judges it.
+    fn scored(&self) -> Scored<(Time, Time, &StateKey)> {
+        Scored { worst_case: self.estimate.worst_case_length, objective: self.objective() }
     }
 }
 
@@ -450,14 +437,18 @@ pub fn explore(
                 .wrapping_mul(0x9E37_79B9_7F4A_7C15)
                 .wrapping_add(spec.seed_offset)
                 .wrapping_add((i as u64) << 32);
+            let worst_case = initial.estimate.worst_case_length;
             Mutex::new(Worker {
                 spec: *spec,
                 rng: ChaCha8Rng::seed_from_u64(seed),
                 current: initial.clone(),
                 best: initial.clone(),
-                tabu_until: vec![0; app.process_count()],
-                iteration: 0,
-                temperature: (initial.estimate.worst_case_length.as_f64() * 0.05).max(1.0),
+                acceptance: Acceptance::new(
+                    spec.engine,
+                    app.process_count(),
+                    spec.tenure,
+                    worst_case,
+                ),
                 kernel,
             })
         })
@@ -592,97 +583,29 @@ fn run_round(
             }
         }
 
-        // 4. Engine-specific acceptance.
-        match worker.spec.engine {
-            EngineKind::Tabu => accept_tabu(worker, &mut guard, candidates),
-            EngineKind::Greedy => accept_greedy(worker, &mut guard, candidates),
-            EngineKind::Anneal => accept_anneal(worker, &mut guard, candidates),
+        // 4. The engine's acceptance step. A candidate that beats the best
+        // becomes it only if the certify-guided gate (when on) admits it; a
+        // demoted candidate is still walked through.
+        let judged: Vec<_> = candidates.iter().map(|(p, c)| (*p, c.scored())).collect();
+        let Ok(step) = worker.acceptance.step(
+            &judged,
+            worker.current.scored(),
+            worker.best.objective(),
+            &mut worker.rng,
+            |i| {
+                Ok::<_, Infallible>(
+                    guard.as_mut().is_none_or(|guard| guard.admits(&candidates[i].1)),
+                )
+            },
+        );
+        if let Some(i) = step.promoted {
+            worker.best = candidates[i].1.clone();
         }
-        worker.iteration += 1;
+        if let Some(i) = step.walk {
+            worker.current = candidates.swap_remove(i).1;
+        }
     }
     local_archive
-}
-
-/// Promotes `candidate` to the worker's best if it wins the objective and —
-/// in certify-guided mode — survives the exact admission gate. A demoted
-/// candidate still becomes `current` in the accept functions (the search
-/// walks through it), it just can never be reported as an incumbent.
-fn touch_best(worker: &mut Worker, guard: &mut Option<Guard<'_>>, candidate: &Candidate) {
-    if candidate.objective() < worker.best.objective() {
-        if let Some(guard) = guard.as_mut() {
-            if !guard.admits(candidate) {
-                return;
-            }
-        }
-        worker.best = candidate.clone();
-    }
-}
-
-fn accept_tabu(
-    worker: &mut Worker,
-    guard: &mut Option<Guard<'_>>,
-    candidates: Vec<(ProcessId, Candidate)>,
-) {
-    let iteration = worker.iteration;
-    let mut chosen: Option<(ProcessId, Candidate)> = None;
-    for (process, candidate) in candidates {
-        let aspiration = candidate.objective() < worker.best.objective();
-        if worker.tabu_until[process.index()] > iteration && !aspiration {
-            continue;
-        }
-        let better =
-            chosen.as_ref().map(|(_, c)| candidate.objective() < c.objective()).unwrap_or(true);
-        if better {
-            chosen = Some((process, candidate));
-        }
-    }
-    if let Some((process, next)) = chosen {
-        worker.tabu_until[process.index()] = iteration + worker.spec.tenure;
-        touch_best(worker, guard, &next);
-        worker.current = next;
-    }
-}
-
-fn accept_greedy(
-    worker: &mut Worker,
-    guard: &mut Option<Guard<'_>>,
-    candidates: Vec<(ProcessId, Candidate)>,
-) {
-    // Same rule as the serial `greedy_descent`: take the best sampled move,
-    // and only if it strictly improves the current state.
-    let mut best_move: Option<Candidate> = None;
-    for (_, candidate) in candidates {
-        let improves = match &best_move {
-            Some(best) => candidate.objective() < best.objective(),
-            None => candidate.objective() < worker.current.objective(),
-        };
-        if improves {
-            best_move = Some(candidate);
-        }
-    }
-    if let Some(next) = best_move {
-        touch_best(worker, guard, &next);
-        worker.current = next;
-    }
-}
-
-fn accept_anneal(
-    worker: &mut Worker,
-    guard: &mut Option<Guard<'_>>,
-    candidates: Vec<(ProcessId, Candidate)>,
-) {
-    for (_, candidate) in candidates {
-        let delta = (candidate.estimate.worst_case_length
-            - worker.current.estimate.worst_case_length)
-            .as_f64();
-        let accept =
-            delta <= 0.0 || worker.rng.gen_bool((-delta / worker.temperature).exp().min(1.0));
-        if accept {
-            touch_best(worker, guard, &candidate);
-            worker.current = candidate;
-        }
-    }
-    worker.temperature = (worker.temperature * 0.95).max(1e-3);
 }
 
 /// Runs `f(0..n)` across up to `threads` scoped threads, returning results

@@ -11,7 +11,10 @@
 //!   strawmen;
 //! * [`compare_checkpointing`] — the Fig. 8 comparison: global checkpoint
 //!   optimization \[15\] vs the per-process local optimum of \[27\];
-//! * [`tabu_search`] — the underlying search engine.
+//! * [`search`] — the underlying search: tabu search (the paper's MXR
+//!   engine), simulated annealing or greedy descent, whose acceptance
+//!   rules [`Acceptance`] defines once for this crate and the
+//!   `ftes-explore` portfolio workers.
 //!
 //! ```
 //! use ftes_gen::{generate_application, GeneratorConfig};
@@ -32,30 +35,29 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod anneal;
 mod bus;
 mod checkpoint;
 mod constructive;
+mod engine;
 mod error;
 mod repair;
 mod search;
 mod strategy;
 
-pub use anneal::{greedy_descent, simulated_annealing, SearchTrace};
 pub use bus::{optimize_bus, BusOptConfig, OptimizedBus};
 pub use checkpoint::{
     checkpointing_local, compare_checkpointing, fault_tolerance_overhead,
     optimize_checkpoints_global, CheckpointComparison,
 };
 pub use constructive::constructive_mapping;
+pub use engine::{Acceptance, EngineKind, Scored, Step};
 pub use error::OptError;
 pub use repair::{
     observed_calibration, synthesize_certified, synthesize_certified_mode, CertifiedSynthesis,
     CertifyMode, RepairConfig,
 };
 pub use search::{
-    apply_move, candidate_policies, tabu_search, tabu_search_guarded_with, tabu_search_traced,
-    tabu_search_traced_with, tabu_search_with, BestGuard, Move, MoveSpace, PolicyMoves,
-    SearchConfig, Synthesized,
+    apply_move, candidate_policies, search, BestGuard, Move, MoveSpace, PolicyMoves, SearchConfig,
+    SearchTrace, Synthesized,
 };
 pub use strategy::{synthesize, synthesize_with, Strategy};

@@ -26,10 +26,10 @@
 //! no exact schedule to certify against, and the outcome says so.
 
 use crate::{
-    synthesize_with, tabu_search_guarded_with, OptError, PolicyMoves, SearchConfig, Strategy,
+    search, synthesize_with, BestGuard, EngineKind, OptError, PolicyMoves, SearchConfig, Strategy,
     Synthesized,
 };
-use ftes_ft::PolicyAssignment;
+use ftes_model::Time;
 use ftes_sched::{calibration_milli, CertOutcome, Certifier, SystemEvaluator};
 
 /// Tunables of the certify-and-repair loop.
@@ -100,10 +100,10 @@ pub fn synthesize_certified(
     evaluator: &mut SystemEvaluator,
     certifier: &mut Certifier,
     strategy: Strategy,
-    search: SearchConfig,
+    config: SearchConfig,
     repair: RepairConfig,
 ) -> Result<CertifiedSynthesis, OptError> {
-    synthesize_certified_mode(evaluator, certifier, strategy, search, repair, CertifyMode::PostHoc)
+    synthesize_certified_mode(evaluator, certifier, strategy, config, repair, CertifyMode::PostHoc)
 }
 
 /// [`synthesize_certified`] with an explicit [`CertifyMode`]: `PostHoc` is
@@ -122,22 +122,25 @@ pub fn synthesize_certified_mode(
     evaluator: &mut SystemEvaluator,
     certifier: &mut Certifier,
     strategy: Strategy,
-    search: SearchConfig,
+    config: SearchConfig,
     repair: RepairConfig,
     mode: CertifyMode,
 ) -> Result<CertifiedSynthesis, OptError> {
     assert_eq!(evaluator.k(), certifier.k(), "certifier built for a different fault budget");
-    let mut incumbent = match mode {
-        CertifyMode::PostHoc => synthesize_with(evaluator, strategy, search)?,
-        CertifyMode::Guided => synthesize_guided_with(evaluator, certifier, strategy, search)?,
-    };
+    let deadline = evaluator.app().deadline();
+    let mut incumbent = synthesize_with(
+        evaluator,
+        strategy,
+        config,
+        certify_guard(mode, certifier, deadline).as_mut().map(|guard| guard as BestGuard<'_>),
+    )?;
     // Only MXR explores policies; the fixed-policy strategies repair by
     // remapping alone, mirroring their original search space.
     let policy_moves =
         if strategy == Strategy::Mxr { PolicyMoves::Full } else { PolicyMoves::None };
 
     let mut rounds = 0u32;
-    let mut best_refuted: Option<(Synthesized, ftes_model::Time)> = None;
+    let mut best_refuted: Option<(Synthesized, Time)> = None;
     loop {
         match certifier
             .certify(&incumbent.copies, &incumbent.policies)
@@ -199,92 +202,32 @@ pub fn synthesize_certified_mode(
         // calibration at 1, and the round repairs by reseeded
         // diversification alone.
         let cfg = SearchConfig {
-            seed: search.seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(rounds as u64),
+            seed: config.seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(rounds as u64),
             calibration_milli: certifier.calibration_milli(),
-            ..search
+            ..config
         };
         // Re-anchor the evaluator's delta base at the restart state.
         evaluator.evaluate(&incumbent.copies, &incumbent.policies)?;
-        incumbent = match mode {
-            CertifyMode::PostHoc => {
-                crate::tabu_search_with(evaluator, incumbent, policy_moves, cfg)?
-            }
-            CertifyMode::Guided => {
-                let deadline = evaluator.app().deadline();
-                tabu_search_guarded_with(
-                    evaluator,
-                    incumbent,
-                    policy_moves,
-                    cfg,
-                    &mut certify_guard(certifier, deadline),
-                )?
-                .0
-            }
-        };
+        let mut guard = certify_guard(mode, certifier, deadline);
+        let guard = guard.as_mut().map(|guard| guard as BestGuard<'_>);
+        incumbent = search(evaluator, EngineKind::Tabu, incumbent, policy_moves, cfg, guard)?.0;
     }
 }
 
-/// The certify-guided admission guard: [`Certifier::admits`] on every
-/// candidate that would displace the search's best, demoting refuted
-/// states during the search.
+/// The certify-guided admission guard, in [`CertifyMode::Guided`] only:
+/// [`Certifier::admits`] on every candidate that would displace the
+/// search's best, demoting refuted states during the search.
 fn certify_guard(
+    mode: CertifyMode,
     certifier: &mut Certifier,
-    deadline: ftes_model::Time,
-) -> impl FnMut(&Synthesized) -> Result<bool, OptError> + '_ {
-    move |cand: &Synthesized| {
+    deadline: Time,
+) -> Option<impl FnMut(&Synthesized) -> Result<bool, OptError> + '_> {
+    (mode == CertifyMode::Guided).then_some(move |cand: &Synthesized| {
         let estimate = cand.estimate.worst_case_length;
         certifier
             .admits(&cand.copies, &cand.policies, estimate, deadline)
             .map_err(certify_to_opt_error)
-    }
-}
-
-/// The strategy dispatch of [`synthesize_with`], with the certify-guided
-/// guard threaded through each strategy's *final* tabu phase (bootstrap
-/// phases stay unguarded: MXR's MX seed explores plain re-execution
-/// mappings, and SFX's phase 1 optimizes a fault-oblivious `k = 0`
-/// objective the `k`-certifier cannot judge — SFX therefore synthesizes
-/// exactly as post hoc and is guided only in its repair rounds).
-fn synthesize_guided_with(
-    evaluator: &mut SystemEvaluator,
-    certifier: &mut Certifier,
-    strategy: Strategy,
-    config: SearchConfig,
-) -> Result<Synthesized, OptError> {
-    let k = evaluator.k();
-    let deadline = evaluator.app().deadline();
-    match strategy {
-        Strategy::Mxr => {
-            let mx = synthesize_with(evaluator, Strategy::Mx, config)?;
-            Ok(tabu_search_guarded_with(
-                evaluator,
-                mx,
-                PolicyMoves::Full,
-                config,
-                &mut certify_guard(certifier, deadline),
-            )?
-            .0)
-        }
-        Strategy::Mx | Strategy::Mr => {
-            let initial_mapping =
-                crate::constructive_mapping(evaluator.app(), evaluator.platform().architecture())?;
-            let policies = if strategy == Strategy::Mx {
-                PolicyAssignment::uniform_reexecution(evaluator.app(), k)
-            } else {
-                PolicyAssignment::uniform_replication(evaluator.app(), k)
-            };
-            let initial = Synthesized::evaluate_with(evaluator, initial_mapping, policies)?;
-            Ok(tabu_search_guarded_with(
-                evaluator,
-                initial,
-                PolicyMoves::None,
-                config,
-                &mut certify_guard(certifier, deadline),
-            )?
-            .0)
-        }
-        Strategy::Sfx => synthesize_with(evaluator, Strategy::Sfx, config),
-    }
+    })
 }
 
 /// Maps hard certification failures onto [`OptError`] (graph and schedule
@@ -302,7 +245,7 @@ fn certify_to_opt_error(e: ftes_sched::CertifyError) -> OptError {
 /// Convenience: the calibration factor a single observation implies (see
 /// [`ftes_sched::calibration_milli`]); re-exported here because repair-loop
 /// callers reason in search vocabulary.
-pub fn observed_calibration(exact: ftes_model::Time, estimate: ftes_model::Time) -> u64 {
+pub fn observed_calibration(exact: Time, estimate: Time) -> u64 {
     calibration_milli(exact, estimate)
 }
 

@@ -1,5 +1,6 @@
-//! Tabu-search engine over mapping and policy-assignment moves (the MXR
-//! optimization of \[13\], §6).
+//! The serial search over mapping and policy-assignment moves (the MXR
+//! optimization of \[13\], §6, and the annealing and greedy variants the
+//! search ablation compares it with).
 //!
 //! A state is a base mapping plus one policy per process; replicas are
 //! placed by [`CopyMapping::from_base`] and the state is evaluated with the
@@ -7,17 +8,15 @@
 //! states: it draws moves from a [`MoveSpace`] precomputed once per search,
 //! derives each move's change set (the rows and policy that differ from
 //! the current state) with [`PlacementLoad`], scores the sets in one batch
-//! over the evaluator's anchored current state, and writes only the
-//! accepted move into the current state. Moves:
+//! over the evaluator's anchored current state, lets the engine's
+//! [`Acceptance::step`] choose, and writes only the accepted move into the
+//! current state. Moves:
 //!
 //! * **remap** — move one (non-fixed) process to another feasible node;
 //! * **repolicy** — switch one process among its candidate policies
 //!   (re-execution, replication, replication+checkpointed original).
-//!
-//! Recently touched processes are tabu for `tenure` iterations unless a move
-//! beats the global best (aspiration).
 
-use crate::OptError;
+use crate::{Acceptance, EngineKind, OptError, Scored};
 use ftes_ft::{CopyPlan, Policy, PolicyAssignment};
 use ftes_ftcpg::{ChangeSets, CopyMapping, PlacementLoad};
 use ftes_model::{Application, Architecture, Mapping, NodeId, ProcessId, Time};
@@ -26,12 +25,13 @@ use ftes_tdma::Platform;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-/// Tunables of the tabu search.
+/// Tunables of a search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SearchConfig {
     /// Total iterations.
     pub iterations: usize,
-    /// Tabu tenure (iterations a touched process stays tabu).
+    /// Tabu tenure (iterations a touched process stays tabu; ignored by
+    /// the other engines).
     pub tenure: usize,
     /// Number of candidate moves sampled per iteration.
     pub neighborhood: usize,
@@ -67,7 +67,7 @@ impl SearchConfig {
     /// factor, exceeds the deadline — the acceptance penalty flag of the
     /// calibrated objective. Always `false` at the default factor of 1000,
     /// so uncalibrated searches are bit-for-bit unchanged.
-    pub(crate) fn calibrated_over_deadline(&self, estimate: &Estimate, deadline: Time) -> bool {
+    fn calibrated_over_deadline(&self, estimate: &Estimate, deadline: Time) -> bool {
         self.calibration_milli > 1000
             && (estimate.worst_case_length.units() as i128) * (self.calibration_milli as i128)
                 > (deadline.units() as i128) * 1000
@@ -77,11 +77,7 @@ impl SearchConfig {
     /// under the calibration factor sort after every predicted-schedulable
     /// state; within a class the usual (worst-case, fault-free) order
     /// applies.
-    pub(crate) fn calibrated_objective(
-        &self,
-        estimate: &Estimate,
-        deadline: Time,
-    ) -> (bool, Time, Time) {
+    fn calibrated_objective(&self, estimate: &Estimate, deadline: Time) -> (bool, Time, Time) {
         let (worst, fault_free) = objective(estimate);
         (self.calibrated_over_deadline(estimate, deadline), worst, fault_free)
     }
@@ -224,8 +220,8 @@ fn checkpointed_candidate(
 }
 
 /// One transformation of a candidate `(mapping, policies)` state — the
-/// neighborhood vocabulary shared by every search engine (tabu, annealing,
-/// greedy descent and the parallel portfolio workers of `ftes-explore`).
+/// neighborhood vocabulary shared by every search (the serial [`search`]
+/// and the parallel portfolio workers of `ftes-explore`).
 /// Drawn from a [`MoveSpace`], whose policies it borrows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Move<'s> {
@@ -387,11 +383,8 @@ pub fn apply_move(
 /// space, the current state's placement inputs, and the sampled moves with
 /// their change sets. Candidates exist only as change sets over the
 /// current state (which the evaluator keeps anchored); only an accepted
-/// move is ever written into a configuration.
-///
-/// Shared between the tabu search and the alternative engines in
-/// [`crate::greedy_descent`] / [`crate::simulated_annealing`].
-pub(crate) struct Neighborhood<'s> {
+/// move (or a promoted best) is ever written into a configuration.
+struct Neighborhood<'s> {
     space: &'s MoveSpace,
     load: PlacementLoad,
     moves: Vec<Move<'s>>,
@@ -402,11 +395,7 @@ impl<'s> Neighborhood<'s> {
     /// A neighborhood over `space`, starting at `current`, whose copy
     /// placement must be its mapping's and policies' [`CopyMapping::from_base`]
     /// placement (as every [`Synthesized`] constructor builds it).
-    pub(crate) fn new(
-        space: &'s MoveSpace,
-        evaluator: &SystemEvaluator,
-        current: &Synthesized,
-    ) -> Self {
+    fn new(space: &'s MoveSpace, evaluator: &SystemEvaluator, current: &Synthesized) -> Self {
         let (app, arch) = (evaluator.app(), evaluator.platform().architecture());
         debug_assert_eq!(
             CopyMapping::from_base(app, arch, &current.mapping, &current.policies).ok().as_ref(),
@@ -424,7 +413,7 @@ impl<'s> Neighborhood<'s> {
     /// Samples up to `config.neighborhood` moves of `current`, deriving
     /// each one's change set **without scoring**. Degenerate samples and
     /// infeasible remaps are skipped; scoring never draws from `rng`.
-    pub(crate) fn sample(
+    fn sample(
         &mut self,
         evaluator: &SystemEvaluator,
         current: &Synthesized,
@@ -450,21 +439,22 @@ impl<'s> Neighborhood<'s> {
     }
 
     /// Scores every sampled candidate in one batch pass over the anchored
-    /// current state, in sample order; `None` marks a candidate whose
-    /// evaluation fails (e.g. a policy the bus cannot carry) — the move is
-    /// simply not available.
-    pub(crate) fn score(&self, evaluator: &mut SystemEvaluator) -> Vec<Option<Estimate>> {
-        evaluator.evaluate_changes(&self.sets).into_iter().map(Result::ok).collect()
+    /// current state, returning the feasible ones' indices and estimates in
+    /// sample order. A candidate whose evaluation fails (e.g. a policy the
+    /// bus cannot carry) is left out — the move is simply not available.
+    fn score(&self, evaluator: &mut SystemEvaluator) -> Vec<(usize, Estimate)> {
+        let scores = evaluator.evaluate_changes(&self.sets).into_iter();
+        scores.enumerate().filter_map(|(i, estimate)| Some((i, estimate.ok()?))).collect()
     }
 
     /// The process candidate `i`'s move touches.
-    pub(crate) fn process(&self, i: usize) -> ProcessId {
+    fn process(&self, i: usize) -> ProcessId {
         self.moves[i].process()
     }
 
     /// Writes candidate `i` with its `estimate` over `state`, the state it
     /// was sampled from.
-    pub(crate) fn write(
+    fn write(
         &self,
         evaluator: &SystemEvaluator,
         i: usize,
@@ -482,7 +472,7 @@ impl<'s> Neighborhood<'s> {
 
     /// Accepts candidate `i`: writes it over `current` and steps the
     /// placement inputs to match.
-    pub(crate) fn accept(
+    fn accept(
         &mut self,
         evaluator: &SystemEvaluator,
         i: usize,
@@ -499,70 +489,6 @@ impl<'s> Neighborhood<'s> {
     }
 }
 
-/// Runs a tabu search from an initial state, minimizing the estimated
-/// worst-case schedule length.
-///
-/// # Errors
-///
-/// Propagates evaluation errors; the initial state must be feasible.
-pub fn tabu_search(
-    app: &Application,
-    platform: &Platform,
-    k: u32,
-    initial: Synthesized,
-    policy_moves: PolicyMoves,
-    config: SearchConfig,
-) -> Result<Synthesized, OptError> {
-    Ok(tabu_search_traced(app, platform, k, initial, policy_moves, config)?.0)
-}
-
-/// [`tabu_search`] over a caller-provided evaluator kernel (one evaluator
-/// per search; the flow layer shares it across synthesis phases).
-///
-/// # Errors
-///
-/// Propagates evaluation errors; the initial state must be feasible.
-pub fn tabu_search_with(
-    evaluator: &mut SystemEvaluator,
-    initial: Synthesized,
-    policy_moves: PolicyMoves,
-    config: SearchConfig,
-) -> Result<Synthesized, OptError> {
-    Ok(tabu_search_traced_with(evaluator, initial, policy_moves, config)?.0)
-}
-
-/// [`tabu_search`] with an objective trace (best worst-case length after
-/// each iteration), for the search ablation.
-///
-/// # Errors
-///
-/// Propagates evaluation errors; the initial state must be feasible.
-pub fn tabu_search_traced(
-    app: &Application,
-    platform: &Platform,
-    k: u32,
-    initial: Synthesized,
-    policy_moves: PolicyMoves,
-    config: SearchConfig,
-) -> Result<(Synthesized, Vec<i64>), OptError> {
-    let mut evaluator = SystemEvaluator::new(app, platform, k);
-    tabu_search_traced_with(&mut evaluator, initial, policy_moves, config)
-}
-
-/// [`tabu_search_traced`] over a caller-provided evaluator kernel.
-///
-/// # Errors
-///
-/// Propagates evaluation errors; the initial state must be feasible.
-pub fn tabu_search_traced_with(
-    evaluator: &mut SystemEvaluator,
-    initial: Synthesized,
-    policy_moves: PolicyMoves,
-    config: SearchConfig,
-) -> Result<(Synthesized, Vec<i64>), OptError> {
-    tabu_search_guarded_with(evaluator, initial, policy_moves, config, &mut |_| Ok(true))
-}
-
 /// Admission guard consulted before a candidate may displace the search's
 /// best-so-far state — the certify-guided hook. `Ok(true)` admits the
 /// candidate as the new best; `Ok(false)` demotes it: the walk still
@@ -571,63 +497,82 @@ pub fn tabu_search_traced_with(
 /// unguarded search bit for bit.
 pub type BestGuard<'a> = &'a mut dyn FnMut(&Synthesized) -> Result<bool, OptError>;
 
-/// [`tabu_search_traced_with`] with an admission guard on best-so-far
-/// updates: certify-guided searches pass a guard that incrementally
-/// certifies the candidate against the deadline and demotes refuted states
-/// *during* the search instead of discovering them post hoc.
+/// Objective trace of a search: the best objective value after each
+/// iteration (worst-case schedule length units).
+pub type SearchTrace = Vec<i64>;
+
+/// Runs `engine` from `initial` over a caller-provided evaluator kernel,
+/// minimizing the calibrated objective (see
+/// [`SearchConfig::calibration_milli`]). Returns the best state found and
+/// the objective trace.
+///
+/// Each iteration samples the neighborhood of the current state, scores it
+/// in one batch pass, lets [`Acceptance::step`] pick where the walk goes,
+/// writes that move into the current state and re-anchors the kernel
+/// there. `guard`, when given, decides whether a candidate that beats the
+/// best may become it (see [`BestGuard`]).
 ///
 /// # Errors
 ///
 /// Propagates evaluation errors and guard failures; the initial state must
 /// be feasible.
-pub fn tabu_search_guarded_with(
+pub fn search(
     evaluator: &mut SystemEvaluator,
+    engine: EngineKind,
     initial: Synthesized,
     policy_moves: PolicyMoves,
     config: SearchConfig,
-    guard: BestGuard<'_>,
-) -> Result<(Synthesized, Vec<i64>), OptError> {
+    mut guard: Option<BestGuard<'_>>,
+) -> Result<(Synthesized, SearchTrace), OptError> {
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
-    let n = evaluator.app().process_count();
     let deadline = evaluator.app().deadline();
-    let calibrated = |estimate: &Estimate| config.calibrated_objective(estimate, deadline);
+    let scored = |estimate: &Estimate| Scored {
+        worst_case: estimate.worst_case_length,
+        objective: config.calibrated_objective(estimate, deadline),
+    };
     let space =
         MoveSpace::new(evaluator.app(), evaluator.k(), policy_moves, config.max_checkpoints);
     let mut hood = Neighborhood::new(&space, evaluator, &initial);
+    let processes = evaluator.app().process_count();
+    let mut acceptance =
+        Acceptance::new(engine, processes, config.tenure, initial.estimate.worst_case_length);
     // Anchor the delta base at the search's starting state.
     evaluator.evaluate(&initial.copies, &initial.policies)?;
     let mut current = initial.clone();
     let mut best = initial;
-    let mut tabu_until = vec![0usize; n];
-    let mut trace = Vec::with_capacity(config.iterations);
+    let mut trace = SearchTrace::with_capacity(config.iterations);
+    let mut candidates = Vec::with_capacity(config.neighborhood);
 
-    for iter in 0..config.iterations {
+    for _ in 0..config.iterations {
         // Sample the whole neighborhood, then score it in one batch pass.
         hood.sample(evaluator, &current, config, &mut rng);
-        let scores = hood.score(evaluator);
-        let mut best_move: Option<(usize, Estimate)> = None;
-        for (i, estimate) in scores.iter().enumerate() {
-            let Some(estimate) = estimate else { continue };
-            let aspiration = calibrated(estimate) < calibrated(&best.estimate);
-            if tabu_until[hood.process(i).index()] > iter && !aspiration {
-                continue;
-            }
-            if best_move.is_none_or(|(_, chosen)| calibrated(estimate) < calibrated(&chosen)) {
-                best_move = Some((i, *estimate));
-            }
+        let feasible = hood.score(evaluator);
+        candidates.clear();
+        candidates
+            .extend(feasible.iter().map(|&(i, estimate)| (hood.process(i), scored(&estimate))));
+        let step = acceptance.step(
+            &candidates,
+            scored(&current.estimate),
+            scored(&best.estimate).objective,
+            &mut rng,
+            |c| {
+                let Some(guard) = guard.as_mut() else { return Ok(true) };
+                let (i, estimate) = feasible[c];
+                let mut candidate = current.clone();
+                hood.write(evaluator, i, &mut candidate, estimate)?;
+                guard(&candidate)
+            },
+        )?;
+        if let Some(c) = step.promoted {
+            let (i, estimate) = feasible[c];
+            best = current.clone();
+            hood.write(evaluator, i, &mut best, estimate)?;
         }
-        ftes_obs::counter(ftes_obs::names::SEARCH_ITER, 1);
-        if let Some((i, estimate)) = best_move {
-            ftes_obs::counter(ftes_obs::names::SEARCH_ACCEPT, 1);
-            tabu_until[hood.process(i).index()] = iter + config.tenure;
+        if let Some(c) = step.walk {
+            let (i, estimate) = feasible[c];
             hood.accept(evaluator, i, &mut current, estimate)?;
-            if calibrated(&current.estimate) < calibrated(&best.estimate) && guard(&current)? {
-                best = current.clone();
-            }
             // Re-anchor the delta base at the accepted state.
             evaluator.evaluate(&current.copies, &current.policies)?;
-        } else {
-            ftes_obs::counter(ftes_obs::names::SEARCH_REJECT, 1);
         }
         trace.push(best.estimate.worst_case_length.units());
     }
@@ -637,6 +582,7 @@ pub fn tabu_search_guarded_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ftes_gen::{generate_application, GeneratorConfig};
     use ftes_model::samples;
 
     fn setup(k: u32) -> (Application, Platform, Synthesized) {
@@ -649,6 +595,35 @@ mod tests {
         let policies = PolicyAssignment::uniform_reexecution(&app, k);
         let initial = Synthesized::evaluate(&app, &platform, mapping, policies, k).unwrap();
         (app, platform, initial)
+    }
+
+    /// A generated 12-process system on 3 nodes at k = 2, from uniform
+    /// re-execution on its cheapest mapping.
+    fn generated(seed: u64) -> (Application, Platform, Synthesized) {
+        let app = generate_application(&GeneratorConfig::new(12, 3), seed).unwrap();
+        let platform = Platform::homogeneous(3, Time::new(8)).unwrap();
+        let mapping = Mapping::cheapest(&app, platform.architecture()).unwrap();
+        let policies = PolicyAssignment::uniform_reexecution(&app, 2);
+        let initial = Synthesized::evaluate(&app, &platform, mapping, policies, 2).unwrap();
+        (app, platform, initial)
+    }
+
+    /// Runs `engine` from `initial` on a fresh kernel, unguarded.
+    fn run(
+        app: &Application,
+        platform: &Platform,
+        k: u32,
+        engine: EngineKind,
+        initial: Synthesized,
+        policy_moves: PolicyMoves,
+        config: SearchConfig,
+    ) -> (Synthesized, SearchTrace) {
+        let mut evaluator = SystemEvaluator::new(app, platform, k);
+        search(&mut evaluator, engine, initial, policy_moves, config, None).unwrap()
+    }
+
+    fn short(seed: u64) -> SearchConfig {
+        SearchConfig { iterations: 20, neighborhood: 10, seed, ..SearchConfig::default() }
     }
 
     #[test]
@@ -679,15 +654,9 @@ mod tests {
     fn tabu_search_never_worsens_the_best() {
         let (app, platform, initial) = setup(2);
         let initial_obj = initial.objective();
-        let result = tabu_search(
-            &app,
-            &platform,
-            2,
-            initial,
-            PolicyMoves::Full,
-            SearchConfig { iterations: 40, ..SearchConfig::default() },
-        )
-        .unwrap();
+        let cfg = SearchConfig { iterations: 40, ..SearchConfig::default() };
+        let (result, _) =
+            run(&app, &platform, 2, EngineKind::Tabu, initial, PolicyMoves::Full, cfg);
         assert!(result.objective() <= initial_obj);
         result.policies.validate(2).unwrap();
     }
@@ -696,15 +665,9 @@ mod tests {
     fn mapping_only_search_keeps_policies() {
         let (app, platform, initial) = setup(1);
         let before: Vec<_> = initial.policies.iter().map(|(_, p)| p.clone()).collect();
-        let result = tabu_search(
-            &app,
-            &platform,
-            1,
-            initial,
-            PolicyMoves::None,
-            SearchConfig { iterations: 30, ..SearchConfig::default() },
-        )
-        .unwrap();
+        let cfg = SearchConfig { iterations: 30, ..SearchConfig::default() };
+        let (result, _) =
+            run(&app, &platform, 1, EngineKind::Tabu, initial, PolicyMoves::None, cfg);
         let after: Vec<_> = result.policies.iter().map(|(_, p)| p.clone()).collect();
         assert_eq!(before, after, "PolicyMoves::None must not touch policies");
     }
@@ -713,38 +676,28 @@ mod tests {
     fn guard_admissions_control_the_returned_best() {
         let (app, platform, initial) = setup(2);
         let cfg = SearchConfig { iterations: 30, ..SearchConfig::default() };
+        let guarded = |admit: bool, calls: &mut u32| {
+            let mut evaluator = SystemEvaluator::new(&app, &platform, 2);
+            let mut guard = |_: &Synthesized| {
+                *calls += 1;
+                Ok(admit)
+            };
+            let tabu = EngineKind::Tabu;
+            search(&mut evaluator, tabu, initial.clone(), PolicyMoves::Full, cfg, Some(&mut guard))
+                .unwrap()
+        };
         // An always-true guard reproduces the unguarded search bit for bit,
         // and is consulted once per attempted best displacement.
-        let mut evaluator = SystemEvaluator::new(&app, &platform, 2);
         let mut calls = 0u32;
-        let (admitted, trace_a) = tabu_search_guarded_with(
-            &mut evaluator,
-            initial.clone(),
-            PolicyMoves::Full,
-            cfg,
-            &mut |_| {
-                calls += 1;
-                Ok(true)
-            },
-        )
-        .unwrap();
+        let (admitted, trace_a) = guarded(true, &mut calls);
         let (unguarded, trace_b) =
-            tabu_search_traced(&app, &platform, 2, initial.clone(), PolicyMoves::Full, cfg)
-                .unwrap();
+            run(&app, &platform, 2, EngineKind::Tabu, initial.clone(), PolicyMoves::Full, cfg);
         assert!(calls > 0, "the walk must try to displace the best at least once");
         assert_eq!(admitted.estimate, unguarded.estimate);
         assert_eq!(trace_a, trace_b);
         // An always-false guard demotes every candidate: the best never
         // moves off the initial state.
-        let mut evaluator = SystemEvaluator::new(&app, &platform, 2);
-        let (demoted, _) = tabu_search_guarded_with(
-            &mut evaluator,
-            initial.clone(),
-            PolicyMoves::Full,
-            cfg,
-            &mut |_| Ok(false),
-        )
-        .unwrap();
+        let (demoted, _) = guarded(false, &mut calls);
         assert_eq!(demoted.estimate, initial.estimate);
         assert_eq!(demoted.mapping, initial.mapping);
     }
@@ -753,9 +706,39 @@ mod tests {
     fn search_is_deterministic_in_seed() {
         let (app, platform, initial) = setup(2);
         let cfg = SearchConfig { iterations: 25, seed: 99, ..SearchConfig::default() };
-        let a = tabu_search(&app, &platform, 2, initial.clone(), PolicyMoves::Full, cfg).unwrap();
-        let b = tabu_search(&app, &platform, 2, initial, PolicyMoves::Full, cfg).unwrap();
-        assert_eq!(a.estimate, b.estimate);
-        assert_eq!(a.mapping, b.mapping);
+        for engine in [EngineKind::Tabu, EngineKind::Anneal, EngineKind::Greedy] {
+            let once = || run(&app, &platform, 2, engine, initial.clone(), PolicyMoves::Full, cfg);
+            let ((a, trace_a), (b, trace_b)) = (once(), once());
+            assert_eq!(a.estimate, b.estimate, "{engine}");
+            assert_eq!(a.mapping, b.mapping, "{engine}");
+            assert_eq!(trace_a, trace_b, "{engine}");
+        }
+    }
+
+    #[test]
+    fn greedy_never_worsens_and_trace_is_monotone() {
+        let (app, platform, initial) = generated(0);
+        let start = initial.objective();
+        let (result, trace) =
+            run(&app, &platform, 2, EngineKind::Greedy, initial, PolicyMoves::Full, short(0));
+        assert!(result.objective() <= start);
+        assert_eq!(trace.len(), 20, "greedy runs its whole iteration budget");
+        for w in trace.windows(2) {
+            assert!(w[1] <= w[0], "greedy trace is non-increasing");
+        }
+    }
+
+    #[test]
+    fn annealing_best_never_worse_than_initial() {
+        let (app, platform, initial) = generated(1);
+        let start = initial.objective();
+        let (result, trace) =
+            run(&app, &platform, 2, EngineKind::Anneal, initial, PolicyMoves::Full, short(1));
+        assert!(result.objective() <= start);
+        assert_eq!(trace.len(), 20);
+        for w in trace.windows(2) {
+            assert!(w[1] <= w[0], "best-so-far trace is non-increasing");
+        }
+        result.policies.validate(2).unwrap();
     }
 }

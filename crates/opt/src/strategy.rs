@@ -12,7 +12,8 @@
 //!   without re-optimizing.
 
 use crate::{
-    constructive_mapping, tabu_search_with, OptError, PolicyMoves, SearchConfig, Synthesized,
+    constructive_mapping, search, BestGuard, EngineKind, OptError, PolicyMoves, SearchConfig,
+    Synthesized,
 };
 use ftes_ft::PolicyAssignment;
 use ftes_model::Application;
@@ -78,54 +79,63 @@ pub fn synthesize(
     config: SearchConfig,
 ) -> Result<Synthesized, OptError> {
     let mut evaluator = SystemEvaluator::new(app, platform, k);
-    synthesize_with(&mut evaluator, strategy, config)
+    synthesize_with(&mut evaluator, strategy, config, None)
 }
 
 /// [`synthesize`] over a caller-provided evaluator kernel: the whole
 /// multi-phase search (e.g. MXR's MX bootstrap plus the full search)
 /// shares one evaluator, and the flow layer can hand in a warm one.
 ///
+/// `guard` (the certify-guided hook, see [`BestGuard`]) guards the
+/// strategy's final tabu search: MXR's full search, MX's and MR's mapping
+/// search. Bootstrap phases stay unguarded: MXR's MX seed explores plain
+/// re-execution mappings, and SFX's phase 1 optimizes a fault-oblivious
+/// `k = 0` objective the guard cannot judge, so SFX ignores it.
+///
 /// # Errors
 ///
-/// Same as [`synthesize`].
+/// Same as [`synthesize`], plus guard failures.
 pub fn synthesize_with(
     evaluator: &mut SystemEvaluator,
     strategy: Strategy,
     config: SearchConfig,
+    guard: Option<BestGuard<'_>>,
 ) -> Result<Synthesized, OptError> {
     let k = evaluator.k();
-    let initial_mapping =
-        constructive_mapping(evaluator.app(), evaluator.platform().architecture())?;
-    match strategy {
+    let (initial, policy_moves) = match strategy {
+        // Phase 1: the MX solution (mapping search under re-execution)
+        // seeds the full search, so MXR is never worse than MX — the same
+        // bootstrapping the authors' heuristic uses.
         Strategy::Mxr => {
-            // Phase 1: the MX solution (mapping search under re-execution)
-            // seeds the full search, so MXR is never worse than MX — the
-            // same bootstrapping the authors' heuristic uses.
-            let mx = synthesize_with(evaluator, Strategy::Mx, config)?;
-            tabu_search_with(evaluator, mx, PolicyMoves::Full, config)
+            (synthesize_with(evaluator, Strategy::Mx, config, None)?, PolicyMoves::Full)
         }
-        Strategy::Mx => {
-            let policies = PolicyAssignment::uniform_reexecution(evaluator.app(), k);
-            let initial = Synthesized::evaluate_with(evaluator, initial_mapping, policies)?;
-            tabu_search_with(evaluator, initial, PolicyMoves::None, config)
-        }
-        Strategy::Mr => {
-            let policies = PolicyAssignment::uniform_replication(evaluator.app(), k);
-            let initial = Synthesized::evaluate_with(evaluator, initial_mapping, policies)?;
-            tabu_search_with(evaluator, initial, PolicyMoves::None, config)
+        Strategy::Mx | Strategy::Mr => {
+            let app = evaluator.app();
+            let mapping = constructive_mapping(app, evaluator.platform().architecture())?;
+            let policies = if strategy == Strategy::Mx {
+                PolicyAssignment::uniform_reexecution(app, k)
+            } else {
+                PolicyAssignment::uniform_replication(app, k)
+            };
+            (Synthesized::evaluate_with(evaluator, mapping, policies)?, PolicyMoves::None)
         }
         Strategy::Sfx => {
             // Phase 1: fault-oblivious mapping (k = 0 objective) — a
             // different fault budget needs its own kernel.
             let mut no_ft_eval = SystemEvaluator::new(evaluator.app(), evaluator.platform(), 0);
+            let mapping =
+                constructive_mapping(no_ft_eval.app(), no_ft_eval.platform().architecture())?;
             let no_ft = PolicyAssignment::uniform_reexecution(no_ft_eval.app(), 0);
-            let initial = Synthesized::evaluate_with(&mut no_ft_eval, initial_mapping, no_ft)?;
-            let tuned = tabu_search_with(&mut no_ft_eval, initial, PolicyMoves::None, config)?;
+            let initial = Synthesized::evaluate_with(&mut no_ft_eval, mapping, no_ft)?;
+            let tabu = EngineKind::Tabu;
+            let (tuned, _) =
+                search(&mut no_ft_eval, tabu, initial, PolicyMoves::None, config, None)?;
             // Phase 2: bolt re-execution on without re-optimizing.
             let policies = PolicyAssignment::uniform_reexecution(evaluator.app(), k);
-            Synthesized::evaluate_with(evaluator, tuned.mapping, policies)
+            return Synthesized::evaluate_with(evaluator, tuned.mapping, policies);
         }
-    }
+    };
+    Ok(search(evaluator, EngineKind::Tabu, initial, policy_moves, config, guard)?.0)
 }
 
 #[cfg(test)]

@@ -5,9 +5,9 @@
 //! and of the evaluator kernel's `EvaluatorStats` afterwards, for a fixed
 //! seeded set of systems: three generator shapes, 2–4 nodes, k 0–3. The
 //! engines covered are `synthesize_with` under MX, MR and MXR,
-//! `synthesize_certified_mode` post hoc and guided, `tabu_search_traced_with`,
-//! `greedy_descent`, `simulated_annealing`, one `explore()` portfolio run,
-//! and the Fig. 8 checkpoint descent (`compare_checkpointing`, and
+//! `synthesize_certified_mode` post hoc and guided, the one serial `search`
+//! entry point under each of its tabu, greedy and annealing engines, one
+//! `explore()` portfolio run, and the Fig. 8 checkpoint descent (`compare_checkpointing`, and
 //! `optimize_checkpoints_global` from partly replicated starts). Starts mix
 //! replicated policies in, so replica placement (whose load coupling lets
 //! one move shift other processes' replicas) is on the trajectories.
@@ -25,9 +25,9 @@ use ftes::ft::{Policy, PolicyAssignment};
 use ftes::gen::{generate_application, GeneratorConfig};
 use ftes::model::{Application, FaultModel, Mapping, ProcessId, Time, Transparency};
 use ftes::opt::{
-    candidate_policies, compare_checkpointing, greedy_descent, optimize_checkpoints_global,
-    simulated_annealing, synthesize_certified_mode, synthesize_with, tabu_search_traced_with,
-    CertifyMode, PolicyMoves, RepairConfig, SearchConfig, Strategy, Synthesized,
+    candidate_policies, compare_checkpointing, optimize_checkpoints_global, search,
+    synthesize_certified_mode, synthesize_with, CertifyMode, EngineKind, PolicyMoves, RepairConfig,
+    SearchConfig, Strategy, Synthesized,
 };
 use ftes::sched::{Certifier, CertifyConfig, SystemEvaluator};
 use ftes::tdma::Platform;
@@ -123,7 +123,7 @@ fn strategies_match_the_recorded_digest() {
         for k in 0..=MAX_K {
             for strategy in [Strategy::Mx, Strategy::Mr, Strategy::Mxr] {
                 let mut evaluator = SystemEvaluator::new(&app, &platform, k);
-                let result = synthesize_with(&mut evaluator, strategy, search_config(seed));
+                let result = synthesize_with(&mut evaluator, strategy, search_config(seed), None);
                 if let Ok(s) = &result {
                     replicas += replicated(s);
                 }
@@ -190,17 +190,20 @@ fn engines_match_the_recorded_digest() {
                 }
             };
             let cfg = search_config(seed);
-            let mut evaluator = SystemEvaluator::new(&app, &platform, k);
-            let tabu =
-                tabu_search_traced_with(&mut evaluator, initial.clone(), PolicyMoves::Full, cfg);
+            let run = |engine| {
+                let mut evaluator = SystemEvaluator::new(&app, &platform, k);
+                let result =
+                    search(&mut evaluator, engine, initial.clone(), PolicyMoves::Full, cfg, None);
+                (result, evaluator.stats())
+            };
+            let (tabu, stats) = run(EngineKind::Tabu);
             if let Ok((s, _)) = &tabu {
                 replicas += replicated(s);
             }
-            writeln!(digest, "seed {seed} k {k} tabu: {tabu:?} {:?}", evaluator.stats()).unwrap();
-            let greedy =
-                greedy_descent(&app, &platform, k, initial.clone(), PolicyMoves::Full, cfg);
+            writeln!(digest, "seed {seed} k {k} tabu: {tabu:?} {stats:?}").unwrap();
+            let (greedy, _) = run(EngineKind::Greedy);
             writeln!(digest, "seed {seed} k {k} greedy: {greedy:?}").unwrap();
-            let anneal = simulated_annealing(&app, &platform, k, initial, PolicyMoves::Full, cfg);
+            let (anneal, _) = run(EngineKind::Anneal);
             writeln!(digest, "seed {seed} k {k} anneal: {anneal:?}").unwrap();
         }
     }
