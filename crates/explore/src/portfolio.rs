@@ -437,18 +437,14 @@ pub fn explore(
                 .wrapping_mul(0x9E37_79B9_7F4A_7C15)
                 .wrapping_add(spec.seed_offset)
                 .wrapping_add((i as u64) << 32);
+            let processes = app.process_count();
             let worst_case = initial.estimate.worst_case_length;
             Mutex::new(Worker {
                 spec: *spec,
                 rng: ChaCha8Rng::seed_from_u64(seed),
                 current: initial.clone(),
                 best: initial.clone(),
-                acceptance: Acceptance::new(
-                    spec.engine,
-                    app.process_count(),
-                    spec.tenure,
-                    worst_case,
-                ),
+                acceptance: Acceptance::new(spec.engine, processes, spec.tenure, worst_case),
                 kernel,
             })
         })

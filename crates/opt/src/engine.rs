@@ -111,46 +111,48 @@ impl Acceptance {
         mut promote: impl FnMut(usize) -> Result<bool, E>,
     ) -> Result<Step, E> {
         let mut step = Step::default();
-        if self.engine == EngineKind::Anneal {
-            let (mut walk, mut best) = (current.worst_case, best);
-            for (i, (_, candidate)) in candidates.iter().enumerate() {
-                let delta = (candidate.worst_case - walk).as_f64();
-                let accept =
-                    delta <= 0.0 || rng.gen_bool((-delta / self.temperature).exp().min(1.0));
-                count(accept);
-                if accept {
-                    walk = candidate.worst_case;
-                    step.walk = Some(i);
-                    if candidate.objective < best && promote(i)? {
-                        best = candidate.objective;
-                        step.promoted = Some(i);
+        match self.engine {
+            EngineKind::Anneal => {
+                let (mut walk, mut best) = (current.worst_case, best);
+                for (i, (_, candidate)) in candidates.iter().enumerate() {
+                    let delta = (candidate.worst_case - walk).as_f64();
+                    let accept =
+                        delta <= 0.0 || rng.gen_bool((-delta / self.temperature).exp().min(1.0));
+                    count(accept);
+                    if accept {
+                        walk = candidate.worst_case;
+                        step.walk = Some(i);
+                        if candidate.objective < best && promote(i)? {
+                            best = candidate.objective;
+                            step.promoted = Some(i);
+                        }
                     }
                 }
+                self.temperature = (self.temperature * 0.95).max(1e-3);
             }
-            self.temperature = (self.temperature * 0.95).max(1e-3);
-        } else {
-            for (i, (process, candidate)) in candidates.iter().enumerate() {
-                let eligible = match self.engine {
-                    EngineKind::Tabu => {
+            EngineKind::Tabu | EngineKind::Greedy => {
+                let tabu = self.engine == EngineKind::Tabu;
+                for (i, (process, candidate)) in candidates.iter().enumerate() {
+                    let eligible = if tabu {
                         self.tabu_until[process.index()] <= self.iteration
                             || candidate.objective < best
+                    } else {
+                        candidate.objective < current.objective
+                    };
+                    let better = |w: usize| candidate.objective < candidates[w].1.objective;
+                    if eligible && step.walk.is_none_or(better) {
+                        step.walk = Some(i);
                     }
-                    _ => candidate.objective < current.objective,
-                };
-                if eligible
-                    && step.walk.is_none_or(|w| candidate.objective < candidates[w].1.objective)
-                {
-                    step.walk = Some(i);
                 }
-            }
-            count(step.walk.is_some());
-            if let Some(i) = step.walk {
-                let (process, candidate) = candidates[i];
-                if self.engine == EngineKind::Tabu {
-                    self.tabu_until[process.index()] = self.iteration + self.tenure;
-                }
-                if candidate.objective < best && promote(i)? {
-                    step.promoted = Some(i);
+                count(step.walk.is_some());
+                if let Some(i) = step.walk {
+                    let (process, candidate) = candidates[i];
+                    if tabu {
+                        self.tabu_until[process.index()] = self.iteration + self.tenure;
+                    }
+                    if candidate.objective < best && promote(i)? {
+                        step.promoted = Some(i);
+                    }
                 }
             }
         }
@@ -233,12 +235,14 @@ mod tests {
     fn greedy_moves_nowhere_without_an_improving_candidate() {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let mut greedy = Acceptance::new(EngineKind::Greedy, 3, 0, Time::new(100));
-        let (stay, asked) = step(&mut greedy, &[cand(0, 100), cand(1, 130)], 100, 100, &mut rng);
+        // Greedy judges against the current state (110), not the best (100).
+        let (stay, asked) = step(&mut greedy, &[cand(0, 110), cand(1, 130)], 110, 100, &mut rng);
         assert_eq!(stay, Step::default());
         assert!(asked.is_empty());
-        let (moved, _) =
-            step(&mut greedy, &[cand(0, 98), cand(1, 95), cand(2, 95)], 100, 100, &mut rng);
-        assert_eq!(moved, Step { walk: Some(1), promoted: Some(1) });
+        let (moved, asked) =
+            step(&mut greedy, &[cand(0, 108), cand(1, 105), cand(2, 105)], 110, 100, &mut rng);
+        assert_eq!(moved, Step { walk: Some(1), promoted: None });
+        assert!(asked.is_empty(), "an improvement on the current state need not beat the best");
     }
 
     #[test]

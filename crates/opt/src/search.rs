@@ -682,9 +682,15 @@ mod tests {
                 *calls += 1;
                 Ok(admit)
             };
-            let tabu = EngineKind::Tabu;
-            search(&mut evaluator, tabu, initial.clone(), PolicyMoves::Full, cfg, Some(&mut guard))
-                .unwrap()
+            search(
+                &mut evaluator,
+                EngineKind::Tabu,
+                initial.clone(),
+                PolicyMoves::Full,
+                cfg,
+                Some(&mut guard),
+            )
+            .unwrap()
         };
         // An always-true guard reproduces the unguarded search bit for bit,
         // and is consulted once per attempted best displacement.

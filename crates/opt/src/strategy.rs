@@ -127,9 +127,14 @@ pub fn synthesize_with(
                 constructive_mapping(no_ft_eval.app(), no_ft_eval.platform().architecture())?;
             let no_ft = PolicyAssignment::uniform_reexecution(no_ft_eval.app(), 0);
             let initial = Synthesized::evaluate_with(&mut no_ft_eval, mapping, no_ft)?;
-            let tabu = EngineKind::Tabu;
-            let (tuned, _) =
-                search(&mut no_ft_eval, tabu, initial, PolicyMoves::None, config, None)?;
+            let (tuned, _) = search(
+                &mut no_ft_eval,
+                EngineKind::Tabu,
+                initial,
+                PolicyMoves::None,
+                config,
+                None,
+            )?;
             // Phase 2: bolt re-execution on without re-optimizing.
             let policies = PolicyAssignment::uniform_reexecution(evaluator.app(), k);
             return Synthesized::evaluate_with(evaluator, tuned.mapping, policies);
