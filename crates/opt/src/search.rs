@@ -712,8 +712,20 @@ mod tests {
     fn search_is_deterministic_in_seed() {
         let (app, platform, initial) = setup(2);
         let cfg = SearchConfig { iterations: 25, seed: 99, ..SearchConfig::default() };
-        for engine in [EngineKind::Tabu, EngineKind::Anneal, EngineKind::Greedy] {
-            let once = || run(&app, &platform, 2, engine, initial.clone(), PolicyMoves::Full, cfg);
+        let once =
+            || run(&app, &platform, 2, EngineKind::Tabu, initial.clone(), PolicyMoves::Full, cfg);
+        let ((a, trace_a), (b, trace_b)) = (once(), once());
+        assert_eq!(a.estimate, b.estimate);
+        assert_eq!(a.mapping, b.mapping);
+        assert_eq!(trace_a, trace_b);
+    }
+
+    #[test]
+    fn engines_are_deterministic_in_seed() {
+        let (app, platform, initial) = generated(2);
+        for engine in [EngineKind::Anneal, EngineKind::Greedy] {
+            let once =
+                || run(&app, &platform, 2, engine, initial.clone(), PolicyMoves::Full, short(7));
             let ((a, trace_a), (b, trace_b)) = (once(), once());
             assert_eq!(a.estimate, b.estimate, "{engine}");
             assert_eq!(a.mapping, b.mapping, "{engine}");
