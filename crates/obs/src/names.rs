@@ -47,7 +47,7 @@ pub const CERTIFY_INCREMENTAL: &str = "certify.incremental";
 /// the bound, so the remaining scenarios were never scheduled.
 pub const CERTIFY_PRUNE: &str = "certify.prune";
 /// A replica-join worst-case delivery was answered from the fault-scenario
-/// subtree memo instead of re-running the adversarial DP.
+/// subtree memo instead of being recomputed.
 pub const CERTIFY_SUBTREE_HIT: &str = "certify.subtree_hit";
 /// An uncached certification's FT-CPG came back over the node budget, so
 /// nothing was scheduled (the verdict is estimate-only).

@@ -187,7 +187,7 @@ pub struct CertifierStats {
     /// Replica-join deliveries answered from the fault-scenario subtree
     /// memo.
     pub subtree_hits: u64,
-    /// Replica-join deliveries that ran the adversarial DP.
+    /// Replica-join deliveries computed outside the subtree memo.
     pub subtree_misses: u64,
     /// Wall-clock time spent inside certification (graph construction +
     /// exact scheduling).

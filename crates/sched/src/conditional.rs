@@ -198,8 +198,8 @@ pub enum BoundedSchedule {
 /// completes after it, the run exits with [`BoundedSchedule::Exceeded`]
 /// instead of scheduling every remaining scenario to completion. Complete
 /// runs are bit-identical to the unbounded scheduler. `memo`, when given,
-/// memoizes replica-join worst-case deliveries across runs (the DP is a
-/// pure function of its canonical subtree key, so memoized results are
+/// memoizes replica-join worst-case deliveries across runs (the delivery
+/// is a pure function of its canonical subtree key, so memoized results are
 /// bit-identical too).
 ///
 /// # Errors
@@ -405,9 +405,9 @@ impl<'a> Scheduler<'a> {
         Ok(())
     }
 
-    /// Worst-case delivery time of a replica join via the adversarial DP
-    /// (memo-backed when a [`JoinMemo`] is supplied — same value either
-    /// way, the DP is pure).
+    /// Worst-case delivery time of a replica join by
+    /// [`worst_case_delivery`] (memo-backed when a [`JoinMemo`] is supplied
+    /// — same value either way, the delivery is pure).
     fn join_time(&self, join: CpgNodeId, memo: Option<&mut JoinMemo>) -> Result<Time, SchedError> {
         let (_, chains) = self
             .cpg

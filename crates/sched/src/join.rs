@@ -31,20 +31,23 @@ pub struct ReplicaLadder {
     pub killable: bool,
 }
 
-/// Outcome of one adversary allocation over all replicas.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Outcome {
-    /// Some replica survives; payload is the earliest surviving completion.
-    Delivered(Time),
-    /// Every replica is dead.
-    Silent,
-}
-
 /// Worst-case delivery time of a replicated output under `budget` faults.
 ///
-/// Returns `None` if the adversary can kill **all** replicas within the
+/// Returns `None` if the adversary can silence **all** replicas within the
 /// budget — a policy-assignment bug for validated inputs; callers surface it
 /// as an error.
+///
+/// The adversary silences the join when it can afford to kill every replica.
+/// Otherwise the answer is the largest ladder value `T` it can afford to
+/// force: every replica reaches `T`, either killed (cost: its ladder length,
+/// if killable) or delayed (cost: the fewest faults whose completion is
+/// `≥ T`), and the costs sum to at most `budget`. Some replica then
+/// survives, and the earliest survivor completes at `T` or later; no
+/// allocation does better, since every allocation that delivers at `T'`
+/// makes each replica reach `T'`. Forcing a larger `T` never costs less, so
+/// the candidates are tried from the largest down. That is polynomial in the
+/// replica and ladder sizes, and exact for non-monotone ladders too (a
+/// completion at `Time::MAX` reads as silence, not as a delivery).
 ///
 /// # Examples
 ///
@@ -65,62 +68,46 @@ enum Outcome {
 /// assert_eq!(worst_case_delivery(&ladders, 2), None);
 /// ```
 pub fn worst_case_delivery(ladders: &[ReplicaLadder], budget: u32) -> Option<Time> {
-    if ladders.is_empty() {
+    let kill_all = ladders.iter().map(|l| l.ladder.len() as u64).sum::<u64>();
+    if ladders.iter().all(|l| l.killable) && kill_all <= u64::from(budget) {
         return None;
     }
-    match explore(ladders, budget, Time::MAX) {
-        Some(Outcome::Delivered(t)) => Some(t),
-        Some(Outcome::Silent) | None => None,
+    let mut below: Option<Time> = None;
+    loop {
+        let target = ladders
+            .iter()
+            .flat_map(|l| l.ladder.iter().copied())
+            .filter(|&end| below.is_none_or(|b| end < b))
+            .max()?;
+        if affordable(ladders, budget, target) {
+            return (target < Time::MAX).then_some(target);
+        }
+        below = Some(target);
     }
 }
 
-/// Returns the adversary-optimal outcome for replicas `ladders`, given
-/// `budget` faults and `current_min` — the minimum completion among replicas
-/// already decided alive (`Time::MAX` when none yet). `Silent` dominates any
-/// `Delivered`; among `Delivered`, larger is worse.
-fn explore(ladders: &[ReplicaLadder], budget: u32, current_min: Time) -> Option<Outcome> {
-    let Some((first, rest)) = ladders.split_first() else {
-        return Some(if current_min == Time::MAX {
-            Outcome::Silent
-        } else {
-            Outcome::Delivered(current_min)
-        });
-    };
-    let mut worst: Option<Outcome> = None;
-    let mut consider = |o: Outcome| {
-        worst = Some(match (worst, o) {
-            (None, o) => o,
-            (Some(Outcome::Silent), _) | (_, Outcome::Silent) => Outcome::Silent,
-            (Some(Outcome::Delivered(a)), Outcome::Delivered(b)) => Outcome::Delivered(a.max(b)),
-        });
-    };
-    // Option 1: delay this replica with f faults; it stays alive. The
-    // ladder is non-decreasing for well-formed inputs, so only the largest
-    // affordable f matters — but we scan all f for robustness to
-    // non-monotone ladders.
-    for f in 0..first.ladder.len() as u32 {
-        if f > budget {
-            break;
-        }
-        if let Some(o) = explore(rest, budget - f, current_min.min(first.ladder[f as usize])) {
-            consider(o);
+/// Whether `budget` faults can make every replica reach `target`: each one
+/// killed (if killable) or delayed to a completion `≥ target`, whichever
+/// costs fewer faults.
+fn affordable(ladders: &[ReplicaLadder], budget: u32, target: Time) -> bool {
+    let mut spent = 0u64;
+    for l in ladders {
+        let delay = l.ladder.iter().position(|&end| end >= target);
+        let kill = l.killable.then_some(l.ladder.len());
+        let Some(cost) = delay.into_iter().chain(kill).min() else { return false };
+        spent += cost as u64;
+        if spent > u64::from(budget) {
+            return false;
         }
     }
-    // Option 2: kill it (cost = the whole chain), if affordable.
-    let kill_cost = first.ladder.len() as u32;
-    if first.killable && kill_cost <= budget {
-        if let Some(o) = explore(rest, budget - kill_cost, current_min) {
-            consider(o);
-        }
-    }
-    worst
+    true
 }
 
 /// Canonical, collision-free key of one adversarial-delivery subproblem:
 /// the fault budget plus, per replica ladder, its length, every completion
 /// time and the killable flag. Two `(copies, policies)` states whose
 /// scenario subtrees reduce to the same key have provably identical
-/// worst-case deliveries (the DP is a pure function of exactly these
+/// worst-case deliveries (the delivery is a pure function of exactly these
 /// inputs), so the key doubles as the memo's invalidation: any change to a
 /// touched process's policy, placement or copy completion times changes
 /// some ladder entry and thereby the key.
@@ -139,10 +126,12 @@ pub fn subtree_key(ladders: &[ReplicaLadder], budget: u32) -> Vec<u8> {
 }
 
 /// Memo of [`worst_case_delivery`] results keyed by [`subtree_key`] — the
-/// fault-scenario subtree cache behind incremental certification. The DP
-/// is exponential in the replica count in the worst case; across the
-/// certifier's delta chains most joins are untouched and resolve to the
-/// same key, so the memo answers them in a hash probe.
+/// fault-scenario subtree cache behind incremental certification. Across
+/// the certifier's delta chains most joins are untouched and resolve to the
+/// same key, which the memo answers in one hash probe. The delivery itself
+/// is polynomial (at most quadratic in the join's total ladder length), so
+/// whether the memo pays for itself end to end is an open ablation
+/// question.
 #[derive(Debug, Clone, Default)]
 pub struct JoinMemo {
     entries: HashMap<Vec<u8>, Option<Time>>,
@@ -161,13 +150,13 @@ impl JoinMemo {
         self.hits
     }
 
-    /// Deliveries that ran the adversarial DP.
+    /// Deliveries computed by [`worst_case_delivery`].
     pub fn misses(&self) -> u64 {
         self.misses
     }
 
     /// Memoized [`worst_case_delivery`] — bit-identical to the plain
-    /// function (the DP is pure; the key is collision-free).
+    /// function (the delivery is pure; the key is collision-free).
     pub fn delivery(&mut self, ladders: &[ReplicaLadder], budget: u32) -> Option<Time> {
         let key = subtree_key(ladders, budget);
         if let Some(&cached) = self.entries.get(&key) {
@@ -192,6 +181,108 @@ mod tests {
 
     fn plain(completion: i64) -> ReplicaLadder {
         ReplicaLadder { ladder: vec![t(completion)], killable: true }
+    }
+
+    /// Outcome of one adversary allocation over all replicas.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Outcome {
+        /// Some replica survives; payload is the earliest surviving completion.
+        Delivered(Time),
+        /// Every replica is dead.
+        Silent,
+    }
+
+    /// The oracle: every kill-or-delay choice for every replica, exponential
+    /// in the replica count.
+    fn recursion(ladders: &[ReplicaLadder], budget: u32) -> Option<Time> {
+        match explore(ladders, budget, Time::MAX) {
+            Some(Outcome::Delivered(t)) => Some(t),
+            Some(Outcome::Silent) | None => None,
+        }
+    }
+
+    /// The adversary-optimal outcome for replicas `ladders`, given `budget`
+    /// faults and `current_min` — the minimum completion among replicas
+    /// already decided alive (`Time::MAX` when none yet). `Silent`
+    /// dominates any `Delivered`; among `Delivered`, larger is worse.
+    fn explore(ladders: &[ReplicaLadder], budget: u32, current_min: Time) -> Option<Outcome> {
+        let Some((first, rest)) = ladders.split_first() else {
+            return Some(if current_min == Time::MAX {
+                Outcome::Silent
+            } else {
+                Outcome::Delivered(current_min)
+            });
+        };
+        let mut worst: Option<Outcome> = None;
+        let mut consider = |o: Outcome| {
+            worst = Some(match (worst, o) {
+                (None, o) => o,
+                (Some(Outcome::Silent), _) | (_, Outcome::Silent) => Outcome::Silent,
+                (Some(Outcome::Delivered(a)), Outcome::Delivered(b)) => {
+                    Outcome::Delivered(a.max(b))
+                }
+            });
+        };
+        // Delay this replica with any affordable f faults; it stays alive.
+        for f in 0..first.ladder.len() as u32 {
+            if f > budget {
+                break;
+            }
+            if let Some(o) = explore(rest, budget - f, current_min.min(first.ladder[f as usize])) {
+                consider(o);
+            }
+        }
+        // Or kill it (cost = the whole chain), if affordable.
+        let kill_cost = first.ladder.len() as u32;
+        if first.killable && kill_cost <= budget {
+            if let Some(o) = explore(rest, budget - kill_cost, current_min) {
+                consider(o);
+            }
+        }
+        worst
+    }
+
+    /// SplitMix64: a seeded stream for the random ladders.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn closed_form_equals_the_recursion() {
+        // Random sets of up to four replicas with ladders of one to three
+        // completions drawn from a narrow range, so ladders are often
+        // non-monotone and completions often tie; killable or not.
+        let mut state = 19;
+        for _ in 0..4000 {
+            let replicas = (next(&mut state) % 5) as usize;
+            let ladders: Vec<ReplicaLadder> = (0..replicas)
+                .map(|_| {
+                    let len = 1 + (next(&mut state) % 3) as usize;
+                    let ladder = (0..len).map(|_| t((next(&mut state) % 8) as i64)).collect();
+                    ReplicaLadder { ladder, killable: next(&mut state) & 1 == 0 }
+                })
+                .collect();
+            for budget in 0..8 {
+                assert_eq!(
+                    worst_case_delivery(&ladders, budget),
+                    recursion(&ladders, budget),
+                    "{ladders:?} at budget {budget}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sixty_four_plain_replicas_at_budget_63() {
+        // 2^64 kill-or-delay leaves: out of the recursion's reach.
+        let ladders: Vec<ReplicaLadder> = (0..64).map(|i| plain(10 + (i * 37) % 64)).collect();
+        assert_eq!(worst_case_delivery(&ladders, 63), Some(t(73)), "the slowest delivers");
+        assert_eq!(worst_case_delivery(&ladders, 64), None, "the budget kills all");
+        assert_eq!(worst_case_delivery(&ladders, 0), Some(t(10)));
     }
 
     #[test]
