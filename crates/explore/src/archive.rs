@@ -14,8 +14,9 @@
 //! reproducible regardless of thread count.
 
 use crate::cache::StateKey;
-use ftes_ft::PolicyAssignment;
+use ftes_ft::{Policy, PolicyAssignment};
 use ftes_model::{Mapping, Time};
+use ftes_opt::Move;
 use ftes_sched::Estimate;
 
 /// The minimized objective vector of one candidate configuration.
@@ -34,10 +35,15 @@ pub struct Objectives {
 impl Objectives {
     /// Objectives of an evaluated candidate.
     pub fn of(estimate: &Estimate, policies: &PolicyAssignment) -> Self {
+        Objectives::with_table_cost(estimate, table_cost(policies))
+    }
+
+    /// Objectives of an evaluated candidate whose [`table_cost`] is known.
+    pub(crate) fn with_table_cost(estimate: &Estimate, table_cost: u64) -> Self {
         Objectives {
             worst_case: estimate.worst_case_length,
             recovery_slack: estimate.recovery_slack(),
-            table_cost: table_cost(policies),
+            table_cost,
         }
     }
 
@@ -60,16 +66,25 @@ impl Objectives {
 /// building the graph, which would defeat the point of a fast in-loop
 /// objective.
 pub fn table_cost(policies: &PolicyAssignment) -> u64 {
-    policies
-        .iter()
-        .map(|(_, policy)| {
-            policy
-                .copies()
-                .iter()
-                .map(|c| (1 + c.recoveries as u64) * c.checkpoints.max(1) as u64)
-                .sum::<u64>()
-        })
-        .sum()
+    policies.iter().map(|(_, policy)| policy_table_cost(policy)).sum()
+}
+
+/// One process's share of [`table_cost`]: the execution variants of its
+/// policy's copies.
+fn policy_table_cost(policy: &Policy) -> u64 {
+    policy.copies().iter().map(|c| (1 + c.recoveries as u64) * c.checkpoints.max(1) as u64).sum()
+}
+
+/// [`table_cost`] of the state `mv` leads to from a state with `policies`
+/// and table cost `cost`, without building it: a remap keeps the cost, a
+/// repolicy trades the process's old policy share for the new one's.
+pub(crate) fn table_cost_after(cost: u64, policies: &PolicyAssignment, mv: Move<'_>) -> u64 {
+    match mv {
+        Move::Remap { .. } => cost,
+        Move::Repolicy { process, policy } => {
+            cost - policy_table_cost(policies.policy(process)) + policy_table_cost(policy)
+        }
+    }
 }
 
 /// One archived non-dominated candidate.
@@ -109,17 +124,23 @@ impl ParetoArchive {
         Self::default()
     }
 
-    /// Offers a candidate. Returns `true` if it was admitted (not dominated
-    /// by, nor an objective-tie with a canonically smaller, existing
-    /// entry). Admission evicts every entry the candidate dominates.
+    /// Whether [`insert`](ParetoArchive::insert) would admit a candidate
+    /// with these objectives and key: no entry dominates it, and none ties
+    /// it on every objective with a canonically smaller or equal key. Lets
+    /// a caller build an entry only when it will be kept.
+    pub fn admits(&self, objectives: &Objectives, key: &StateKey) -> bool {
+        !self.entries.iter().any(|existing| {
+            existing.objectives.dominates(objectives)
+                || (existing.objectives == *objectives && existing.key <= *key)
+        })
+    }
+
+    /// Offers a candidate. Returns `true` if it was admitted (see
+    /// [`admits`](ParetoArchive::admits)). Admission evicts every entry the
+    /// candidate dominates.
     pub fn insert(&mut self, entry: ArchiveEntry) -> bool {
-        for existing in &self.entries {
-            if existing.objectives.dominates(&entry.objectives) {
-                return false;
-            }
-            if existing.objectives == entry.objectives && existing.key <= entry.key {
-                return false;
-            }
+        if !self.admits(&entry.objectives, &entry.key) {
+            return false;
         }
         self.entries.retain(|e| {
             let evicted = entry.objectives.dominates(&e.objectives)
@@ -174,7 +195,9 @@ impl ParetoArchive {
 mod tests {
     use super::*;
     use ftes_ft::PolicyAssignment;
-    use ftes_model::{samples, Mapping, ProcessId};
+    use ftes_model::{samples, Mapping, NodeId, ProcessId};
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     fn entry(worst: i64, slack: i64, seed_policy_k: u32) -> ArchiveEntry {
         // Distinct `seed_policy_k` gives distinct keys and table costs.
@@ -246,6 +269,47 @@ mod tests {
         archive.insert(entry(110, 10, 1));
         archive.insert(entry(90, 50, 3));
         assert_eq!(archive.best_by_worst_case().unwrap().objectives.worst_case, Time::new(90));
+    }
+
+    #[test]
+    fn admits_agrees_with_insert() {
+        // Distinct states under one policy assignment, offered with random
+        // objectives from a narrow range: dominated offers, evicting ones
+        // and objective ties between distinct keys all come up.
+        let (app, arch) = samples::fig3();
+        let policies = PolicyAssignment::uniform_reexecution(&app, 1);
+        let cheapest = Mapping::cheapest(&app, &arch).unwrap();
+        let mappings: Vec<Mapping> = app
+            .processes()
+            .flat_map(|(p, _)| (0..arch.node_count()).map(move |n| (p, NodeId::new(n))))
+            .filter_map(|(p, n)| cheapest.with_move(&app, &arch, p, n).ok())
+            .collect();
+        assert!(mappings.len() > 3);
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        let (mut admitted, mut refused) = (0, 0);
+        for _ in 0..200 {
+            let mut archive = ParetoArchive::new();
+            for _ in 0..30 {
+                let mut draw = || Time::new(rng.gen_range(0..4));
+                let (worst_case, recovery_slack) = (draw(), draw());
+                let objectives =
+                    Objectives { worst_case, recovery_slack, table_cost: rng.gen_range(0..4) };
+                let mapping = mappings[rng.gen_range(0..mappings.len())].clone();
+                let key = StateKey::encode(&mapping, &policies);
+                let estimate = Estimate {
+                    fault_free_length: worst_case - recovery_slack,
+                    worst_case_length: worst_case,
+                    critical_process: ProcessId::new(0),
+                };
+                let admits = archive.admits(&objectives, &key);
+                let policies = policies.clone();
+                let entry = ArchiveEntry { objectives, mapping, policies, estimate, key };
+                assert_eq!(admits, archive.insert(entry));
+                (admitted, refused) =
+                    (admitted + usize::from(admits), refused + usize::from(!admits));
+            }
+        }
+        assert!(admitted > 0 && refused > 0);
     }
 
     #[test]

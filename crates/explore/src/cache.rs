@@ -16,7 +16,8 @@
 //! state, not the context.
 
 use ftes_ft::PolicyAssignment;
-use ftes_model::Mapping;
+use ftes_model::{Mapping, NodeId, ProcessId};
+use ftes_opt::Move;
 use ftes_sched::Estimate;
 // ftes-lint: allow(determinism) reason="hash-keyed state lookup only; entries are never iterated into results"
 use std::collections::HashMap;
@@ -40,19 +41,45 @@ pub struct StateKey {
 impl StateKey {
     /// Encodes a candidate state canonically.
     pub fn encode(mapping: &Mapping, policies: &PolicyAssignment) -> Self {
-        let mut bytes = Vec::with_capacity(64);
-        for (_, node) in mapping.iter() {
-            push_u32(&mut bytes, node.index() as u32);
+        Self::encode_after(mapping, policies, None)
+    }
+
+    /// Encodes the state `mv` leads to from `(mapping, policies)` without
+    /// building it: the same key as [`encode`](StateKey::encode) of the
+    /// successor ([`apply_move`](ftes_opt::apply_move)'s result).
+    pub fn of_move(mapping: &Mapping, policies: &PolicyAssignment, mv: Move<'_>) -> Self {
+        Self::encode_after(mapping, policies, Some(mv))
+    }
+
+    /// The encoding of `(mapping, policies)` after `mv`, if any, written
+    /// into a buffer of exactly its length.
+    fn encode_after(mapping: &Mapping, policies: &PolicyAssignment, mv: Option<Move<'_>>) -> Self {
+        let node_of = |p: ProcessId, node: NodeId| match mv {
+            Some(Move::Remap { process, to }) if process == p => to,
+            _ => node,
+        };
+        let policy_of = |p: ProcessId, policy| match mv {
+            Some(Move::Repolicy { process, policy: new }) if process == p => new,
+            _ => policy,
+        };
+        let policy_words: usize =
+            policies.iter().map(|(p, policy)| 1 + 2 * policy_of(p, policy).copies().len()).sum();
+        let len = 4 * (mapping.iter().count() + policy_words);
+        let mut bytes = Vec::with_capacity(len);
+        for (p, node) in mapping.iter() {
+            push_u32(&mut bytes, node_of(p, node).index() as u32);
         }
         // The mapping section has fixed length (one word per process), so
         // the encoding stays self-delimiting without separators.
-        for (_, policy) in policies.iter() {
+        for (p, policy) in policies.iter() {
+            let policy = policy_of(p, policy);
             push_u32(&mut bytes, policy.copies().len() as u32);
             for copy in policy.copies() {
                 push_u32(&mut bytes, copy.recoveries);
                 push_u32(&mut bytes, copy.checkpoints);
             }
         }
+        debug_assert_eq!(bytes.len(), len, "the buffer is sized exactly");
         let hash = fnv1a64(&bytes);
         StateKey { bytes, hash }
     }
@@ -226,12 +253,17 @@ impl<V: Copy> StateCache<V> {
 
     /// Publishes a computed value, completing a reservation. The first
     /// resolve of a key wins; later ones (racing probers that saw
-    /// [`Probe::Pending`] and computed the same value) are no-ops.
-    pub fn resolve(&self, key: StateKey, value: V) {
-        let mut shard = self.shard(&key).lock().expect("cache shard poisoned");
-        let slot = shard.entry(key).or_insert(Slot::Pending);
-        if matches!(slot, Slot::Pending) {
-            *slot = Slot::Ready(value);
+    /// [`Probe::Pending`] and computed the same value) are no-ops. The key
+    /// is copied only when no probe reserved it, the one case that must
+    /// insert it.
+    pub fn resolve(&self, key: &StateKey, value: V) {
+        let mut shard = self.shard(key).lock().expect("cache shard poisoned");
+        match shard.get_mut(key) {
+            Some(slot @ Slot::Pending) => *slot = Slot::Ready(value),
+            Some(Slot::Ready(_)) => {}
+            None => {
+                shard.insert(key.clone(), Slot::Ready(value));
+            }
         }
     }
 
@@ -293,7 +325,7 @@ mod tests {
             critical_process: ftes_model::ProcessId::new(0),
         };
         assert_eq!(cache.probe_or_reserve(&key), Probe::Reserved);
-        cache.resolve(key.clone(), Some(est));
+        cache.resolve(&key, Some(est));
         for _ in 0..4 {
             assert_eq!(cache.probe_or_reserve(&key), Probe::Ready(Some(est)));
         }
@@ -308,7 +340,7 @@ mod tests {
         let key = StateKey::encode(&mapping, &policies);
         let cache = EstimateCache::new();
         assert_eq!(cache.probe_or_reserve(&key), Probe::Reserved);
-        cache.resolve(key.clone(), None);
+        cache.resolve(&key, None);
         // A later lookup reads the cached infeasibility.
         assert_eq!(cache.probe_or_reserve(&key), Probe::Ready(None));
     }
@@ -323,9 +355,9 @@ mod tests {
         // A racing prober sees the pending reservation as a hit and
         // certifies on its own.
         assert_eq!(cache.probe_or_reserve(&key), Probe::Pending);
-        cache.resolve(key.clone(), false);
+        cache.resolve(&key, false);
         // The racer's later (identical) verdict is a no-op: first wins.
-        cache.resolve(key.clone(), false);
+        cache.resolve(&key, false);
         assert_eq!(cache.probe_or_reserve(&key), Probe::Ready(false));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (2, 1, 1));

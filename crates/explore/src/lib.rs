@@ -9,13 +9,14 @@
 //! limit with four cooperating pieces:
 //!
 //! * **Change-set neighborhood scoring** — a search iteration samples its
-//!   whole neighborhood first (via the move primitives `ftes-opt`
-//!   exposes), probes the cache for every candidate state, then derives
-//!   each miss's change set (`Move::derive`) and scores all of them in one
-//!   `SystemEvaluator::evaluate_changes` pass over the worker's own
-//!   kernel, anchored at its current state — the path the serial
-//!   `ftes-opt` search takes. Workers parallelize above it on scoped
-//!   threads.
+//!   whole neighborhood first as moves (via the move primitives `ftes-opt`
+//!   exposes), keys each by the state it leads to without building that
+//!   state ([`StateKey::of_move`]), probes the cache for every key, then
+//!   derives each miss's change set (`Move::derive`) and scores all of
+//!   them in one `SystemEvaluator::evaluate_changes` pass over the
+//!   worker's own kernel, anchored at its current state — the path the
+//!   serial `ftes-opt` search takes. Workers parallelize above it on
+//!   scoped threads.
 //! * **Memoized estimate cache** ([`EstimateCache`]) — candidate states
 //!   are keyed by a canonical, collision-free encoding ([`StateKey`]);
 //!   any state revisited by any worker is answered without re-running the

@@ -9,11 +9,17 @@
 //! RNG, its engine and the round-start incumbent. Workers run on scoped
 //! threads. Each owns one evaluator kernel anchored at its current state
 //! and scores a sampled neighborhood the way the serial `ftes-opt` search
-//! does: the shared [`EstimateCache`] is probed for every candidate state
-//! first, and only the misses are derived as change sets
+//! does. A neighbor stays a [`Move`] of the current state plus its
+//! successor's [`StateKey`], encoded once from the state and the move
+//! ([`StateKey::of_move`]). The shared [`EstimateCache`] is probed for
+//! every key first, and only the misses are derived as change sets
 //! ([`Move::derive`]) and scored in one
-//! [`evaluate_changes`](SystemEvaluator::evaluate_changes) pass. The
-//! engine's acceptance is `ftes-opt`'s too: each worker holds one
+//! [`evaluate_changes`](SystemEvaluator::evaluate_changes) pass. A
+//! neighbor's objectives come from its estimate and the current state's
+//! table cost, so a `(mapping, policies)` state is built only for the few
+//! neighbors a worker keeps: the one it walks to, a new best, one the
+//! certify-guided gate must certify, and one its Pareto archive admits.
+//! The engine's acceptance is `ftes-opt`'s too: each worker holds one
 //! [`Acceptance`] (tabu, simulated annealing or greedy descent) and steps
 //! it once per iteration, ordering candidates by (worst case, fault-free
 //! length, [`StateKey`]) and admitting a new best through the
@@ -33,11 +39,11 @@
 //! Pareto archive for **any** thread count — the property
 //! `tests/determinism.rs` locks in.
 
-use crate::archive::{ArchiveEntry, ParetoArchive};
+use crate::archive::{table_cost, table_cost_after, ArchiveEntry, Objectives, ParetoArchive};
 use crate::cache::{CacheStats, CertifyCache, EstimateCache, Probe, StateKey};
 use ftes_ft::PolicyAssignment;
 use ftes_ftcpg::{ChangeSets, CopyMapping, PlacementLoad};
-use ftes_model::{Application, Architecture, FaultModel, Mapping, ProcessId, Time, Transparency};
+use ftes_model::{Application, Architecture, FaultModel, Mapping, Time, Transparency};
 use ftes_opt::{
     apply_move, constructive_mapping, Acceptance, EngineKind, Move, MoveSpace, OptError,
     PolicyMoves, Scored, Synthesized,
@@ -204,16 +210,23 @@ struct Candidate {
 }
 
 impl Candidate {
-    /// Search objective: worst case, fault-free tie-break, canonical key as
-    /// the final deterministic tie-break.
+    /// Search objective (see [`scored`]).
     fn objective(&self) -> (Time, Time, &StateKey) {
-        (self.estimate.worst_case_length, self.estimate.fault_free_length, &self.key)
+        self.scored().objective
     }
 
     /// The candidate as the engines' [`Acceptance::step`] judges it.
     fn scored(&self) -> Scored<(Time, Time, &StateKey)> {
-        Scored { worst_case: self.estimate.worst_case_length, objective: self.objective() }
+        scored(&self.estimate, &self.key)
     }
+}
+
+/// A state with `estimate` and `key` as [`Acceptance::step`] judges it. The
+/// objective is the worst case, the fault-free length as tie-break, and the
+/// canonical key as the final deterministic tie-break.
+fn scored<'k>(estimate: &Estimate, key: &'k StateKey) -> Scored<(Time, Time, &'k StateKey)> {
+    let worst_case = estimate.worst_case_length;
+    Scored { worst_case, objective: (worst_case, estimate.fault_free_length, key) }
 }
 
 /// One worker's evaluator kernel, anchored at one state, plus that state's
@@ -263,8 +276,8 @@ impl Kernel {
         self.key = state.key.clone();
     }
 
-    /// Scores `neighbors` — moves of the anchored state, each with the state
-    /// it leads to — through `cache`, returning every neighbor's key and
+    /// Scores `moves` of the anchored state through `cache`, `keys[i]` being
+    /// the key of the state `moves[i]` leads to, returning every neighbor's
     /// estimate in input order (`None` = infeasible).
     ///
     /// Every key is probed first, in input order, reserving the misses; only
@@ -278,43 +291,41 @@ impl Kernel {
     fn score(
         &mut self,
         cache: &EstimateCache,
-        neighbors: &[(Move<'_>, Mapping, PolicyAssignment)],
-    ) -> Vec<(StateKey, Option<Estimate>)> {
+        moves: &[Move<'_>],
+        keys: &[StateKey],
+    ) -> Vec<Option<Estimate>> {
         let app = self.evaluator.app();
-        let mut out: Vec<(StateKey, Option<Estimate>)> = Vec::with_capacity(neighbors.len());
+        let mut out: Vec<Option<Estimate>> = vec![None; moves.len()];
         let mut misses: Vec<usize> = Vec::new();
         let mut sets = ChangeSets::new();
-        let mut first_at: HashMap<StateKey, usize> = HashMap::new();
+        let mut first_at: HashMap<&StateKey, usize> = HashMap::new();
         let mut dup_of: Vec<(usize, usize)> = Vec::new();
-        for (i, (mv, mapping, policies)) in neighbors.iter().enumerate() {
-            let key = StateKey::encode(mapping, policies);
-            if let Some(&src) = first_at.get(&key) {
-                probe(cache, &key);
+        for (i, (mv, key)) in moves.iter().zip(keys).enumerate() {
+            if let Some(&src) = first_at.get(key) {
+                probe(cache, key);
                 dup_of.push((i, src));
-                out.push((key, None));
                 continue;
             }
-            first_at.insert(key.clone(), i);
-            match probe(cache, &key) {
-                Probe::Ready(value) => out.push((key, value)),
+            first_at.insert(key, i);
+            match probe(cache, key) {
+                Probe::Ready(value) => out[i] = value,
                 Probe::Pending | Probe::Reserved => {
                     mv.derive(app, &mut self.load, &self.copies, &mut sets);
                     misses.push(i);
-                    out.push((key, None));
                 }
             }
         }
         if !sets.is_empty() {
             for (&i, result) in misses.iter().zip(self.evaluator.evaluate_changes(&sets)) {
-                out[i].1 = result.ok();
+                out[i] = result.ok();
             }
         }
         // `resolve` never overwrites a value another worker published first.
         for &i in &misses {
-            cache.resolve(out[i].0.clone(), out[i].1);
+            cache.resolve(&keys[i], out[i]);
         }
         for (dup, src) in dup_of {
-            out[dup].1 = out[src].1;
+            out[dup] = out[src];
         }
         out
     }
@@ -344,30 +355,36 @@ struct Guard<'a> {
 }
 
 impl Guard<'_> {
-    /// Whether `candidate` may become a worker's best, by
-    /// [`Certifier::admits`] behind the shared admit cache.
-    fn admits(&mut self, candidate: &Candidate) -> bool {
-        let estimate = candidate.estimate.worst_case_length;
+    /// Whether the state keyed `key`, estimated at `estimate`, may become a
+    /// worker's best, by [`Certifier::admits`] behind the shared admit
+    /// cache. `state` builds the candidate's `(mapping, policies)`; it runs
+    /// only when the verdict must be computed.
+    fn admits(
+        &mut self,
+        estimate: Time,
+        key: &StateKey,
+        state: impl FnOnce() -> (Mapping, PolicyAssignment),
+    ) -> bool {
         // The rule admits a state estimated past the deadline untested, so
         // such a state takes no admit-cache slot.
         if estimate > self.deadline {
             return true;
         }
-        match self.cache.probe_or_reserve(&candidate.key) {
+        match self.cache.probe_or_reserve(key) {
             Probe::Ready(admit) => admit,
             Probe::Pending | Probe::Reserved => {
                 // A placement or certification failure is no exact evidence
                 // either way: admit, degrading to the estimate-only regime
                 // rather than aborting the search.
-                let (mapping, policies) = (&candidate.mapping, &candidate.policies);
-                let admit = match CopyMapping::from_base(self.app, self.arch, mapping, policies) {
+                let (mapping, policies) = state();
+                let admit = match CopyMapping::from_base(self.app, self.arch, &mapping, &policies) {
                     Ok(copies) => self
                         .certifier
-                        .admits(&copies, policies, estimate, self.deadline)
+                        .admits(&copies, &policies, estimate, self.deadline)
                         .unwrap_or(true),
                     Err(_) => true,
                 };
-                self.cache.resolve(candidate.key.clone(), admit);
+                self.cache.resolve(key, admit);
                 admit
             }
         }
@@ -419,7 +436,7 @@ pub fn explore(
     let space = MoveSpace::new(app, k, PolicyMoves::Full, config.max_checkpoints);
     // Seed the cache with the initial state so workers hit it immediately.
     probe(&cache, &initial.key);
-    cache.resolve(initial.key.clone(), Some(initial.estimate));
+    cache.resolve(&initial.key, Some(initial.estimate));
 
     let worker_count = config.workers.len();
     let worker_threads = config.threads.clamp(1, worker_count);
@@ -552,56 +569,83 @@ fn run_round(
         // an accepted move or when the worker adopts the incumbent.
         worker.kernel.anchor(&worker.current);
 
-        // 2. Sample the whole neighborhood without evaluating. Candidates
-        // stay whole states: the estimate cache keys on them.
-        let mut neighbors = Vec::with_capacity(worker.spec.neighborhood);
+        // 2. Sample the whole neighborhood without evaluating. A neighbor
+        // stays a move of the current state, keyed by the state it leads to.
+        let current = &worker.current;
+        let (mapping, policies) = (&current.mapping, &current.policies);
+        let mut moves = Vec::with_capacity(worker.spec.neighborhood);
         for _ in 0..worker.spec.neighborhood {
-            let (mapping, policies) = (&worker.current.mapping, &worker.current.policies);
             let Some(mv) = space.sample(mapping, policies, &mut worker.rng) else { continue };
-            if let Some((mapping, policies)) = apply_move(app, arch, mapping, policies, mv) {
-                neighbors.push((mv, mapping, policies));
+            if mv.fits(arch) {
+                moves.push(mv);
             }
         }
+        let keys: Vec<StateKey> =
+            moves.iter().map(|&mv| StateKey::of_move(mapping, policies, mv)).collect();
 
         // 3. Probe the cache, score the misses as change sets in one kernel
-        // pass, and keep the feasible candidates, in sample order.
-        let scored = worker.kernel.score(cache, &neighbors);
-        let mut candidates: Vec<(ProcessId, Candidate)> = Vec::with_capacity(neighbors.len());
-        for ((mv, mapping, policies), (key, estimate)) in neighbors.into_iter().zip(scored) {
-            if let Some(estimate) = estimate {
-                let candidate = Candidate { mapping, policies, estimate, key };
-                local_archive.insert(ArchiveEntry::new(
-                    candidate.mapping.clone(),
-                    candidate.policies.clone(),
-                    candidate.estimate,
-                ));
-                candidates.push((mv.process(), candidate));
+        // pass, and keep the feasible neighbors, in sample order. Each is
+        // offered to the archive by its objectives; only an admitted one is
+        // built as a state.
+        let estimates = worker.kernel.score(cache, &moves, &keys);
+        let cost = table_cost(policies);
+        let mut feasible: Vec<(usize, Estimate)> = Vec::with_capacity(moves.len());
+        for (i, estimate) in estimates.into_iter().enumerate() {
+            let Some(estimate) = estimate else { continue };
+            let table_cost = table_cost_after(cost, policies, moves[i]);
+            let objectives = Objectives::with_table_cost(&estimate, table_cost);
+            if local_archive.admits(&objectives, &keys[i]) {
+                let (mapping, policies) = successor(app, arch, current, moves[i]);
+                let key = keys[i].clone();
+                local_archive.insert(ArchiveEntry { objectives, mapping, policies, estimate, key });
             }
+            feasible.push((i, estimate));
         }
 
         // 4. The engine's acceptance step. A candidate that beats the best
         // becomes it only if the certify-guided gate (when on) admits it; a
         // demoted candidate is still walked through.
-        let judged: Vec<_> = candidates.iter().map(|(p, c)| (*p, c.scored())).collect();
+        let judged: Vec<_> = feasible
+            .iter()
+            .map(|(i, estimate)| (moves[*i].process(), scored(estimate, &keys[*i])))
+            .collect();
         let Ok(step) = worker.acceptance.step(
             &judged,
-            worker.current.scored(),
+            current.scored(),
             worker.best.objective(),
             &mut worker.rng,
-            |i| {
-                Ok::<_, Infallible>(
-                    guard.as_mut().is_none_or(|guard| guard.admits(&candidates[i].1)),
-                )
+            |j| {
+                let (i, estimate) = feasible[j];
+                Ok::<_, Infallible>(guard.as_mut().is_none_or(|guard| {
+                    let state = || successor(app, arch, current, moves[i]);
+                    guard.admits(estimate.worst_case_length, &keys[i], state)
+                }))
             },
         );
-        if let Some(i) = step.promoted {
-            worker.best = candidates[i].1.clone();
+        let keep = |j: usize| {
+            let (i, estimate) = feasible[j];
+            let (mapping, policies) = successor(app, arch, current, moves[i]);
+            Candidate { mapping, policies, estimate, key: keys[i].clone() }
+        };
+        if let Some(j) = step.promoted {
+            worker.best = keep(j);
         }
-        if let Some(i) = step.walk {
-            worker.current = candidates.swap_remove(i).1;
+        if let Some(j) = step.walk {
+            worker.current = keep(j);
         }
     }
     local_archive
+}
+
+/// The state `mv` leads to from `state`: built only for a neighbor a worker
+/// keeps.
+fn successor(
+    app: &Application,
+    arch: &Architecture,
+    state: &Candidate,
+    mv: Move<'_>,
+) -> (Mapping, PolicyAssignment) {
+    apply_move(app, arch, &state.mapping, &state.policies, mv).expect("a move that fits applies")
 }
 
 /// Runs `f(0..n)` across up to `threads` scoped threads, returning results
@@ -652,7 +696,7 @@ where
 mod tests {
     use super::*;
     use ftes_gen::{generate_application, GeneratorConfig};
-    use ftes_model::samples;
+    use ftes_model::{samples, ProcessId};
     use ftes_opt::candidate_policies;
 
     fn fig3_platform() -> (Application, Platform) {
@@ -688,50 +732,108 @@ mod tests {
         let arch = platform.architecture();
         let space = MoveSpace::new(&app, 2, PolicyMoves::Full, 16);
         let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let neighbors: Vec<_> = (0..48)
+        let moves: Vec<_> = (0..48)
             .filter_map(|_| space.sample(&mapping, &policies, &mut rng))
-            .filter_map(|mv| {
-                apply_move(&app, arch, &mapping, &policies, mv).map(|(m, p)| (mv, m, p))
-            })
+            .filter(|mv| mv.fits(arch))
             .collect();
+        let keys: Vec<_> =
+            moves.iter().map(|&mv| StateKey::of_move(&mapping, &policies, mv)).collect();
         let cache = EstimateCache::new();
-        let scored = kernel.score(&cache, &neighbors);
+        let scored = kernel.score(&cache, &moves, &keys);
         let mut fresh = SystemEvaluator::new(&app, &platform, 2);
-        let mut keys = Vec::new();
-        for ((_, m, p), (key, estimate)) in neighbors.iter().zip(&scored) {
-            let oracle = Synthesized::evaluate_with(&mut fresh, m.clone(), p.clone()).ok();
+        for ((&mv, key), estimate) in moves.iter().zip(&keys).zip(&scored) {
+            let (m, p) = apply_move(&app, arch, &mapping, &policies, mv).unwrap();
+            assert_eq!(*key, StateKey::encode(&m, &p));
+            let oracle = Synthesized::evaluate_with(&mut fresh, m, p).ok();
             assert_eq!(*estimate, oracle.map(|s| s.estimate), "duplicates included");
-            assert_eq!(*key, StateKey::encode(m, p));
-            keys.push(key.clone());
         }
-        keys.sort();
-        keys.dedup();
-        assert!(keys.len() < neighbors.len(), "the sample must repeat a state");
+        let mut distinct = keys.clone();
+        distinct.sort();
+        distinct.dedup();
+        assert!(distinct.len() < moves.len(), "the sample must repeat a state");
         // One entry and one miss per distinct state; the kernel scores
         // exactly the misses.
         let stats = cache.stats();
-        assert_eq!((stats.entries, stats.misses), (keys.len(), keys.len() as u64));
+        assert_eq!((stats.entries, stats.misses), (distinct.len(), distinct.len() as u64));
         assert_eq!(kernel.evaluator.stats().batch_candidates, stats.misses);
     }
 
     #[test]
     fn duplicates_are_filled_when_the_rest_of_the_batch_hits() {
-        let (app, platform, mapping, policies, mut kernel) = fig3_kernel();
-        let arch = platform.architecture();
+        let (app, _, mapping, policies, mut kernel) = fig3_kernel();
         let (p0, p1) = (ProcessId::new(0), ProcessId::new(1));
         let (c0, c1) = (candidate_policies(&app, p0, 2, 16), candidate_policies(&app, p1, 2, 16));
-        let [a, b] = [(p0, &c0[1]), (p1, &c1[1])].map(|(process, policy)| {
-            let mv = Move::Repolicy { process, policy };
-            let (m, p) = apply_move(&app, arch, &mapping, &policies, mv).unwrap();
-            (mv, m, p)
-        });
+        let a = Move::Repolicy { process: p0, policy: &c0[1] };
+        let b = Move::Repolicy { process: p1, policy: &c1[1] };
+        let key = |mv| StateKey::of_move(&mapping, &policies, mv);
         let cache = EstimateCache::new();
-        let first = kernel.score(&cache, &[a.clone(), b.clone()]);
-        assert!(first.iter().all(|(_, estimate)| estimate.is_some()));
+        let first = kernel.score(&cache, &[a, b], &[key(a), key(b)]);
+        assert!(first.iter().all(Option::is_some));
         // Every key of this batch hits the cache; the repeated `a` must
         // still read its first occurrence's estimate, not infeasibility.
-        let again = kernel.score(&cache, &[a.clone(), b, a]);
-        assert_eq!(again, vec![first[0].clone(), first[1].clone(), first[0].clone()]);
+        let again = kernel.score(&cache, &[a, b, a], &[key(a), key(b), key(a)]);
+        assert_eq!(again, vec![first[0], first[1], first[0]]);
+    }
+
+    /// Random walks over random applications (k 0–3), calling `f` with
+    /// each state, a move of it and the move's successor. Policy moves
+    /// draw every candidate policy (re-execution, replication, combined,
+    /// checkpointed), and the walk goes on from each successor, so later
+    /// moves leave mixed policies too.
+    fn random_moves(
+        mut f: impl FnMut(&Mapping, &PolicyAssignment, Move<'_>, &Mapping, &PolicyAssignment),
+    ) {
+        for seed in 0..24u64 {
+            let (nodes, k) = (2 + (seed % 3) as usize, (seed % 4) as u32);
+            let app = generate_application(&GeneratorConfig::new(10, nodes), seed).unwrap();
+            let arch = Architecture::homogeneous(nodes).unwrap();
+            let space = MoveSpace::new(&app, k, PolicyMoves::Full, 8);
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut mapping = constructive_mapping(&app, &arch).unwrap();
+            let mut policies = PolicyAssignment::uniform_reexecution(&app, k);
+            for _ in 0..200 {
+                let Some(mv) = space.sample(&mapping, &policies, &mut rng) else { continue };
+                let (m, p) = apply_move(&app, &arch, &mapping, &policies, mv).unwrap();
+                f(&mapping, &policies, mv, &m, &p);
+                (mapping, policies) = (m, p);
+            }
+        }
+    }
+
+    #[test]
+    fn keys_of_moves_equal_keys_of_their_successors() {
+        // Moves seen: remaps, then repolicies from and to replicated and
+        // from and to checkpointed policies.
+        let mut seen = [0usize; 5];
+        let replicated = |p: &ftes_ft::Policy| p.copies().len() > 1;
+        let checkpointed = |p: &ftes_ft::Policy| p.copies().iter().any(|c| c.checkpoints > 0);
+        random_moves(|mapping, policies, mv, m, p| {
+            let key = StateKey::of_move(mapping, policies, mv);
+            assert_eq!(key, StateKey::encode(m, p), "{mv:?}");
+            assert_eq!(key.hash64(), StateKey::encode(m, p).hash64());
+            let (from, to) = (policies.policy(mv.process()), p.policy(mv.process()));
+            let kinds = match mv {
+                Move::Remap { .. } => [true, false, false, false, false],
+                Move::Repolicy { .. } => {
+                    [false, replicated(from), replicated(to), checkpointed(from), checkpointed(to)]
+                }
+            };
+            for (count, kind) in seen.iter_mut().zip(kinds) {
+                *count += usize::from(kind);
+            }
+        });
+        assert!(seen.iter().all(|&count| count > 0), "{seen:?}");
+    }
+
+    #[test]
+    fn table_cost_after_a_move_equals_the_successors() {
+        random_moves(|_, policies, mv, _, p| {
+            assert_eq!(
+                table_cost_after(table_cost(policies), policies, mv),
+                table_cost(p),
+                "{mv:?}"
+            );
+        });
     }
 
     #[test]

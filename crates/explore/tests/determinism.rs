@@ -122,7 +122,7 @@ fn cached_estimates_match_fresh_computation() {
     for entry in result.archive.entries() {
         let key = StateKey::encode(&entry.mapping, &entry.policies);
         assert_eq!(cache.probe_or_reserve(&key), Probe::Reserved);
-        cache.resolve(key.clone(), fresh(entry));
+        cache.resolve(&key, fresh(entry));
         assert_eq!(cache.probe_or_reserve(&key), Probe::Ready(Some(entry.estimate)));
     }
 }

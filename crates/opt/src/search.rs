@@ -249,6 +249,17 @@ impl<'s> Move<'s> {
         }
     }
 
+    /// Whether the move applies on `arch`: a remap's target must be a node
+    /// of the architecture. For a move a [`MoveSpace`] drew from a valid
+    /// state this is the one mapping check [`apply_move`] can fail, so a
+    /// move that fits applies.
+    pub fn fits(&self, arch: &Architecture) -> bool {
+        match self {
+            Move::Remap { to, .. } => to.index() < arch.node_count(),
+            Move::Repolicy { .. } => true,
+        }
+    }
+
     /// Closes into `out` the move's change set against `current`, the copy
     /// placement of the state `load` describes: the rows (and policy) where
     /// the successor's [`CopyMapping::from_base`] placement differs from
@@ -420,17 +431,14 @@ impl<'s> Neighborhood<'s> {
         config: SearchConfig,
         rng: &mut ChaCha8Rng,
     ) {
-        let app = evaluator.app();
-        let node_count = evaluator.platform().architecture().node_count();
+        let (app, arch) = (evaluator.app(), evaluator.platform().architecture());
         self.moves.clear();
         self.sets.clear();
         for _ in 0..config.neighborhood {
             let Some(mv) = self.space.sample(&current.mapping, &current.policies, rng) else {
                 continue;
             };
-            // The mapping validation `apply_move` runs: a remap target must
-            // be a node of the architecture.
-            if matches!(mv, Move::Remap { to, .. } if to.index() >= node_count) {
+            if !mv.fits(arch) {
                 continue;
             }
             mv.derive(app, &mut self.load, &current.copies, &mut self.sets);
