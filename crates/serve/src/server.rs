@@ -5,7 +5,7 @@
 //!
 //! [`start`] binds the listener (port 0 = ephemeral), spawns one acceptor
 //! thread and `workers` handler threads, and returns a [`Server`] handle.
-//! The acceptor never parses HTTP: it only sets socket timeouts and pushes
+//! The acceptor never parses HTTP: it only sets the write timeout and pushes
 //! the connection into the queue — or, when the queue is full, sheds the
 //! connection with an immediate `429` so overload degrades into fast
 //! rejections instead of unbounded latency. Workers pop connections,
@@ -25,7 +25,7 @@ use crate::metrics::{Endpoint, Metrics, MetricsSnapshot};
 use crate::queue::BoundedQueue;
 use ftes::explore::CacheStats;
 use ftes_jobs::{JobExecutor, JobExecutorConfig};
-use std::io;
+use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -46,8 +46,10 @@ pub struct ServeConfig {
     pub cache_capacity: usize,
     /// Result-cache shard count.
     pub cache_shards: usize,
-    /// Per-connection read/write timeout (slow or silent clients cannot
-    /// pin a worker forever).
+    /// Deadline for reading one whole request, head and body, counted from
+    /// when a worker takes the connection, and the timeout of each
+    /// response write: slow, trickling or silent clients cannot pin a
+    /// worker past it.
     pub io_timeout: Duration,
     /// Bounded capacity of the asynchronous job queue (`POST /jobs`,
     /// `POST /explore`, `POST /corpus/run`); submissions beyond it get
@@ -130,6 +132,7 @@ pub fn start(config: ServeConfig) -> io::Result<Server> {
         jobs,
     });
     let stop = Arc::new(AtomicBool::new(false));
+    let io_timeout = config.io_timeout;
 
     let mut workers = Vec::with_capacity(config.workers.max(1));
     for i in 0..config.workers.max(1) {
@@ -137,7 +140,7 @@ pub fn start(config: ServeConfig) -> io::Result<Server> {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name(format!("ftes-serve-worker-{i}"))
-                .spawn(move || worker_loop(&shared))
+                .spawn(move || worker_loop(&shared, io_timeout))
         };
         match spawned {
             Ok(handle) => workers.push(handle),
@@ -148,7 +151,6 @@ pub fn start(config: ServeConfig) -> io::Result<Server> {
     let acceptor = {
         let shared = Arc::clone(&shared);
         let stop = Arc::clone(&stop);
-        let io_timeout = config.io_timeout;
         std::thread::Builder::new()
             .name("ftes-serve-acceptor".into())
             .spawn(move || acceptor_loop(&listener, &shared, &stop, io_timeout))
@@ -193,9 +195,9 @@ fn acceptor_loop(listener: &TcpListener, shared: &Shared, stop: &AtomicBool, io_
         if stop.load(Ordering::Acquire) {
             return;
         }
-        // Timeouts are set before queueing so a stalled client spends its
-        // budget in the worker's read, not forever.
-        let _ = stream.set_read_timeout(Some(io_timeout));
+        // The write timeout is set before queueing, so neither the 429
+        // below nor a worker's reply can stall on a client that stopped
+        // reading; the worker bounds the request read itself.
         let _ = stream.set_write_timeout(Some(io_timeout));
         if let Err(stream) = shared.queue.try_push(stream) {
             // Backpressure: reply 429 inline and move on. Write errors are
@@ -223,7 +225,7 @@ fn acceptor_loop(listener: &TcpListener, shared: &Shared, stop: &AtomicBool, io_
     }
 }
 
-fn worker_loop(shared: &Shared) {
+fn worker_loop(shared: &Shared, io_timeout: Duration) {
     while let Some(stream) = shared.queue.pop() {
         let started = Instant::now();
         // A handler panic must cost one request, not one worker: an
@@ -231,7 +233,7 @@ fn worker_loop(shared: &Shared) {
         // acceptor queues connections nobody serves. Handlers hold no
         // locks across user input, so unwind safety is not a concern.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            serve_connection(shared, &stream)
+            serve_connection(shared, &stream, io_timeout)
         }));
         let recorded = match outcome {
             Ok(recorded) => recorded,
@@ -246,10 +248,16 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// Reads one request and replies. `None` means the connection died before
-/// a response was possible (nothing meaningful to record).
-fn serve_connection(shared: &Shared, stream: &TcpStream) -> Option<(Endpoint, u16)> {
-    let request = match read_request(stream) {
+/// Reads one request, within `io_timeout`, and replies. `None` means the
+/// connection died or timed out before a response was possible (nothing
+/// meaningful to record).
+fn serve_connection(
+    shared: &Shared,
+    stream: &TcpStream,
+    io_timeout: Duration,
+) -> Option<(Endpoint, u16)> {
+    let reader = DeadlineReader { stream, deadline: Instant::now() + io_timeout };
+    let request = match read_request(reader) {
         Ok(Ok(request)) => request,
         Ok(Err(e)) => {
             let status = e.status();
@@ -266,6 +274,25 @@ fn serve_connection(shared: &Shared, stream: &TcpStream) -> Option<(Endpoint, u1
     // A failed write still records: the work was done, the client left.
     let _ = write_response_with(stream, reply.status, reply.content_type, &extra, &reply.body);
     Some((endpoint, reply.status))
+}
+
+/// Reads from `stream` until `deadline`. Each read waits at most the time
+/// left, so a client that trickles its request a byte at a time cannot
+/// stretch the whole read past the deadline.
+struct DeadlineReader<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl Read for DeadlineReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::Error::new(io::ErrorKind::TimedOut, "request read past its deadline"));
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
+    }
 }
 
 impl Server {

@@ -418,6 +418,35 @@ fn overflowing_spec_times_get_400_and_the_daemon_lives() {
 }
 
 #[test]
+fn a_trickling_client_cannot_hold_a_worker_past_io_timeout() {
+    // One worker and a short request deadline. The trickling client
+    // connects first, so the worker takes its connection first; it then
+    // sends one header byte every 100 ms for four seconds, each byte well
+    // within the deadline of the one before.
+    let server = test_server(ServeConfig {
+        workers: 1,
+        io_timeout: Duration::from_millis(500),
+        ..ServeConfig::default()
+    });
+    let mut slow = TcpStream::connect(server.addr()).expect("connect");
+    slow.write_all(b"GET /healthz HTTP/1.1\r\nX-Slow: ").unwrap();
+    let trickle = std::thread::spawn(move || {
+        for _ in 0..40 {
+            std::thread::sleep(Duration::from_millis(100));
+            if slow.write_all(b"x").is_err() {
+                break; // the server gave up on the request and closed
+            }
+        }
+    });
+    let started = Instant::now();
+    let (status, body) = call(&server, "GET", "/healthz", "");
+    let waited = started.elapsed();
+    assert_eq!(status, 200, "{body}");
+    assert!(waited < Duration::from_secs(2), "/healthz waited {waited:?} behind the trickle");
+    trickle.join().unwrap();
+}
+
+#[test]
 fn healthz_reports_capacity() {
     let server =
         test_server(ServeConfig { workers: 3, queue_capacity: 17, ..ServeConfig::default() });
