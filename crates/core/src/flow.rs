@@ -6,8 +6,8 @@ use ftes_ft::PolicyAssignment;
 use ftes_ftcpg::{build_ftcpg, BuildConfig, CopyMapping, FtCpg};
 use ftes_model::{Application, FaultModel, Mapping, Time, Transparency};
 use ftes_opt::{
-    synthesize_certified_mode, CertifiedSynthesis, CertifyMode, RepairConfig, SearchConfig,
-    Strategy, Synthesized,
+    synthesize_certified, CertifiedSynthesis, CertifyMode, RepairConfig, SearchConfig, Strategy,
+    Synthesized,
 };
 use ftes_sched::{
     check_deadlines, schedule_ftcpg, Certifier, CertifyConfig, ConditionalSchedule, Estimate,
@@ -242,29 +242,7 @@ pub fn synthesize_system(
     config: FlowConfig,
 ) -> Result<SystemConfiguration, FtesError> {
     let mut evaluator = SystemEvaluator::new(app, platform, fault_model.k());
-    synthesize_system_with(&mut evaluator, fault_model, transparency, config)
-}
-
-/// [`synthesize_system`] over a caller-provided (possibly warm) evaluator
-/// kernel: the application and platform are the ones the kernel was built
-/// for. `ftes-serve` banks evaluators per `(app, platform, k)` so repeated
-/// specs on a warm daemon skip the kernel construction entirely.
-///
-/// # Panics
-///
-/// Panics if the evaluator was built for a different fault budget than
-/// `fault_model` (a caller bug, not an input error).
-///
-/// # Errors
-///
-/// Same as [`synthesize_system`].
-pub fn synthesize_system_with(
-    evaluator: &mut SystemEvaluator,
-    fault_model: FaultModel,
-    transparency: &Transparency,
-    config: FlowConfig,
-) -> Result<SystemConfiguration, FtesError> {
-    Ok(synthesize_system_timed(evaluator, fault_model, transparency, config)?.0)
+    Ok(synthesize_system_timed(&mut evaluator, fault_model, transparency, config)?.0)
 }
 
 /// Wall-clock breakdown of one synthesis flow run, per phase — the numbers
@@ -284,13 +262,17 @@ pub struct FlowTimings {
     pub schedule: Duration,
 }
 
-/// [`synthesize_system_with`], additionally reporting per-phase wall-clock
-/// timings so services can expose hot-path regressions live.
+/// [`synthesize_system`] over a caller-provided (possibly warm) evaluator
+/// kernel, additionally reporting per-phase wall-clock timings so services
+/// can expose hot-path regressions live. The application and platform are
+/// the ones the kernel was built for; `ftes-serve` banks evaluators per
+/// `(app, platform, k)` so repeated specs on a warm daemon skip the kernel
+/// construction entirely.
 ///
 /// # Panics
 ///
 /// Panics if the evaluator was built for a different fault budget than
-/// `fault_model`.
+/// `fault_model` (a caller bug, not an input error).
 ///
 /// # Errors
 ///
@@ -316,7 +298,7 @@ pub fn synthesize_system_timed(
     // The optimize span covers the certify-and-repair loop, so certify /
     // cpg / schedule spans emitted by the certifier nest inside it.
     let optimize_span = ftes_obs::span(ftes_obs::names::OPTIMIZE);
-    let certified = synthesize_certified_mode(
+    let certified = synthesize_certified(
         evaluator,
         &mut certifier,
         config.strategy,

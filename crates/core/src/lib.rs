@@ -94,8 +94,8 @@ mod flow;
 pub mod spec;
 
 pub use flow::{
-    synthesize_system, synthesize_system_timed, synthesize_system_with, Certification,
-    ExactSchedule, FlowConfig, FlowTimings, FtesError, SystemConfiguration,
+    synthesize_system, synthesize_system_timed, Certification, ExactSchedule, FlowConfig,
+    FlowTimings, FtesError, SystemConfiguration,
 };
 pub use ftes_model::json;
 

@@ -52,10 +52,7 @@ pub use checkpoint::{
 pub use constructive::constructive_mapping;
 pub use engine::{Acceptance, EngineKind, Scored, Step};
 pub use error::OptError;
-pub use repair::{
-    observed_calibration, synthesize_certified, synthesize_certified_mode, CertifiedSynthesis,
-    CertifyMode, RepairConfig,
-};
+pub use repair::{synthesize_certified, CertifiedSynthesis, CertifyMode, RepairConfig};
 pub use search::{
     apply_move, candidate_policies, search, BestGuard, Move, MoveSpace, PolicyMoves, SearchConfig,
     SearchTrace, Synthesized,

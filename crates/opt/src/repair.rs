@@ -30,7 +30,7 @@ use crate::{
     Synthesized,
 };
 use ftes_model::Time;
-use ftes_sched::{calibration_milli, CertOutcome, Certifier, SystemEvaluator};
+use ftes_sched::{CertOutcome, Certifier, SystemEvaluator};
 
 /// Tunables of the certify-and-repair loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,7 +81,10 @@ pub struct CertifiedSynthesis {
 /// [`synthesize_with`](crate::synthesize_with) followed by the
 /// certify-and-repair loop: the returned incumbent is exact-certified
 /// schedulable, or explicitly tagged with its exact verdict when repair
-/// rounds (or the certifier's budget) ran out.
+/// rounds (or the certifier's budget) ran out. `mode` picks where the
+/// certification runs: `PostHoc` is the classic loop, `Guided` threads an
+/// incremental bounded certification guard through the search itself (see
+/// [`CertifyMode::Guided`]).
 ///
 /// The certifier must be built for the same `(app, platform, k)` instance
 /// as the evaluator; transparency lives in the certifier.
@@ -97,28 +100,6 @@ pub struct CertifiedSynthesis {
 /// size/work-budget overruns, which degrade to
 /// [`CertOutcome::OverBudget`]).
 pub fn synthesize_certified(
-    evaluator: &mut SystemEvaluator,
-    certifier: &mut Certifier,
-    strategy: Strategy,
-    config: SearchConfig,
-    repair: RepairConfig,
-) -> Result<CertifiedSynthesis, OptError> {
-    synthesize_certified_mode(evaluator, certifier, strategy, config, repair, CertifyMode::PostHoc)
-}
-
-/// [`synthesize_certified`] with an explicit [`CertifyMode`]: `PostHoc` is
-/// the classic loop, `Guided` threads an incremental bounded certification
-/// guard through the search itself (see [`CertifyMode::Guided`]).
-///
-/// # Panics
-///
-/// Panics if the certifier and evaluator disagree on the fault budget
-/// (a caller bug, not an input error).
-///
-/// # Errors
-///
-/// Same as [`synthesize_certified`].
-pub fn synthesize_certified_mode(
     evaluator: &mut SystemEvaluator,
     certifier: &mut Certifier,
     strategy: Strategy,
@@ -242,13 +223,6 @@ fn certify_to_opt_error(e: ftes_sched::CertifyError) -> OptError {
     }
 }
 
-/// Convenience: the calibration factor a single observation implies (see
-/// [`ftes_sched::calibration_milli`]); re-exported here because repair-loop
-/// callers reason in search vocabulary.
-pub fn observed_calibration(exact: Time, estimate: Time) -> u64 {
-    calibration_milli(exact, estimate)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,6 +260,7 @@ mod tests {
             Strategy::Mxr,
             quick(),
             RepairConfig::default(),
+            CertifyMode::PostHoc,
         )
         .unwrap();
         assert!(result.outcome.is_certified(), "{:?}", result.outcome);
@@ -315,6 +290,7 @@ mod tests {
             Strategy::Mxr,
             quick(),
             RepairConfig::default(),
+            CertifyMode::PostHoc,
         )
         .unwrap();
         assert_eq!(result.outcome, CertOutcome::OverBudget);
@@ -326,23 +302,29 @@ mod tests {
     fn repair_is_bounded_and_deterministic() {
         let (mut evaluator, mut certifier) = fig3_setup(2);
         let repair = RepairConfig { max_rounds: 1 };
-        let a =
-            synthesize_certified(&mut evaluator, &mut certifier, Strategy::Mxr, quick(), repair)
-                .unwrap();
+        let a = synthesize_certified(
+            &mut evaluator,
+            &mut certifier,
+            Strategy::Mxr,
+            quick(),
+            repair,
+            CertifyMode::PostHoc,
+        )
+        .unwrap();
         let (mut evaluator, mut certifier) = fig3_setup(2);
-        let b =
-            synthesize_certified(&mut evaluator, &mut certifier, Strategy::Mxr, quick(), repair)
-                .unwrap();
+        let b = synthesize_certified(
+            &mut evaluator,
+            &mut certifier,
+            Strategy::Mxr,
+            quick(),
+            repair,
+            CertifyMode::PostHoc,
+        )
+        .unwrap();
         assert_eq!(a.best.estimate, b.best.estimate);
         assert_eq!(a.outcome, b.outcome);
         assert_eq!(a.repair_rounds, b.repair_rounds);
         assert!(a.repair_rounds <= 1);
-    }
-
-    #[test]
-    fn observed_calibration_matches_the_sched_helper() {
-        assert_eq!(observed_calibration(Time::new(1041), Time::new(441)), 2361);
-        assert_eq!(observed_calibration(Time::new(100), Time::new(100)), 1000);
     }
 
     fn generated_setup(seed: u64) -> (SystemEvaluator, Certifier) {
@@ -368,7 +350,7 @@ mod tests {
         // the final post-hoc check answers from the verdict memo.
         let (mut evaluator, mut certifier) = generated_setup(0);
         let cfg = SearchConfig { iterations: 25, neighborhood: 12, ..SearchConfig::default() };
-        let result = synthesize_certified_mode(
+        let result = synthesize_certified(
             &mut evaluator,
             &mut certifier,
             Strategy::Mxr,
@@ -390,7 +372,7 @@ mod tests {
         let cfg = SearchConfig { iterations: 25, neighborhood: 12, ..SearchConfig::default() };
         let run = || {
             let (mut evaluator, mut certifier) = generated_setup(3);
-            synthesize_certified_mode(
+            synthesize_certified(
                 &mut evaluator,
                 &mut certifier,
                 Strategy::Mxr,
@@ -408,31 +390,5 @@ mod tests {
             .unwrap()
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn post_hoc_mode_matches_the_classic_entry_point() {
-        let (mut evaluator, mut certifier) = fig3_setup(2);
-        let classic = synthesize_certified(
-            &mut evaluator,
-            &mut certifier,
-            Strategy::Mxr,
-            quick(),
-            RepairConfig::default(),
-        )
-        .unwrap();
-        let (mut evaluator, mut certifier) = fig3_setup(2);
-        let explicit = synthesize_certified_mode(
-            &mut evaluator,
-            &mut certifier,
-            Strategy::Mxr,
-            quick(),
-            RepairConfig::default(),
-            CertifyMode::PostHoc,
-        )
-        .unwrap();
-        assert_eq!(classic.best.estimate, explicit.best.estimate);
-        assert_eq!(classic.outcome, explicit.outcome);
-        assert_eq!(classic.repair_rounds, explicit.repair_rounds);
     }
 }

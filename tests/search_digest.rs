@@ -5,7 +5,7 @@
 //! and of the evaluator kernel's `EvaluatorStats` afterwards, for a fixed
 //! seeded set of systems: three generator shapes, 2–4 nodes, k 0–3. The
 //! engines covered are `synthesize_with` under MX, MR and MXR,
-//! `synthesize_certified_mode` post hoc and guided, the one serial `search`
+//! `synthesize_certified` post hoc and guided, the one serial `search`
 //! entry point under each of its tabu, greedy and annealing engines, one
 //! `explore()` portfolio run, and the Fig. 8 checkpoint descent (`compare_checkpointing`, and
 //! `optimize_checkpoints_global` from partly replicated starts). Starts mix
@@ -26,7 +26,7 @@ use ftes::gen::{generate_application, GeneratorConfig};
 use ftes::model::{Application, FaultModel, Mapping, ProcessId, Time, Transparency};
 use ftes::opt::{
     candidate_policies, compare_checkpointing, optimize_checkpoints_global, search,
-    synthesize_certified_mode, synthesize_with, CertifyMode, EngineKind, PolicyMoves, RepairConfig,
+    synthesize_certified, synthesize_with, CertifyMode, EngineKind, PolicyMoves, RepairConfig,
     SearchConfig, Strategy, Synthesized,
 };
 use ftes::sched::{Certifier, CertifyConfig, SystemEvaluator};
@@ -35,7 +35,7 @@ use std::fmt::{self, Write as _};
 
 /// Digest of `synthesize_with` under MX, MR and MXR.
 const STRATEGY_DIGEST: u64 = 0x115a_863e_9699_ee7d;
-/// Digest of `synthesize_certified_mode`, post hoc and guided.
+/// Digest of `synthesize_certified`, post hoc and guided.
 const CERTIFIED_DIGEST: u64 = 0xa4d6_53ed_cc85_de11;
 /// Digest of the traced tabu, greedy and annealing engines from mixed
 /// (partly replicated) starts.
@@ -155,7 +155,7 @@ fn certified_synthesis_matches_the_recorded_digest() {
                     &Transparency::none(),
                     CertifyConfig::default(),
                 );
-                let result = synthesize_certified_mode(
+                let result = synthesize_certified(
                     &mut evaluator,
                     &mut certifier,
                     Strategy::Mxr,
