@@ -186,14 +186,13 @@ impl ExploreCommand {
         // daemon's job executor runs (watermark 0, cancellation never
         // requested): one code path computes every explore report.
         let never_cancelled = AtomicBool::new(false);
-        self.trace.begin();
-        let started = Instant::now();
-        let outcome = drive_suite(&self.suite, 0, &never_cancelled, |_, _| {});
-        let wall = started.elapsed();
-        // Drain even a failed run's events — partial traces are exactly
-        // what diagnoses the failure (stderr + side files only, so the
-        // stdout report contract is untouched).
-        self.trace.finish()?;
+        // The trace goes to stderr and side files only, so the stdout
+        // report contract is untouched.
+        let (outcome, wall) = self.trace.run(|| {
+            let started = Instant::now();
+            let outcome = drive_suite(&self.suite, 0, &never_cancelled, |_, _| {});
+            (outcome, started.elapsed())
+        })?;
         let outcome = outcome.map_err(|interrupt| match interrupt {
             JobInterrupt::Failed(message) => message,
             JobInterrupt::Cancelled => {

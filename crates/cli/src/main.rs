@@ -70,19 +70,14 @@ fn main() -> ExitCode {
         }
     };
 
-    capture.begin();
-    let spec = match parse_spec(&text) {
-        Ok(s) => s,
+    let verdict = capture.run(|| run(&parse_spec(&text)?, &flags));
+    let verdict = match verdict {
+        Ok(verdict) => verdict,
         Err(e) => {
-            eprintln!("error: {e}");
+            eprintln!("error: writing trace: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let verdict = run(&spec, &flags);
-    if let Err(e) = capture.finish() {
-        eprintln!("error: writing trace: {e}");
-        return ExitCode::FAILURE;
-    }
     match verdict {
         Ok(schedulable) => {
             if schedulable {
@@ -328,7 +323,7 @@ fn print_usage() {
          --grid paper            the paper's §6 grid (20–100 processes, k 3–7)\n  \
          --processes N --nodes N --k K   one custom point\n  \
          --seeds N    workloads per point        --seed N     master seed\n  \
-         --threads N  evaluation threads         --point-par N concurrent points\n  \
+         --threads N  concurrent workers         --point-par N concurrent points\n  \
          --rounds N   portfolio rounds           --iters N    iterations/round\n  \
          --verify     fault-inject each incumbent (verified column)\n  \
          --no-certify skip exact certification of incumbents (on by default)\n  \

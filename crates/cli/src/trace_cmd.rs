@@ -4,14 +4,24 @@
 //! file the user named and every status line about it goes to stderr, so
 //! the deterministic stdout contracts (CSV tables, JSON reports) hold
 //! with tracing on. One-shot commands capture with [`TraceCapture`]
-//! (enable → run → drain once → write); the resident `ftes serve` daemon
-//! streams through [`spawn_trace_flusher`] instead, appending to an
-//! incrementally-loadable Chrome trace about once a second so a
-//! `kill -9`'d daemon still leaves a readable file behind.
+//! (enable → run while a background thread drains → write); the resident
+//! `ftes serve` daemon streams through [`spawn_trace_flusher`] instead,
+//! appending to an incrementally-loadable Chrome trace about once a second
+//! so a `kill -9`'d daemon still leaves a readable file behind. Both drain
+//! through one loop, `drain_every`.
 
-use ftes::obs;
+use ftes::obs::{self, TraceEvent};
 use std::io;
+use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Duration;
+
+/// How often a one-shot capture drains the per-thread rings. A search
+/// thread records a few hundred events per millisecond and a ring holds
+/// 2^14, so a drain must come within a few tens of milliseconds or the
+/// ring drops events.
+const CAPTURE_DRAIN_PERIOD: Duration = Duration::from_millis(10);
 
 /// Removes `flag VALUE` from `args`, returning the value.
 ///
@@ -34,8 +44,9 @@ pub fn take_value_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<Stri
     Ok(Some(value))
 }
 
-/// One-shot trace capture: the whole command runs traced, then the
-/// buffers are drained once and written out.
+/// One-shot trace capture: the whole command runs traced while a
+/// background thread drains the ring buffers, then the events are written
+/// out.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceCapture {
     /// Chrome-trace-event JSON output path (`--trace FILE`).
@@ -63,32 +74,57 @@ impl TraceCapture {
         self.chrome.is_some() || self.folded.is_some()
     }
 
-    /// Turns the global trace gate on when any output was requested.
-    pub fn begin(&self) {
-        if self.active() {
-            obs::set_enabled(true);
-        }
-    }
-
-    /// Drains the captured events and writes the requested artifacts,
-    /// reporting each file on stderr.
+    /// Runs `command` traced when any output was requested, draining the
+    /// ring buffers on a background thread while it runs, then writes the
+    /// requested artifacts, reporting each file on stderr. The artifacts
+    /// are written whatever `command` returns: a failed run's partial trace
+    /// is what diagnoses the failure.
     ///
     /// # Errors
     ///
-    /// Propagates output-file IO errors.
-    pub fn finish(&self) -> io::Result<()> {
+    /// Propagates a failure to start the drain thread and output-file IO
+    /// errors.
+    pub fn run<T>(&self, command: impl FnOnce() -> T) -> io::Result<T> {
         if !self.active() {
-            return Ok(());
+            return Ok(command());
         }
-        obs::set_enabled(false);
-        let events = obs::drain();
+        let stop = AtomicBool::new(false);
+        let (out, events) = std::thread::scope(|scope| {
+            let drainer = std::thread::Builder::new()
+                .name("ftes-trace-drain".into())
+                .spawn_scoped(scope, || {
+                    let mut events = Vec::new();
+                    let drained = drain_every(CAPTURE_DRAIN_PERIOD, &stop, |batch| {
+                        events.extend(batch);
+                        Ok(())
+                    });
+                    drained.map(|()| events)
+                })?;
+            obs::set_enabled(true);
+            // A panicking command must still stop the drainer, or the
+            // scope would wait for it forever.
+            let out = std::panic::catch_unwind(AssertUnwindSafe(command));
+            obs::set_enabled(false);
+            stop.store(true, Ordering::Release);
+            drainer.thread().unpark();
+            let events = drainer.join().expect("trace drain thread panicked")?;
+            let out = out.unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            Ok::<_, io::Error>((out, events))
+        })?;
+        self.write(&events)?;
+        Ok(out)
+    }
+
+    /// Writes the requested artifacts of `events`, reporting each file and
+    /// any dropped events on stderr.
+    fn write(&self, events: &[TraceEvent]) -> io::Result<()> {
         let dropped = obs::dropped_events();
         if let Some(path) = &self.chrome {
-            std::fs::write(path, obs::chrome::chrome_trace_json(&events))?;
+            std::fs::write(path, obs::chrome::chrome_trace_json(events))?;
             eprintln!("trace: {} events -> {path} (chrome trace)", events.len());
         }
         if let Some(path) = &self.folded {
-            std::fs::write(path, obs::folded::folded_stacks(&events))?;
+            std::fs::write(path, obs::folded::folded_stacks(events))?;
             eprintln!("trace: folded stacks -> {path}");
         }
         if dropped > 0 {
@@ -113,17 +149,39 @@ pub fn spawn_trace_flusher(dir: &Path) -> io::Result<PathBuf> {
     let file = std::fs::File::create(&path)?;
     let mut writer = obs::chrome::ChromeTraceWriter::new(file)?;
     obs::set_enabled(true);
-    std::thread::Builder::new().name("ftes-trace-flush".into()).spawn(move || loop {
-        std::thread::sleep(std::time::Duration::from_secs(1));
-        let events = obs::drain();
-        if !events.is_empty() && writer.append(&events).is_err() {
+    std::thread::Builder::new().name("ftes-trace-flush".into()).spawn(move || {
+        let never = AtomicBool::new(false);
+        if drain_every(Duration::from_secs(1), &never, |events| writer.append(&events)).is_err() {
             // Sink gone (disk full, deleted directory): stop tracing
             // rather than spin on a dead file.
             obs::set_enabled(false);
-            return;
         }
     })?;
     Ok(path)
+}
+
+/// Drains the trace ring buffers into `sink` every `period` until `stop`
+/// is set, then once more so that nothing recorded before the stop is
+/// lost. Returns the first `sink` error. The setter of `stop` may unpark
+/// the draining thread to end the wait early.
+fn drain_every(
+    period: Duration,
+    stop: &AtomicBool,
+    mut sink: impl FnMut(Vec<TraceEvent>) -> io::Result<()>,
+) -> io::Result<()> {
+    loop {
+        // Acquire pairs with the stopper's Release store: every event
+        // recorded before the stop is visible to the drain below.
+        let last = stop.load(Ordering::Acquire);
+        let events = obs::drain();
+        if !events.is_empty() {
+            sink(events)?;
+        }
+        if last {
+            return Ok(());
+        }
+        std::thread::park_timeout(period);
+    }
 }
 
 #[cfg(test)]

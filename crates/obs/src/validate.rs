@@ -178,13 +178,17 @@ impl<'a> Parser<'a> {
                     }
                 }
                 _ => {
-                    // Re-borrow as UTF-8: step back and take the full char.
-                    self.pos -= 1;
-                    let rest =
-                        std::str::from_utf8(&self.bytes[self.pos..]).map_err(|e| e.to_string())?;
-                    let c = rest.chars().next().ok_or_else(|| "unterminated string".to_string())?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Take the whole run up to the next quote or escape at
+                    // once. Both are ASCII, so they never fall inside a
+                    // multi-byte character and the run is valid UTF-8.
+                    let start = self.pos - 1;
+                    let len = self.bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .ok_or_else(|| "unterminated string".to_string())?;
+                    self.pos = start + len;
+                    let run = &self.bytes[start..self.pos];
+                    out.push_str(std::str::from_utf8(run).map_err(|e| e.to_string())?);
                 }
             }
         }
@@ -366,10 +370,10 @@ mod tests {
 
     #[test]
     fn parses_scalars_strings_and_nesting() {
-        let v = parse_json(r#"{"a":[1,-2.5,"x\nA"],"b":{"c":true,"d":null}}"#).unwrap();
+        let v = parse_json(r#"{"a":[1,-2.5,"x\nA é€"],"b":{"c":true,"d":null}}"#).unwrap();
         assert_eq!(
             v.get("a").unwrap(),
-            &Json::Arr(vec![Json::Num(1.0), Json::Num(-2.5), Json::Str("x\nA".into())])
+            &Json::Arr(vec![Json::Num(1.0), Json::Num(-2.5), Json::Str("x\nA é€".into())])
         );
         assert_eq!(v.get("b").unwrap().get("c"), Some(&Json::Bool(true)));
         assert_eq!(v.get("b").unwrap().get("d"), Some(&Json::Null));
