@@ -8,7 +8,8 @@
 //!
 //! TUNING:
 //!   --seed N       master seed (default 1)
-//!   --threads N    evaluation threads per point (default: all cores)
+//!   --threads N    portfolio workers run concurrently per point
+//!                  (default: all cores)
 //!   --point-par N  grid points explored concurrently (default 1)
 //!   --rounds N     portfolio synchronization rounds (default 4)
 //!   --iters N      iterations per worker per round (default 30)
@@ -16,8 +17,9 @@
 //! OUTPUT:
 //!   --csv | --json print machine-readable results instead of the summary
 //!   --out FILE     write the chosen format to FILE as well
-//!   (wall time and evaluator-kernel counters go to stderr, never into
-//!   the report, whose bytes are identical for any thread split)
+//!   (wall time, evaluator-kernel and estimate-cache counters go to
+//!   stderr, never into the report, whose bytes are identical for any
+//!   thread split)
 //!
 //! CERTIFICATION:
 //!   incumbents are exact-certified by default (and demoted down the
@@ -213,21 +215,25 @@ impl ExploreCommand {
     }
 }
 
-/// The stderr diagnostics line: the run's wall time and evaluator-kernel
-/// work. Both depend on the host and the thread split, so they stay out
-/// of every rendered report.
+/// The stderr diagnostics line: the run's wall time, evaluator-kernel work
+/// and estimate-cache traffic. All depend on the host or the thread split,
+/// so they stay out of every rendered report.
 fn kernel_line(outcome: &SuiteOutcome, wall: Duration) -> String {
     let evals = outcome.points.iter().fold(EvaluatorStats::default(), |a, p| a.merged(p.evals));
+    let cache = outcome.total_cache();
     let secs = wall.as_secs_f64();
     let rate = if secs > 0.0 { evals.evaluations() as f64 / secs } else { 0.0 };
     format!(
         "explore: {} points in {} ms; {} kernel evaluations from {} evaluators \
-         ({} reused, {rate:.0} evals/s)",
+         ({} reused, {rate:.0} evals/s); estimate cache {} hits, {} misses ({:.1}%)",
         outcome.points.len(),
         wall.as_millis(),
         evals.evaluations(),
         evals.constructions,
         evals.reused(),
+        cache.hits,
+        cache.misses,
+        100.0 * cache.hit_rate(),
     )
 }
 
@@ -237,7 +243,7 @@ fn summarize(outcome: &SuiteOutcome) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<12} {:>6} {:>6} {:>10} {:>10} {:>8} {:>7} {:>9} {:>9} {:>9} {:>8}",
+        "{:<12} {:>6} {:>6} {:>10} {:>10} {:>8} {:>7} {:>9} {:>9} {:>8}",
         "point",
         "nodes",
         "k",
@@ -245,7 +251,6 @@ fn summarize(outcome: &SuiteOutcome) -> String {
         "worst-case",
         "slack%",
         "pareto",
-        "cache-hit",
         "certified",
         "exact",
         "verified",
@@ -273,7 +278,7 @@ fn summarize(outcome: &SuiteOutcome) -> String {
             p.certified.exact_len().map_or_else(|| "-".to_string(), |t| t.units().to_string());
         let _ = writeln!(
             out,
-            "{:<12} {:>6} {:>6} {:>10} {:>10} {:>8.1} {:>7} {:>8.0}% {:>9} {:>9} {:>8} {}",
+            "{:<12} {:>6} {:>6} {:>10} {:>10} {:>8.1} {:>7} {:>9} {:>9} {:>8} {}",
             p.point.label(),
             p.point.nodes,
             p.point.k,
@@ -281,22 +286,12 @@ fn summarize(outcome: &SuiteOutcome) -> String {
             p.worst_case.units(),
             p.slack_pct,
             p.archive.len(),
-            100.0 * p.cache.hit_rate(),
             certified,
             exact,
             verified,
             if p.schedulable { "" } else { "  ** MISSES DEADLINE **" },
         );
     }
-    let totals = outcome.total_cache();
-    let _ = writeln!(
-        out,
-        "{} points; estimator calls {} (plus {} cache hits, {:.0}% hit rate)",
-        outcome.points.len(),
-        totals.misses,
-        totals.hits,
-        100.0 * totals.hit_rate(),
-    );
     out
 }
 
@@ -371,6 +366,39 @@ mod tests {
         assert!(parse(&["--processes", "ten"]).is_err());
         assert!(parse(&["--bogus"]).is_err());
         assert!(parse(&["--processes", "10", "--nodes", "2"]).is_err(), "missing --k");
+    }
+
+    #[test]
+    fn kernel_line_carries_the_estimate_cache_counters() {
+        let cmd = parse(&[
+            "--processes",
+            "8",
+            "--nodes",
+            "2",
+            "--k",
+            "1",
+            "--threads",
+            "1",
+            "--rounds",
+            "2",
+            "--iters",
+            "4",
+        ])
+        .unwrap();
+        let outcome = ftes::explore::run_suite(&cmd.suite).unwrap();
+        let cache = outcome.total_cache();
+        assert!(cache.hits > 0 && cache.misses > 0, "{cache:?}");
+        let line = kernel_line(&outcome, Duration::from_millis(250));
+        assert!(line.starts_with("explore: 1 points in 250 ms; "), "{line}");
+        let counters = format!(
+            "; estimate cache {} hits, {} misses ({:.1}%)",
+            cache.hits,
+            cache.misses,
+            100.0 * cache.hit_rate()
+        );
+        assert!(line.ends_with(&counters), "{line}");
+        // The summary table is a report: no memo counter in it.
+        assert!(!summarize(&outcome).contains("cache"));
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! dominant cost of every visit) and certify-guided admit verdicts
 //! ([`CertifyCache`]). A table keys a candidate `(mapping, policies)`
 //! state by a canonical byte encoding (exact, collision-free) with a
-//! precomputed FNV hash for shard selection, so a repeated state is never
-//! recomputed, no matter which worker or thread saw it first.
+//! precomputed FNV hash for shard selection, so a state any worker has
+//! published is never recomputed, whichever thread computed it.
 //!
 //! A table instance is scoped to one problem instance (one
 //! `(application, platform, k)` triple): keys encode only the candidate
@@ -155,43 +155,19 @@ impl CacheStats {
     }
 }
 
-/// One memo slot. `Pending` reserves a key whose first prober is still
-/// computing it, which pins the miss accounting: exactly one miss per
-/// unique key, no matter how probes interleave across workers.
-#[derive(Debug, Clone, Copy)]
-enum Slot<V> {
-    Pending,
-    Ready(V),
-}
-
-/// What a [`probe_or_reserve`](StateCache::probe_or_reserve) found.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Probe<V> {
-    /// The key's value is cached. Counted as a hit.
-    Ready(V),
-    /// Another prober reserved the key and is still computing it. Counted
-    /// as a hit (sequentially the reserver would have finished first); the
-    /// caller computes the value itself rather than waiting — values are
-    /// pure facts of the state, so both arrive at the same one, and the
-    /// first [`resolve`](StateCache::resolve) wins.
-    Pending,
-    /// The key was absent; this call reserved it. Counted as the key's one
-    /// miss — the caller must compute and [`resolve`](StateCache::resolve).
-    Reserved,
-}
-
 /// One table shard.
-type Shard<V> = Mutex<HashMap<StateKey, Slot<V>>>;
+type Shard<V> = Mutex<HashMap<StateKey, V>>;
 
 /// Sharded memo table from [`StateKey`] to a value that is a pure function
 /// of the keyed state.
 ///
-/// Callers probe first and compute only on a miss: the pending reservation
-/// a miss leaves is what keeps the hit/miss counters — part of the
-/// deterministic report surface — independent of thread count. Each
-/// unique key misses exactly once, on the probe that reserved it, and
-/// every later probe is a hit, however the workers' probe→resolve windows
-/// interleave.
+/// Callers [`get`](StateCache::get) first and compute only on a miss, then
+/// [`insert`](StateCache::insert). Two workers that miss the same key
+/// concurrently both compute it and arrive at the same value, so the first
+/// insert wins and the second is a no-op. The hit/miss counters follow
+/// that interleaving, so they are in-memory diagnostics, like the
+/// evaluator-kernel counters, and no report renders them; at one thread
+/// each unique key misses exactly once.
 #[derive(Debug)]
 pub struct StateCache<V> {
     shards: Box<[Shard<V>]>,
@@ -229,41 +205,22 @@ impl<V: Copy> StateCache<V> {
         &self.shards[(key.hash64() % self.shards.len() as u64) as usize]
     }
 
-    /// Looks `key` up without computing anything, reserving it on a miss.
-    /// The shard lock is held only for the lookup, never while the caller
-    /// computes.
-    pub fn probe_or_reserve(&self, key: &StateKey) -> Probe<V> {
-        let mut shard = self.shard(key).lock().expect("cache shard poisoned");
-        match shard.get(key) {
-            Some(Slot::Ready(value)) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Probe::Ready(*value)
-            }
-            Some(Slot::Pending) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Probe::Pending
-            }
-            None => {
-                shard.insert(key.clone(), Slot::Pending);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                Probe::Reserved
-            }
-        }
+    /// The cached value of `key`, counting the lookup as a hit or a miss.
+    pub fn get(&self, key: &StateKey) -> Option<V> {
+        let value = self.shard(key).lock().expect("cache shard poisoned").get(key).copied();
+        let counter = if value.is_some() { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+        value
     }
 
-    /// Publishes a computed value, completing a reservation. The first
-    /// resolve of a key wins; later ones (racing probers that saw
-    /// [`Probe::Pending`] and computed the same value) are no-ops. The key
-    /// is copied only when no probe reserved it, the one case that must
-    /// insert it.
-    pub fn resolve(&self, key: &StateKey, value: V) {
+    /// Publishes the value of `key`. The first insert of a key wins; a
+    /// later one (a worker that missed the same key concurrently and
+    /// computed the same value) is a no-op. The key is copied only when
+    /// absent.
+    pub fn insert(&self, key: &StateKey, value: V) {
         let mut shard = self.shard(key).lock().expect("cache shard poisoned");
-        match shard.get_mut(key) {
-            Some(slot @ Slot::Pending) => *slot = Slot::Ready(value),
-            Some(Slot::Ready(_)) => {}
-            None => {
-                shard.insert(key.clone(), Slot::Ready(value));
-            }
+        if !shard.contains_key(key) {
+            shard.insert(key.clone(), value);
         }
     }
 
@@ -285,6 +242,8 @@ impl<V: Copy> StateCache<V> {
 mod tests {
     use super::*;
     use ftes_model::{samples, Time};
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::Barrier;
 
     fn fig3_state() -> (Mapping, PolicyAssignment) {
         let (app, arch) = samples::fig3();
@@ -324,10 +283,10 @@ mod tests {
             worst_case_length: Time::new(20),
             critical_process: ftes_model::ProcessId::new(0),
         };
-        assert_eq!(cache.probe_or_reserve(&key), Probe::Reserved);
-        cache.resolve(&key, Some(est));
+        assert_eq!(cache.get(&key), None);
+        cache.insert(&key, Some(est));
         for _ in 0..4 {
-            assert_eq!(cache.probe_or_reserve(&key), Probe::Ready(Some(est)));
+            assert_eq!(cache.get(&key), Some(Some(est)));
         }
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (4, 1, 1));
@@ -339,28 +298,39 @@ mod tests {
         let (mapping, policies) = fig3_state();
         let key = StateKey::encode(&mapping, &policies);
         let cache = EstimateCache::new();
-        assert_eq!(cache.probe_or_reserve(&key), Probe::Reserved);
-        cache.resolve(&key, None);
+        assert_eq!(cache.get(&key), None);
+        cache.insert(&key, None);
         // A later lookup reads the cached infeasibility.
-        assert_eq!(cache.probe_or_reserve(&key), Probe::Ready(None));
+        assert_eq!(cache.get(&key), Some(None));
     }
 
     #[test]
-    fn certify_cache_reserves_once_and_counts_deterministically() {
+    fn concurrent_misses_of_one_key_keep_the_first_insert() {
         let (mapping, policies) = fig3_state();
         let key = StateKey::encode(&mapping, &policies);
-        let cache = CertifyCache::new();
-        // First probe is the key's one miss; it reserves.
-        assert_eq!(cache.probe_or_reserve(&key), Probe::Reserved);
-        // A racing prober sees the pending reservation as a hit and
-        // certifies on its own.
-        assert_eq!(cache.probe_or_reserve(&key), Probe::Pending);
-        cache.resolve(&key, false);
-        // The racer's later (identical) verdict is a no-op: first wins.
-        cache.resolve(&key, false);
-        assert_eq!(cache.probe_or_reserve(&key), Probe::Ready(false));
+        let cache = StateCache::<usize>::new();
+        let (all_missed, turn) = (Barrier::new(8), AtomicUsize::new(0));
+        std::thread::scope(|scope| {
+            for i in 0..8 {
+                let (cache, key, all_missed, turn) = (&cache, &key, &all_missed, &turn);
+                scope.spawn(move || {
+                    assert_eq!(cache.get(key), None);
+                    all_missed.wait();
+                    // Every thread has missed; they insert in thread
+                    // order, so thread 0's value is the first insert.
+                    while turn.load(Ordering::Acquire) != i {
+                        std::thread::yield_now();
+                    }
+                    cache.insert(key, i);
+                    turn.store(i + 1, Ordering::Release);
+                });
+            }
+        });
+        for _ in 0..4 {
+            assert_eq!(cache.get(&key), Some(0));
+        }
         let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (2, 1, 1));
+        assert_eq!((stats.hits, stats.misses, stats.entries), (4, 8, 1));
     }
 
     #[test]

@@ -40,7 +40,7 @@
 //! `tests/determinism.rs` locks in.
 
 use crate::archive::{table_cost, table_cost_after, ArchiveEntry, Objectives, ParetoArchive};
-use crate::cache::{CacheStats, CertifyCache, EstimateCache, Probe, StateKey};
+use crate::cache::{CacheStats, CertifyCache, EstimateCache, StateKey};
 use ftes_ft::PolicyAssignment;
 use ftes_ftcpg::{ChangeSets, CopyMapping, PlacementLoad};
 use ftes_model::{Application, Architecture, FaultModel, Mapping, Time, Transparency};
@@ -52,8 +52,8 @@ use ftes_sched::{Certifier, CertifyConfig, Estimate, EvaluatorStats, SystemEvalu
 use ftes_tdma::Platform;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-// ftes-lint: allow(determinism) reason="in-batch duplicate lookup only; entries are never iterated into results"
-use std::collections::HashMap;
+// ftes-lint: allow(determinism) reason="in-batch repeat lookup only; entries are never iterated into results"
+use std::collections::HashSet;
 use std::convert::Infallible;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -139,8 +139,9 @@ pub struct PortfolioConfig {
     /// best under the estimate are incrementally exact-certified against
     /// the deadline first (bounded, memo-backed), and refuted states are
     /// demoted *during* the search instead of post hoc. Worker certifiers
-    /// run unbudgeted and verdicts are shared through a pending-reserving
-    /// cache, so trajectories and counters stay thread-count-deterministic.
+    /// run unbudgeted, so verdicts are pure facts of the state, shared
+    /// through an admit cache, and trajectories stay
+    /// thread-count-deterministic.
     pub certify_guided: bool,
 }
 
@@ -179,14 +180,16 @@ pub struct Exploration {
     pub best: Synthesized,
     /// The Pareto front over (worst-case, recovery slack, table cost).
     pub archive: ParetoArchive,
-    /// Estimate-cache counters for the whole run.
+    /// Estimate-cache counters for the whole run. Workers that miss the
+    /// same state concurrently each count a miss, so like `evals` these
+    /// follow the thread split: in-memory diagnostics only.
     pub cache: CacheStats,
     /// Evaluator-kernel counters (constructions, full/delta evaluations,
     /// reuse) summed over the workers' kernels, one per worker.
     pub evals: EvaluatorStats,
     /// Certify-guided admit-cache counters (all zero when
-    /// [`PortfolioConfig::certify_guided`] is off). Deterministic for any
-    /// thread count, like the estimate-cache counters.
+    /// [`PortfolioConfig::certify_guided`] is off). They follow the thread
+    /// split, like the estimate-cache counters.
     pub certify: CacheStats,
 }
 
@@ -280,14 +283,12 @@ impl Kernel {
     /// the key of the state `moves[i]` leads to, returning every neighbor's
     /// estimate in input order (`None` = infeasible).
     ///
-    /// Every key is probed first, in input order, reserving the misses; only
+    /// The first occurrence of every key is looked up, in input order; only
     /// the misses are derived as change sets and scored, in one
     /// [`SystemEvaluator::evaluate_changes`] pass, and their results are
-    /// published back. A key sampled twice in the batch is scored once (the
-    /// repeat probe hits this batch's own reservation and takes the first
-    /// occurrence's result); a key another worker is still computing counts
-    /// as the hit it would be sequentially, and is scored here rather than
-    /// waited on.
+    /// inserted. A key sampled twice in the batch is scored once: its
+    /// repeats are read from the cache after the misses are inserted, as the
+    /// hits they are.
     fn score(
         &mut self,
         cache: &EstimateCache,
@@ -297,19 +298,17 @@ impl Kernel {
         let app = self.evaluator.app();
         let mut out: Vec<Option<Estimate>> = vec![None; moves.len()];
         let mut misses: Vec<usize> = Vec::new();
+        let mut repeats: Vec<usize> = Vec::new();
         let mut sets = ChangeSets::new();
-        let mut first_at: HashMap<&StateKey, usize> = HashMap::new();
-        let mut dup_of: Vec<(usize, usize)> = Vec::new();
+        let mut seen: HashSet<&StateKey> = HashSet::new();
         for (i, (mv, key)) in moves.iter().zip(keys).enumerate() {
-            if let Some(&src) = first_at.get(key) {
-                probe(cache, key);
-                dup_of.push((i, src));
+            if !seen.insert(key) {
+                repeats.push(i);
                 continue;
             }
-            first_at.insert(key, i);
             match probe(cache, key) {
-                Probe::Ready(value) => out[i] = value,
-                Probe::Pending | Probe::Reserved => {
+                Some(value) => out[i] = value,
+                None => {
                     mv.derive(app, &mut self.load, &self.copies, &mut sets);
                     misses.push(i);
                 }
@@ -320,27 +319,26 @@ impl Kernel {
                 out[i] = result.ok();
             }
         }
-        // `resolve` never overwrites a value another worker published first.
         for &i in &misses {
-            cache.resolve(&keys[i], out[i]);
+            cache.insert(&keys[i], out[i]);
         }
-        for (dup, src) in dup_of {
-            out[dup] = out[src];
+        for i in repeats {
+            out[i] = probe(cache, &keys[i]).expect("a repeat's first occurrence is cached");
         }
         out
     }
 }
 
-/// Probes the estimate cache, reporting the probe on the
+/// Looks `key` up in the estimate cache, reporting the lookup on the
 /// `cache.estimate_hit`/`cache.estimate_miss` trace counters.
-fn probe(cache: &EstimateCache, key: &StateKey) -> Probe<Option<Estimate>> {
-    let probe = cache.probe_or_reserve(key);
-    let name = match probe {
-        Probe::Reserved => ftes_obs::names::ESTIMATE_CACHE_MISS,
-        Probe::Ready(_) | Probe::Pending => ftes_obs::names::ESTIMATE_CACHE_HIT,
+fn probe(cache: &EstimateCache, key: &StateKey) -> Option<Option<Estimate>> {
+    let value = cache.get(key);
+    let name = match value {
+        Some(_) => ftes_obs::names::ESTIMATE_CACHE_HIT,
+        None => ftes_obs::names::ESTIMATE_CACHE_MISS,
     };
     ftes_obs::counter(name, 1);
-    probe
+    value
 }
 
 /// The certify-guided admission gate of one worker: an incremental
@@ -370,24 +368,21 @@ impl Guard<'_> {
         if estimate > self.deadline {
             return true;
         }
-        match self.cache.probe_or_reserve(key) {
-            Probe::Ready(admit) => admit,
-            Probe::Pending | Probe::Reserved => {
-                // A placement or certification failure is no exact evidence
-                // either way: admit, degrading to the estimate-only regime
-                // rather than aborting the search.
-                let (mapping, policies) = state();
-                let admit = match CopyMapping::from_base(self.app, self.arch, &mapping, &policies) {
-                    Ok(copies) => self
-                        .certifier
-                        .admits(&copies, &policies, estimate, self.deadline)
-                        .unwrap_or(true),
-                    Err(_) => true,
-                };
-                self.cache.resolve(key, admit);
-                admit
-            }
+        if let Some(admit) = self.cache.get(key) {
+            return admit;
         }
+        // A placement or certification failure is no exact evidence either
+        // way: admit, degrading to the estimate-only regime rather than
+        // aborting the search.
+        let (mapping, policies) = state();
+        let admit = match CopyMapping::from_base(self.app, self.arch, &mapping, &policies) {
+            Ok(copies) => {
+                self.certifier.admits(&copies, &policies, estimate, self.deadline).unwrap_or(true)
+            }
+            Err(_) => true,
+        };
+        self.cache.insert(key, admit);
+        admit
     }
 }
 
@@ -434,9 +429,10 @@ pub fn explore(
 
     let cache = EstimateCache::new();
     let space = MoveSpace::new(app, k, PolicyMoves::Full, config.max_checkpoints);
-    // Seed the cache with the initial state so workers hit it immediately.
+    // Seed the cache with the initial state so workers hit it immediately;
+    // the lookup counts its miss, as every scored state's first lookup does.
     probe(&cache, &initial.key);
-    cache.resolve(&initial.key, Some(initial.estimate));
+    cache.insert(&initial.key, Some(initial.estimate));
 
     let worker_count = config.workers.len();
     let worker_threads = config.threads.clamp(1, worker_count);
@@ -912,9 +908,6 @@ mod tests {
         assert_eq!(serial.archive.signature(), parallel.archive.signature());
         assert_eq!(serial.best.estimate, parallel.best.estimate);
         assert_eq!(serial.best.mapping, parallel.best.mapping);
-        // The admit-cache accounting is part of the deterministic surface:
-        // the pending reservation pins one miss per unique admitted state.
-        assert_eq!(serial.certify, parallel.certify);
         assert!(
             serial.certify.misses > 0,
             "the guided run must actually certify incumbents: {:?}",

@@ -3,8 +3,9 @@
 //! returns [`suite_to_json`] bodies verbatim). JSON goes through the shared
 //! escaping-aware writer in [`ftes_model::json`], so labels and names need
 //! no character-set convention. Both formats render only facts of the
-//! design — no wall clocks, no evaluator-kernel work counters — so they
-//! are byte-identical for any thread split of the same suite.
+//! design — no wall clocks, no evaluator-kernel work counters, no memo
+//! hit/miss counters — so they are byte-identical for any thread split of
+//! the same suite.
 
 use crate::suite::{CertifyVerdict, SuiteOutcome, VerifyOutcome};
 use ftes_model::json::JsonWriter;
@@ -38,15 +39,14 @@ fn certified_csv(v: CertifyVerdict) -> &'static str {
 pub fn suite_to_csv(outcome: &SuiteOutcome) -> String {
     let mut out = String::from(
         "processes,nodes,k,seed,fault_free,worst_case,deadline,schedulable,\
-         slack_pct,pareto_size,cache_hits,cache_misses,cache_hit_rate,verified,\
-         certified,exact_len,demoted,certify_hits,certify_misses\n",
+         slack_pct,pareto_size,verified,certified,exact_len,demoted\n",
     );
     for p in &outcome.points {
         let exact_len =
             p.certified.exact_len().map_or_else(|| "-".to_string(), |t| t.units().to_string());
         writeln!(
             out,
-            "{},{},{},{},{},{},{},{},{:.2},{},{},{},{:.4},{},{},{},{},{},{}",
+            "{},{},{},{},{},{},{},{},{:.2},{},{},{},{},{}",
             p.point.processes,
             p.point.nodes,
             p.point.k,
@@ -57,15 +57,10 @@ pub fn suite_to_csv(outcome: &SuiteOutcome) -> String {
             p.schedulable,
             p.slack_pct,
             p.archive.len(),
-            p.cache.hits,
-            p.cache.misses,
-            p.cache.hit_rate(),
             verified_csv(p.verified),
             certified_csv(p.certified),
             exact_len,
             p.demoted,
-            p.certify_cache.hits,
-            p.certify_cache.misses,
         )
         .expect("writing to String cannot fail");
     }
@@ -73,8 +68,7 @@ pub fn suite_to_csv(outcome: &SuiteOutcome) -> String {
 }
 
 /// Renders a suite outcome as a compact JSON document with a `points`
-/// array, each point carrying its Pareto front and verification verdict,
-/// plus sweep-level totals.
+/// array, each point carrying its Pareto front and verification verdict.
 pub fn suite_to_json(outcome: &SuiteOutcome) -> String {
     let mut w = JsonWriter::new();
     w.begin_object();
@@ -123,24 +117,6 @@ pub fn suite_to_json(outcome: &SuiteOutcome) -> String {
         }
         w.key("demoted");
         w.number_u64(p.demoted as u64);
-        w.key("cache");
-        w.begin_object();
-        w.key("hits");
-        w.number_u64(p.cache.hits);
-        w.key("misses");
-        w.number_u64(p.cache.misses);
-        w.key("entries");
-        w.number_usize(p.cache.entries);
-        w.end_object();
-        w.key("certify_cache");
-        w.begin_object();
-        w.key("hits");
-        w.number_u64(p.certify_cache.hits);
-        w.key("misses");
-        w.number_u64(p.certify_cache.misses);
-        w.key("entries");
-        w.number_usize(p.certify_cache.entries);
-        w.end_object();
         w.key("pareto");
         w.begin_array();
         for (i, e) in p.archive.entries().iter().enumerate() {
@@ -165,24 +141,6 @@ pub fn suite_to_json(outcome: &SuiteOutcome) -> String {
         w.end_object();
     }
     w.end_array();
-    let totals = outcome.total_cache();
-    w.key("total_cache");
-    w.begin_object();
-    w.key("hits");
-    w.number_u64(totals.hits);
-    w.key("misses");
-    w.number_u64(totals.misses);
-    w.key("hit_rate");
-    w.number_f64(totals.hit_rate(), 4);
-    w.end_object();
-    let certify_totals = outcome.total_certify_cache();
-    w.key("total_certify_cache");
-    w.begin_object();
-    w.key("hits");
-    w.number_u64(certify_totals.hits);
-    w.key("misses");
-    w.number_u64(certify_totals.misses);
-    w.end_object();
     w.end_object();
     let mut out = w.finish();
     out.push('\n');
@@ -212,33 +170,43 @@ mod tests {
         outcome_with(verify, true)
     }
 
+    /// Reports render design facts only: no memo hit/miss counter, whose
+    /// values follow the thread split.
+    fn assert_no_memo_counters(report: &str) {
+        for word in ["cache", "hits", "misses", "hit_rate"] {
+            assert!(!report.contains(word), "`{word}` in {report}");
+        }
+    }
+
     #[test]
     fn csv_has_header_and_one_row_per_point() {
         let csv = suite_to_csv(&outcome_with(false, false));
         let lines: Vec<&str> = csv.trim_end().lines().collect();
         assert_eq!(lines.len(), 2);
-        assert!(lines[0].starts_with("processes,nodes,k,seed"));
-        assert!(
-            lines[0].ends_with(",verified,certified,exact_len,demoted,certify_hits,certify_misses")
+        assert_eq!(
+            lines[0],
+            "processes,nodes,k,seed,fault_free,worst_case,deadline,schedulable,slack_pct,\
+             pareto_size,verified,certified,exact_len,demoted"
         );
         assert!(lines[1].starts_with("8,2,1,0,"));
         assert_eq!(lines[0].split(',').count(), lines[1].split(',').count());
         // Verification and certification off: both columns render as `-`.
-        assert_eq!(lines[1].split(',').nth(13), Some("-"));
-        assert_eq!(lines[1].split(',').nth(14), Some("-"));
-        assert_eq!(lines[1].split(',').nth(15), Some("-"));
+        assert_eq!(lines[1].split(',').nth(10), Some("-"));
+        assert_eq!(lines[1].split(',').nth(11), Some("-"));
+        assert_eq!(lines[1].split(',').nth(12), Some("-"));
+        assert_no_memo_counters(&csv);
     }
 
     #[test]
     fn csv_verified_and_certified_columns_carry_the_verdicts() {
         let csv = suite_to_csv(&outcome(true));
         let row = csv.trim_end().lines().nth(1).unwrap();
-        let verified = row.split(',').nth(13).unwrap();
+        let verified = row.split(',').nth(10).unwrap();
         assert!(verified == "true" || verified == "false", "{row}");
-        let certified = row.split(',').nth(14).unwrap();
+        let certified = row.split(',').nth(11).unwrap();
         assert!(certified == "true" || certified == "false", "{row}");
         // A certified/refuted point carries its exact length.
-        let exact_len = row.split(',').nth(15).unwrap();
+        let exact_len = row.split(',').nth(12).unwrap();
         assert!(exact_len.parse::<i64>().is_ok(), "{row}");
     }
 
@@ -253,7 +221,7 @@ mod tests {
         assert!(json.contains("\"certified\":null"));
         assert!(json.contains("\"exact_len\":null"));
         assert!(json.contains("\"demoted\":0"));
-        assert!(json.contains("\"total_cache\""));
+        assert_no_memo_counters(&json);
         let opens = json.matches('{').count();
         let closes = json.matches('}').count();
         assert_eq!(opens, closes);
@@ -299,8 +267,8 @@ mod tests {
         assert_eq!(p.certified, CertifyVerdict::Skipped);
         let csv = suite_to_csv(&outcome);
         let row = csv.trim_end().lines().nth(1).unwrap();
-        assert_eq!(row.split(',').nth(13), Some("skipped"), "{row}");
-        assert_eq!(row.split(',').nth(14), Some("skipped"), "{row}");
+        assert_eq!(row.split(',').nth(10), Some("skipped"), "{row}");
+        assert_eq!(row.split(',').nth(11), Some("skipped"), "{row}");
         let json = suite_to_json(&outcome);
         assert!(json.contains("\"verified\":\"skipped\""), "{json}");
         assert!(json.contains("\"certified\":\"skipped\""), "{json}");
