@@ -47,8 +47,9 @@
 //! memoizes pure functions, archives are order-independent sets, and all
 //! cross-worker communication happens at round barriers with canonical
 //! (`StateKey`) tie-breaks. The rendered reports are byte-identical for
-//! any split too: they carry no wall clocks and no evaluator-kernel work
-//! counters ([`PointOutcome::evals`] depends on the thread split).
+//! any split too: they carry no wall clocks, no evaluator-kernel work
+//! counters and no memo hit/miss counters ([`PointOutcome::evals`] and
+//! [`PointOutcome::cache`] depend on the thread split).
 //!
 //! ## Example
 //!
