@@ -49,7 +49,7 @@ fn main() {
         flow: FlowConfig { certify: CertifyMode::Guided, ..FlowConfig::default() },
     };
     let started = Instant::now();
-    let outcome = run_corpus(&jobs, &config, |i, row| {
+    let (outcome, _) = run_corpus(&jobs, &config, None, |i, row| {
         eprintln!(
             "  [{:>2}/{}] {:<24} certified={} exact={}",
             i + 1,

@@ -6,10 +6,9 @@
 //! deterministically seeded) or from any directory of `.ftes` files; this
 //! module owns what happens *after* generation:
 //!
-//! * [`run_corpus`] — bounded worker pool over the job list. Each job is
-//!   parsed and synthesized through the full certify-and-repair flow
-//!   ([`synthesize_system`]); completed rows
-//!   are
+//! * [`run_corpus`] — bounded, cancellable workers over the job list.
+//!   Each job is parsed and synthesized through the full
+//!   certify-and-repair flow ([`synthesize_system`]); completed rows are
 //!   delivered to the caller **in job order** as their prefix completes,
 //!   so a CSV sink can append incrementally and a killed run loses at
 //!   most the in-flight suffix.
@@ -28,9 +27,10 @@
 use crate::spec::parse_spec;
 use crate::{synthesize_system, Certification, FlowConfig};
 use ftes_model::json::JsonWriter;
+use ftes_model::par::ordered_parallel;
 use ftes_sched::CertificationCounters;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::ops::ControlFlow;
+use std::sync::atomic::AtomicBool;
 
 /// One corpus job: a named `.ftes` document tagged with its family.
 ///
@@ -73,7 +73,8 @@ impl CorpusJob {
 /// Tunables of a corpus run.
 #[derive(Debug, Clone, Copy)]
 pub struct CorpusRunConfig {
-    /// Bounded worker count (clamped to the job count; 0 behaves as 1).
+    /// Bounded worker count, the calling thread included (clamped to the
+    /// job count; 0 behaves as 1).
     pub workers: usize,
     /// Flow configuration applied to every job. The spec's own `strategy`
     /// directive always wins over `flow.strategy`.
@@ -314,85 +315,48 @@ pub fn recover_corpus_csv(text: &str) -> Result<(Vec<CorpusRow>, bool), String> 
 /// Parse and flow failures become [`CorpusVerdict::Error`] rows rather
 /// than panics or dropped jobs (the certified-or-tagged contract extends
 /// to infrastructure failures).
-pub fn run_corpus<F>(jobs: &[CorpusJob], config: &CorpusRunConfig, on_row: F) -> CorpusOutcome
-where
-    F: FnMut(usize, &CorpusRow) + Send,
-{
-    run_corpus_cancellable(jobs, config, None, on_row).0
-}
-
-/// Cancellable form of [`run_corpus`]: when the flag is observed set,
-/// workers stop claiming jobs at the next row boundary (jobs already in
-/// flight finish but are not delivered past the cancelled prefix). The
-/// returned outcome then covers exactly the rows `on_row` saw — a
-/// contiguous prefix of the job list — and the boolean reports whether
-/// the run was cut short. A cancelled run is resumable: re-running the
-/// undelivered suffix yields the rows an uninterrupted run would have
-/// produced, byte-identically.
-pub fn run_corpus_cancellable<F>(
+///
+/// When `cancel` is observed set, workers stop claiming jobs at the next
+/// row boundary (jobs already in flight finish but are not delivered past
+/// the cancelled prefix). The returned outcome covers exactly the rows
+/// `on_row` saw — a contiguous prefix of the job list — and the boolean
+/// reports whether the run was cut short, which is exactly when that
+/// prefix is shorter than the job list. A cancelled run is resumable:
+/// re-running the undelivered suffix yields the rows an uninterrupted run
+/// would have produced, byte-identically.
+pub fn run_corpus<F>(
     jobs: &[CorpusJob],
     config: &CorpusRunConfig,
     cancel: Option<&AtomicBool>,
-    on_row: F,
+    mut on_row: F,
 ) -> (CorpusOutcome, bool)
 where
     F: FnMut(usize, &CorpusRow) + Send,
 {
-    let workers = config.workers.clamp(1, jobs.len().max(1));
-
-    struct Flusher<F> {
-        slots: Vec<Option<(CorpusRow, Option<String>)>>,
-        next: usize,
-        on_row: F,
-    }
-    let flusher =
-        Mutex::new(Flusher { slots: (0..jobs.len()).map(|_| None).collect(), next: 0, on_row });
-    let next_job = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let flusher = &flusher;
-            let next_job = &next_job;
-            scope.spawn(move || loop {
-                if cancel.is_some_and(|c| c.load(Ordering::Acquire)) {
-                    break;
-                }
-                let i = next_job.fetch_add(1, Ordering::Relaxed);
-                if i >= jobs.len() {
-                    break;
-                }
-                let result = run_job(&jobs[i], config);
-                let mut f = flusher.lock().expect("corpus flusher poisoned");
-                f.slots[i] = Some(result);
-                while f.next < f.slots.len() && f.slots[f.next].is_some() {
-                    let at = f.next;
-                    let row = f.slots[at].take().expect("checked above");
-                    (f.on_row)(at, &row.0);
-                    f.slots[at] = Some(row);
-                    f.next += 1;
-                }
-            });
-        }
-    });
-
-    let mut inner = flusher.into_inner().expect("corpus flusher poisoned");
-    // Only the delivered prefix counts: rows computed out of order past a
-    // cancelled gap were never handed to `on_row`, and the outcome must
-    // match what the caller's sink (CSV, journal) actually saw.
-    let delivered = inner.next;
-    let cancelled = delivered < jobs.len();
-    let mut rows = Vec::with_capacity(delivered);
-    let mut counters = CertificationCounters::default();
-    let mut errors = Vec::new();
-    for slot in inner.slots.drain(..delivered) {
-        let (row, error) = slot.expect("delivered slots are filled");
-        match row.certification_outcome() {
-            Some(outcome) => counters.record(outcome, row.repair_rounds as u64),
-            None => errors
-                .push((row.spec.clone(), error.unwrap_or_else(|| "unknown failure".to_string()))),
-        }
-        rows.push(row);
-    }
-    (CorpusOutcome { rows, counters, errors }, cancelled)
+    let mut outcome = CorpusOutcome {
+        rows: Vec::with_capacity(jobs.len()),
+        counters: CertificationCounters::default(),
+        errors: Vec::new(),
+    };
+    let delivered = ordered_parallel(
+        jobs.len(),
+        config.workers,
+        cancel,
+        |i| run_job(&jobs[i], config),
+        |i, (row, error)| {
+            on_row(i, &row);
+            match row.certification_outcome() {
+                Some(verdict) => outcome.counters.record(verdict, row.repair_rounds as u64),
+                None => outcome.errors.push((
+                    row.spec.clone(),
+                    error.unwrap_or_else(|| "unknown failure".to_string()),
+                )),
+            }
+            outcome.rows.push(row);
+            ControlFlow::Continue(())
+        },
+    );
+    (outcome, delivered < jobs.len())
 }
 
 /// Replaces CSV-breaking characters so even a mislabeled job's error row
@@ -624,6 +588,7 @@ pub fn write_group_json(w: &mut JsonWriter, agg: &GroupAggregate) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering;
 
     fn tiny_job(name: &str, deadline: i64) -> CorpusJob {
         CorpusJob {
@@ -643,9 +608,11 @@ mod tests {
         let jobs: Vec<CorpusJob> =
             (0..4).map(|i| tiny_job(&format!("t{i}.ftes"), 200 + i)).collect();
         let mut seen = Vec::new();
-        let outcome = run_corpus(&jobs, &CorpusRunConfig::default(), |i, row| {
-            seen.push((i, row.spec.clone()));
-        });
+        let (outcome, cancelled) =
+            run_corpus(&jobs, &CorpusRunConfig::default(), None, |i, row| {
+                seen.push((i, row.spec.clone()));
+            });
+        assert!(!cancelled);
         assert_eq!(seen, (0..4).map(|i| (i, format!("t{i}.ftes"))).collect::<Vec<_>>());
         assert_eq!(outcome.rows.len(), 4);
         assert!(outcome.errors.is_empty());
@@ -664,10 +631,15 @@ mod tests {
             (0..6).map(|i| tiny_job(&format!("t{i}.ftes"), 150 + 7 * i)).collect();
         let render = |workers: usize| {
             let mut csv = format!("{CORPUS_CSV_HEADER}\n");
-            run_corpus(&jobs, &CorpusRunConfig { workers, ..Default::default() }, |_, row| {
-                csv.push_str(&row.to_csv());
-                csv.push('\n');
-            });
+            run_corpus(
+                &jobs,
+                &CorpusRunConfig { workers, ..Default::default() },
+                None,
+                |_, row| {
+                    csv.push_str(&row.to_csv());
+                    csv.push('\n');
+                },
+            );
             csv
         };
         let serial = render(1);
@@ -686,7 +658,7 @@ mod tests {
         let cancel = AtomicBool::new(true);
         let mut delivered = 0usize;
         let (outcome, cancelled) =
-            run_corpus_cancellable(&jobs, &CorpusRunConfig::default(), Some(&cancel), |_, _| {
+            run_corpus(&jobs, &CorpusRunConfig::default(), Some(&cancel), |_, _| {
                 delivered += 1;
             });
         assert!(cancelled);
@@ -696,11 +668,11 @@ mod tests {
         // Cancelling after the second row: the outcome is exactly the
         // delivered prefix, and re-running the suffix reproduces the
         // uninterrupted run byte-identically.
-        let full = run_corpus(&jobs, &CorpusRunConfig::default(), |_, _| {});
+        let (full, _) = run_corpus(&jobs, &CorpusRunConfig::default(), None, |_, _| {});
         let cancel = AtomicBool::new(false);
         let mut prefix = Vec::new();
         let (outcome, cancelled) =
-            run_corpus_cancellable(&jobs, &CorpusRunConfig::default(), Some(&cancel), |i, row| {
+            run_corpus(&jobs, &CorpusRunConfig::default(), Some(&cancel), |i, row| {
                 prefix.push(row.to_csv());
                 if i == 1 {
                     cancel.store(true, Ordering::Relaxed);
@@ -711,7 +683,7 @@ mod tests {
         assert_eq!(outcome.rows.len(), prefix.len());
         let skip = outcome.rows.len();
         let (resumed, resumed_cancelled) =
-            run_corpus_cancellable(&jobs[skip..], &CorpusRunConfig::default(), None, |_, _| {});
+            run_corpus(&jobs[skip..], &CorpusRunConfig::default(), None, |_, _| {});
         assert!(!resumed_cancelled);
         let merged: Vec<String> =
             outcome.rows.iter().chain(resumed.rows.iter()).map(CorpusRow::to_csv).collect();
@@ -728,7 +700,7 @@ mod tests {
                 text: "nodes 2\nbogus directive\n".to_string(),
             },
         ];
-        let outcome = run_corpus(&jobs, &CorpusRunConfig::default(), |_, _| {});
+        let (outcome, _) = run_corpus(&jobs, &CorpusRunConfig::default(), None, |_, _| {});
         assert_eq!(outcome.rows.len(), 2);
         assert_eq!(outcome.rows[1].certified, CorpusVerdict::Error);
         assert!(!outcome.rows[1].schedulable);
@@ -753,7 +725,7 @@ mod tests {
             family: "te,st".to_string(),
             text: "nodes 1\ndeadline 10\nk 0\nprocess p wcet 5\n".to_string(),
         }];
-        let outcome = run_corpus(&jobs, &CorpusRunConfig::default(), |_, _| {});
+        let (outcome, _) = run_corpus(&jobs, &CorpusRunConfig::default(), None, |_, _| {});
         let row = &outcome.rows[0];
         // Refused before synthesis, with sanitized labels so the row
         // itself still round-trips through the report.

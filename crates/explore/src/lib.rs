@@ -15,8 +15,8 @@
 //!   derives each miss's change set (`Move::derive`) and scores all of
 //!   them in one `SystemEvaluator::evaluate_changes` pass over the
 //!   worker's own kernel, anchored at its current state — the path the
-//!   serial `ftes-opt` search takes. Workers parallelize above it on
-//!   scoped threads.
+//!   serial `ftes-opt` search takes. Workers parallelize above it
+//!   through `ftes_model::par::ordered_parallel`.
 //! * **Memoized estimate cache** ([`EstimateCache`]) — candidate states
 //!   are keyed by a canonical, collision-free encoding ([`StateKey`]);
 //!   any state revisited by any worker is answered without re-running the

@@ -6,11 +6,12 @@
 //!
 //! A portfolio run is a sequence of **rounds**. Within a round every worker
 //! advances independently — its trajectory depends only on its own seeded
-//! RNG, its engine and the round-start incumbent. Workers run on scoped
-//! threads. Each owns one evaluator kernel anchored at its current state
-//! and scores a sampled neighborhood the way the serial `ftes-opt` search
-//! does. A neighbor stays a [`Move`] of the current state plus its
-//! successor's [`StateKey`], encoded once from the state and the move
+//! RNG, its engine and the round-start incumbent. Workers run through
+//! [`ordered_parallel`], the calling thread among them. Each owns one
+//! evaluator kernel anchored at its current state and scores a sampled
+//! neighborhood the way the serial `ftes-opt` search does. A neighbor
+//! stays a [`Move`] of the current state plus its successor's
+//! [`StateKey`], encoded once from the state and the move
 //! ([`StateKey::of_move`]). The shared [`EstimateCache`] is probed for
 //! every key first, and only the misses are derived as change sets
 //! ([`Move::derive`]) and scored in one
@@ -43,6 +44,7 @@ use crate::archive::{table_cost, table_cost_after, ArchiveEntry, Objectives, Par
 use crate::cache::{CacheStats, CertifyCache, EstimateCache, StateKey};
 use ftes_ft::PolicyAssignment;
 use ftes_ftcpg::{ChangeSets, CopyMapping, PlacementLoad};
+use ftes_model::par::ordered_parallel;
 use ftes_model::{Application, Architecture, FaultModel, Mapping, Time, Transparency};
 use ftes_opt::{
     apply_move, constructive_mapping, Acceptance, EngineKind, Move, MoveSpace, OptError,
@@ -56,7 +58,7 @@ use rand_chacha::ChaCha8Rng;
 use std::collections::HashSet;
 use std::convert::Infallible;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::ops::ControlFlow;
 use std::sync::Mutex;
 
 /// Error produced by the exploration engine.
@@ -127,9 +129,10 @@ pub struct PortfolioConfig {
     pub rounds: usize,
     /// Search iterations each worker runs per round.
     pub iterations_per_round: usize,
-    /// Total threads the engine may occupy (bounds how many workers run
-    /// concurrently; each worker scores its neighborhoods on its own
-    /// kernel, so there is no per-candidate fan-out below the workers).
+    /// Total threads the engine may occupy, the calling thread included
+    /// (bounds how many workers run concurrently; each worker scores its
+    /// neighborhoods on its own kernel, so there is no per-candidate
+    /// fan-out below the workers).
     pub threads: usize,
     /// Cap on checkpoint counts in candidate policies.
     pub max_checkpoints: u32,
@@ -435,7 +438,6 @@ pub fn explore(
     cache.insert(&initial.key, Some(initial.estimate));
 
     let worker_count = config.workers.len();
-    let worker_threads = config.threads.clamp(1, worker_count);
 
     let workers: Vec<Mutex<Worker>> = config
         .workers
@@ -491,9 +493,13 @@ pub fn explore(
     });
 
     for _ in 0..config.rounds {
-        // Workers advance in parallel; each returns its round archive.
-        let round_archives: Vec<ParetoArchive> =
-            indexed_parallel(worker_count, worker_threads, |i| {
+        // Workers advance in parallel; each round archive merges in worker
+        // order.
+        ordered_parallel(
+            worker_count,
+            config.threads,
+            None,
+            |i| {
                 let mut worker = workers[i].lock().expect("worker state poisoned");
                 let mut certifier = certifiers
                     .as_ref()
@@ -506,10 +512,12 @@ pub fn explore(
                     deadline: app.deadline(),
                 });
                 run_round(app, platform.architecture(), config, &space, &cache, &mut worker, guard)
-            });
-        for local in round_archives {
-            archive.merge(local);
-        }
+            },
+            |_, local| {
+                archive.merge(local);
+                ControlFlow::Continue(())
+            },
+        );
         // Barrier: recompute the incumbent with a canonical tie-break and
         // broadcast it to workers that fell behind.
         let incumbent = workers
@@ -644,50 +652,6 @@ fn successor(
     apply_move(app, arch, &state.mapping, &state.policies, mv).expect("a move that fits applies")
 }
 
-/// Runs `f(0..n)` across up to `threads` scoped threads, returning results
-/// in index order. Work is claimed from a shared atomic counter, so uneven
-/// item costs balance automatically — no channels, no pool object to keep
-/// alive, and the results never depend on which thread computed them (the
-/// property every determinism guarantee in this crate leans on).
-pub(crate) fn indexed_parallel<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let threads = threads.clamp(1, n.max(1));
-    if threads <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let buckets: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let f = &f;
-                let next = &next;
-                scope.spawn(move || {
-                    let mut out = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        out.push((i, f(i)));
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("worker thread panicked")).collect()
-    });
-    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    for bucket in buckets {
-        for (i, v) in bucket {
-            slots[i] = Some(v);
-        }
-    }
-    slots.into_iter().map(|s| s.expect("every index claimed exactly once")).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -711,15 +675,6 @@ mod tests {
         let policies = PolicyAssignment::uniform_reexecution(&app, 2);
         let (kernel, _) = Kernel::new(&app, &platform, 2, &mapping, &policies).unwrap();
         (app, platform, mapping, policies, kernel)
-    }
-
-    #[test]
-    fn indexed_parallel_preserves_order() {
-        for threads in [1, 2, 7] {
-            let out = indexed_parallel(100, threads, |i| i * i);
-            assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
-        }
-        assert!(indexed_parallel(0, 4, |i| i).is_empty());
     }
 
     #[test]

@@ -4,16 +4,17 @@
 //! Each grid point is an independent synthesis problem — generate a random
 //! application of the requested size (seeded, so exactly reproducible),
 //! build a platform, run the portfolio exploration, and record the
-//! incumbent and the Pareto front. Points fan out
-//! across scoped threads; because every point derives its own seed from
-//! `(suite seed, point)` the results are identical no matter how the
-//! points are interleaved.
+//! incumbent and the Pareto front. Points fan out through
+//! [`ordered_parallel`], the calling thread among the workers; because
+//! every point derives its own seed from `(suite seed, point)` the results
+//! are identical no matter how the points are interleaved.
 
 use crate::cache::{fnv1a64, CacheStats, StateKey};
 use crate::portfolio::{explore, ExploreError, PortfolioConfig};
 use crate::ParetoArchive;
 use ftes_ftcpg::{build_ftcpg, BuildConfig, CopyMapping, CpgError, FtCpg};
 use ftes_gen::{generate_application, GeneratorConfig};
+use ftes_model::par::ordered_parallel;
 use ftes_model::{Application, FaultModel, Time, Transparency};
 use ftes_opt::Synthesized;
 use ftes_sched::{
@@ -22,8 +23,8 @@ use ftes_sched::{
 };
 use ftes_sim::verify_sampled;
 use ftes_tdma::Platform;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::ops::ControlFlow;
+use std::sync::atomic::AtomicBool;
 
 /// One point of the experiment grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -94,7 +95,9 @@ pub struct SuiteConfig {
     /// own seed from `portfolio.seed` and the point, so sharing the config
     /// never correlates points).
     pub portfolio: PortfolioConfig,
-    /// How many points run concurrently (each already parallel inside).
+    /// How many points run concurrently, the calling thread running one of
+    /// them (each point is already parallel inside; see
+    /// [`PortfolioConfig::threads`]).
     pub point_parallelism: usize,
     /// TDMA slot length of the generated platforms.
     pub slot: Time,
@@ -269,17 +272,19 @@ pub fn run_suite(config: &SuiteConfig) -> Result<SuiteOutcome, ExploreError> {
 /// the sweep at the next point boundary (points already in flight finish
 /// but are not delivered past the cancelled prefix).
 ///
-/// Returns `Ok(None)` when the cancel flag was observed set, otherwise
-/// `Ok(Some(outcome))` with every point, identical to [`run_suite`].
+/// Returns `Ok(None)` when the sweep was cancelled, which is exactly when
+/// fewer than all points were delivered, otherwise `Ok(Some(outcome))`
+/// with every point, identical to [`run_suite`].
 ///
 /// # Errors
 ///
 /// Propagates the first [`ExploreError`] (grid order) if any point fails;
-/// points that error are never delivered to `on_point`.
+/// the sweep stops there, and points that error are never delivered to
+/// `on_point`.
 pub fn run_suite_streaming<F>(
     config: &SuiteConfig,
     cancel: Option<&AtomicBool>,
-    on_point: F,
+    mut on_point: F,
 ) -> Result<Option<SuiteOutcome>, ExploreError>
 where
     F: FnMut(usize, &PointOutcome) + Send,
@@ -289,58 +294,29 @@ where
     // oversubscribe the machine).
     let concurrent = config.point_parallelism.clamp(1, config.points.len().max(1));
     let threads_per_point = (config.portfolio.threads / concurrent).max(1);
-
-    struct Flusher<F> {
-        slots: Vec<Option<Result<PointOutcome, ExploreError>>>,
-        next: usize,
-        on_point: F,
+    let mut points = Vec::with_capacity(config.points.len());
+    let mut error = None;
+    let delivered = ordered_parallel(
+        config.points.len(),
+        concurrent,
+        cancel,
+        |i| run_point(config, config.points[i], threads_per_point),
+        |i, result| match result {
+            Ok(point) => {
+                on_point(i, &point);
+                points.push(point);
+                ControlFlow::Continue(())
+            }
+            Err(e) => {
+                error = Some(e);
+                ControlFlow::Break(())
+            }
+        },
+    );
+    if let Some(e) = error {
+        return Err(e);
     }
-    let flusher = Mutex::new(Flusher {
-        slots: (0..config.points.len()).map(|_| None).collect(),
-        next: 0,
-        on_point,
-    });
-    let next_point = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..concurrent {
-            let flusher = &flusher;
-            let next_point = &next_point;
-            scope.spawn(move || loop {
-                if cancel.is_some_and(|c| c.load(Ordering::Acquire)) {
-                    break;
-                }
-                let i = next_point.fetch_add(1, Ordering::Relaxed);
-                if i >= config.points.len() {
-                    break;
-                }
-                let result = run_point(config, config.points[i], threads_per_point);
-                let mut f = flusher.lock().expect("suite flusher poisoned");
-                f.slots[i] = Some(result);
-                // Deliver the completed error-free prefix in order; an
-                // errored point stops the stream (the caller sees the
-                // error from the return value instead).
-                while f.next < f.slots.len() && matches!(f.slots[f.next], Some(Ok(_))) {
-                    let at = f.next;
-                    let slot = f.slots[at].take().expect("checked above");
-                    if let Ok(point) = &slot {
-                        (f.on_point)(at, point);
-                    }
-                    f.slots[at] = Some(slot);
-                    f.next += 1;
-                }
-            });
-        }
-    });
-
-    if cancel.is_some_and(|c| c.load(Ordering::Acquire)) {
-        return Ok(None);
-    }
-    let slots = flusher.into_inner().expect("suite flusher poisoned").slots;
-    let mut points = Vec::with_capacity(slots.len());
-    for slot in slots {
-        points.push(slot.expect("every point ran to completion")?);
-    }
-    Ok(Some(SuiteOutcome { points }))
+    Ok((delivered == config.points.len()).then_some(SuiteOutcome { points }))
 }
 
 /// Bound on the certify-and-demote walk down a point's Pareto front: the
@@ -752,6 +728,26 @@ mod tests {
             run_suite_streaming(&tiny_suite(1, 1), Some(&cancel), |_, _| delivered += 1).unwrap();
         assert!(outcome.is_none(), "a cancelled sweep returns no outcome");
         assert_eq!(delivered, 0);
+    }
+
+    #[test]
+    fn a_failing_point_stops_the_sweep_with_its_error() {
+        let good = tiny_suite(1, 1).points[0];
+        let config = SuiteConfig {
+            points: vec![good, ScenarioPoint { processes: 0, ..good }, good],
+            ..tiny_suite(1, 1)
+        };
+        let mut seen = Vec::new();
+        let result = run_suite_streaming(&config, None, |i, _| seen.push(i));
+        match result {
+            Err(ExploreError::BadConfig(message)) => {
+                assert!(message.contains("application has no processes"), "{message}");
+            }
+            other => {
+                panic!("expected the empty workload's error, got {:?}", other.map(|o| o.is_some()))
+            }
+        }
+        assert_eq!(seen, vec![0], "only the point before the failure is delivered");
     }
 
     #[test]

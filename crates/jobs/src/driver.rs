@@ -4,9 +4,11 @@
 //! contract, no matter whether the caller is the serve daemon, `ftes
 //! corpus run` or the explore CLI.
 //!
-//! Progress rows fire **in job order** (row `i` only after rows `0..i`),
-//! exactly the contract `ftes::corpus::run_corpus` pioneered; resumed
-//! jobs pass the journaled row count as the watermark and re-emit
+//! Progress rows fire **in job order** (row `i` only after rows `0..i`):
+//! the suite and the corpus both fan out through
+//! `ftes::model::par::ordered_parallel`, and both report a run as
+//! cancelled exactly when its delivered prefix is shorter than its input.
+//! Resumed jobs pass the journaled row count as the watermark and re-emit
 //! nothing below it. Rendered results are deterministic where the
 //! underlying report is (`corpus_result_json` carries no wall clocks, so
 //! a resumed corpus job's result is byte-identical to an uninterrupted
@@ -14,8 +16,8 @@
 
 use crate::request::{parse_explore_request, JobRequest};
 use ftes::corpus::{
-    aggregate_to_json, parse_corpus_csv, run_corpus_cancellable, CorpusJob, CorpusRow,
-    CorpusRunConfig, CORPUS_CSV_HEADER,
+    aggregate_to_json, parse_corpus_csv, run_corpus, CorpusJob, CorpusRow, CorpusRunConfig,
+    CORPUS_CSV_HEADER,
 };
 use ftes::explore::{
     run_suite_streaming, suite_to_json, CertifyVerdict, PointOutcome, SuiteConfig, SuiteOutcome,
@@ -113,15 +115,18 @@ pub struct CorpusDriveOutcome {
 
 /// Runs the corpus jobs not already covered by `completed` (a prefix of
 /// earlier results, matched by spec name) with `workers` bounded threads,
-/// delivering each *new* row through `on_row` with its **global** job
-/// index. Cancellation is observed at row boundaries; rows delivered
-/// before the flag was observed stay delivered.
+/// the calling thread included, delivering each *new* row through
+/// `on_row` with its **global** job index. Cancellation is observed at row
+/// boundaries; rows delivered before the flag was observed stay
+/// delivered.
 ///
 /// # Errors
 ///
 /// [`JobInterrupt::Failed`] when `completed` is not a prefix of the
 /// corpus (resuming foreign state would silently corrupt the report);
-/// [`JobInterrupt::Cancelled`] when the cancel flag stopped the run.
+/// [`JobInterrupt::Cancelled`] when the cancel flag stopped the run short
+/// of its last row (a flag set after the last row was delivered cancels
+/// nothing).
 pub fn drive_corpus<F>(
     all: &[CorpusJob],
     workers: usize,
@@ -150,7 +155,7 @@ where
     let skip = completed.len();
     let config = CorpusRunConfig { workers, ..CorpusRunConfig::default() };
     let (outcome, cancelled) =
-        run_corpus_cancellable(&all[skip..], &config, Some(cancel), |i, row| on_row(skip + i, row));
+        run_corpus(&all[skip..], &config, Some(cancel), |i, row| on_row(skip + i, row));
     if cancelled {
         return Err(JobInterrupt::Cancelled);
     }
@@ -187,8 +192,10 @@ pub fn corpus_result_json(rows: &[CorpusRow]) -> String {
 ///
 /// # Errors
 ///
-/// [`JobInterrupt::Cancelled`] when the cancel flag stopped the sweep;
-/// [`JobInterrupt::Failed`] with the first point error in grid order.
+/// [`JobInterrupt::Cancelled`] when the cancel flag stopped the sweep
+/// short of its last point (as for [`drive_corpus`], a flag set after the
+/// last row cancels nothing); [`JobInterrupt::Failed`] with the first
+/// point error in grid order.
 pub fn drive_suite<F>(
     config: &SuiteConfig,
     watermark: usize,
@@ -371,6 +378,33 @@ mod tests {
         assert_eq!(err, JobInterrupt::Cancelled);
         let req = JobRequest::Synthesize { spec: jobs[0].text.clone() };
         assert_eq!(execute_request(&req, &[], &cancel, |_, _| {}), Err(JobInterrupt::Cancelled));
+    }
+
+    #[test]
+    fn a_cancel_from_the_last_row_cancels_nothing() {
+        // The flag lands after every row was delivered: both drivers
+        // complete, because a run is cancelled exactly when its delivered
+        // prefix is short.
+        let jobs = vec![tiny_job("a.ftes", 300), tiny_job("b.ftes", 301)];
+        let cancel = AtomicBool::new(false);
+        let outcome = drive_corpus(&jobs, 1, &[], &cancel, |i, _| {
+            if i + 1 == jobs.len() {
+                cancel.store(true, Ordering::Release);
+            }
+        })
+        .expect("a corpus whose last row was delivered completes");
+        assert_eq!(outcome.rows.len(), jobs.len());
+
+        let config = parse_explore_request("processes=8 nodes=2 k=1 rounds=2 iters=4").unwrap();
+        let cancel = AtomicBool::new(false);
+        let last = config.points.len() - 1;
+        let outcome = drive_suite(&config, 0, &cancel, |i, _| {
+            if i == last {
+                cancel.store(true, Ordering::Release);
+            }
+        })
+        .expect("a suite whose last row was delivered completes");
+        assert_eq!(outcome.points.len(), config.points.len());
     }
 
     #[test]

@@ -44,6 +44,7 @@ mod ids;
 pub mod json;
 mod mapping;
 mod merge;
+pub mod par;
 pub mod samples;
 pub mod stats;
 mod time;

@@ -19,7 +19,7 @@
 
 use crate::{EventKind, TraceEvent};
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -41,7 +41,8 @@ const EMPTY_SLOT: Slot = Slot { kind: EventKind::Count, name: "", value: 0, ts_n
 
 /// A single thread's event buffer. Shared as `Arc`: the owning thread's
 /// TLS keeps one reference for pushing, the registry keeps another so the
-/// buffer can still be drained after the thread exits.
+/// buffer can still be drained after the thread exits (the first drain
+/// after that releases it).
 struct ThreadBuffer {
     slots: Box<[UnsafeCell<Slot>]>,
     /// Producer index; monotonically increasing, wrapped by `% CAPACITY`
@@ -115,11 +116,15 @@ impl ThreadBuffer {
     }
 }
 
-/// All buffers ever registered. Buffers of exited threads stay (cheap,
-/// bounded by the process's peak thread count) so their tail events are
-/// still drained.
+/// The buffers of live threads, plus those of exited threads until their
+/// tail events are drained: [`drain_all`] releases a buffer once its
+/// thread is gone, so a drain leaves buffers only for threads still
+/// running.
 static REGISTRY: Mutex<Vec<Arc<ThreadBuffer>>> = Mutex::new(Vec::new());
 static NEXT_TID: AtomicU32 = AtomicU32::new(1);
+/// Drops counted by buffers already released, so [`dropped_total`] never
+/// goes backwards.
+static RELEASED_DROPS: AtomicU64 = AtomicU64::new(0);
 
 /// The process-wide trace epoch: all timestamps are nanoseconds since the
 /// first recorded event.
@@ -146,20 +151,32 @@ pub(crate) fn push(kind: EventKind, name: &'static str, value: u64) {
     let _ = LOCAL.try_with(|buf| buf.push(kind, name, value));
 }
 
-/// Drains every registered buffer (destructive, exactly-once delivery).
+/// Drains every registered buffer (destructive, exactly-once delivery)
+/// and releases the buffers of exited threads.
 pub(crate) fn drain_all() -> Vec<TraceEvent> {
-    let registry = REGISTRY.lock().expect("obs registry poisoned");
+    let mut registry = REGISTRY.lock().expect("obs registry poisoned");
     let mut out = Vec::new();
-    for buf in registry.iter() {
+    registry.retain(|buf| {
+        // The registry's reference is the last one once the thread's TLS
+        // is gone; checked before the drain, so nothing is pushed after.
+        let exited = Arc::strong_count(buf) == 1;
+        if exited {
+            // Pairs with the TLS drop's release decrement: the thread's
+            // last pushes and drops are visible from here on.
+            fence(Ordering::Acquire);
+            RELEASED_DROPS.fetch_add(buf.dropped.load(Ordering::Relaxed), Ordering::Relaxed);
+        }
         buf.drain_into(&mut out);
-    }
+        !exited
+    });
     out
 }
 
 /// Total events dropped to full buffers, across all threads.
 pub(crate) fn dropped_total() -> u64 {
     let registry = REGISTRY.lock().expect("obs registry poisoned");
-    registry.iter().map(|b| b.dropped.load(Ordering::Relaxed)).sum()
+    let live: u64 = registry.iter().map(|b| b.dropped.load(Ordering::Relaxed)).sum();
+    live + RELEASED_DROPS.load(Ordering::Relaxed)
 }
 
 #[cfg(test)]
@@ -182,6 +199,33 @@ mod tests {
         buf.drain_into(&mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].name, "y");
+    }
+
+    #[test]
+    fn exited_threads_rings_are_drained_then_released() {
+        let _g = crate::tests::GATE.lock().unwrap();
+        let _ = drain_all();
+        let before = dropped_total();
+        // Spawned, not scoped: a joined spawned thread's TLS is gone.
+        let handles: Vec<_> = (0..3)
+            .map(|_| {
+                std::thread::spawn(|| {
+                    for i in 0..CAPACITY + 5 {
+                        push(EventKind::Count, "ring_release", i as u64);
+                    }
+                    LOCAL.with(|buf| buf.tid)
+                })
+            })
+            .collect();
+        let tids: Vec<u32> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        let events = drain_all();
+        for tid in &tids {
+            assert_eq!(events.iter().filter(|e| e.tid == *tid).count(), CAPACITY);
+        }
+        let registry = REGISTRY.lock().unwrap();
+        assert!(registry.iter().all(|buf| !tids.contains(&buf.tid)), "exited rings released");
+        drop(registry);
+        assert_eq!(dropped_total() - before, 3 * 5, "released rings keep their drops");
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! The load harness: a multi-threaded closed-loop client for the service.
 //!
-//! `clients` threads each own a deterministic slice of the request mix
-//! (request `i` goes to client `i % clients`, spec `i % specs.len()`), open
-//! one connection per request, and record status + latency. The default
-//! mix repeats two *equivalent* specs — the Fig. 5 document verbatim and a
-//! reformatted twin — so a healthy run both exercises concurrency and
-//! demonstrates canonical-key cache hits.
+//! `clients` threads (the calling thread is one) claim requests in index
+//! order, send request `i` with spec `i % specs.len()` over one connection
+//! per request, and record status + latency. The default mix repeats two
+//! *equivalent* specs — the Fig. 5 document verbatim and a reformatted
+//! twin — so a healthy run both exercises concurrency and demonstrates
+//! canonical-key cache hits.
 //!
 //! `429` responses are not hard failures: the harness honors the server's
 //! `Retry-After` header with bounded backoff and counts the retries, so an
@@ -16,10 +16,12 @@
 //! alongside the synchronous mix.
 
 use crate::http::reason_phrase;
+use ftes::model::par::ordered_parallel;
 use ftes::spec::FIG5_SPEC;
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
 
 /// Maximum resubmission attempts after a `429` before the request counts
@@ -34,7 +36,7 @@ const MAX_BACKOFF: Duration = Duration::from_secs(2);
 pub struct LoadConfig {
     /// Server address, e.g. `127.0.0.1:8080`.
     pub addr: String,
-    /// Concurrent client threads.
+    /// Concurrent client threads, the calling thread included.
     pub clients: usize,
     /// Total requests across all clients.
     pub requests: usize,
@@ -214,27 +216,12 @@ pub fn run_load(config: &LoadConfig) -> Result<LoadReport, String> {
     }
     let before = scrape_metrics(&config.addr, config.timeout);
     let started = Instant::now();
-    let results: Vec<(u16, u64, usize)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..config.clients)
-            .map(|client| {
-                let config = &config;
-                scope.spawn(move || {
-                    let mut out = Vec::new();
-                    let mut i = client;
-                    while i < config.requests {
-                        let spec = &config.specs[i % config.specs.len()];
-                        let t0 = Instant::now();
-                        // Transport failures record as status 0.
-                        let (status, retries) =
-                            post_synthesize(&config.addr, spec, config.timeout).unwrap_or((0, 0));
-                        out.push((status, t0.elapsed().as_micros() as u64, retries));
-                        i += config.clients;
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles.into_iter().flat_map(|h| h.join().expect("load client panicked")).collect()
+    let results: Vec<(u16, u64, usize)> = fan_out(config, config.requests, |spec| {
+        let t0 = Instant::now();
+        // Transport failures record as status 0.
+        let (status, retries) =
+            post_synthesize(&config.addr, spec, config.timeout).unwrap_or((0, 0));
+        (status, t0.elapsed().as_micros() as u64, retries)
     });
 
     let jobs = if config.jobs_requests > 0 { Some(run_jobs_slice(config)) } else { None };
@@ -362,27 +349,35 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
     sorted[rank - 1]
 }
 
+/// Runs `requests` requests on `config.clients` client threads (the
+/// calling thread is one): clients claim request indices in order, and
+/// request `i` sends spec `i % specs.len()`. Results come back in request
+/// order.
+fn fan_out<T: Send>(
+    config: &LoadConfig,
+    requests: usize,
+    send: impl Fn(&str) -> T + Sync,
+) -> Vec<T> {
+    let mut out = Vec::with_capacity(requests);
+    ordered_parallel(
+        requests,
+        config.clients,
+        None,
+        |i| send(&config.specs[i % config.specs.len()]),
+        |_, result| {
+            out.push(result);
+            ControlFlow::Continue(())
+        },
+    );
+    out
+}
+
 /// The asynchronous slice of a load run: submit `jobs_requests` synthesis
-/// jobs (same client-thread slicing as the synchronous mix), poll each to
-/// a terminal state, record submit-to-terminal latency.
+/// jobs (claimed by the same client threads as the synchronous mix), poll
+/// each to a terminal state, record submit-to-terminal latency.
 fn run_jobs_slice(config: &LoadConfig) -> JobsReport {
-    let outcomes: Vec<Option<(bool, u64)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..config.clients)
-            .map(|client| {
-                let config = &config;
-                scope.spawn(move || {
-                    let mut out = Vec::new();
-                    let mut i = client;
-                    while i < config.jobs_requests {
-                        let spec = &config.specs[i % config.specs.len()];
-                        out.push(submit_and_await(&config.addr, spec, config.timeout));
-                        i += config.clients;
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles.into_iter().flat_map(|h| h.join().expect("load client panicked")).collect()
+    let outcomes: Vec<Option<(bool, u64)>> = fan_out(config, config.jobs_requests, |spec| {
+        submit_and_await(&config.addr, spec, config.timeout)
     });
     let submitted = outcomes.iter().filter(|o| o.is_some()).count();
     let completed = outcomes.iter().filter(|o| matches!(o, Some((true, _)))).count();

@@ -92,7 +92,7 @@ fn corpus_run_csv_is_byte_identical_across_worker_counts() {
     };
     let render = |workers: usize| {
         let mut csv = format!("{CORPUS_CSV_HEADER}\n");
-        let outcome = run_corpus(&jobs, &CorpusRunConfig { workers, flow }, |_, row| {
+        let (outcome, _) = run_corpus(&jobs, &CorpusRunConfig { workers, flow }, None, |_, row| {
             csv.push_str(&row.to_csv());
             csv.push('\n');
         });
