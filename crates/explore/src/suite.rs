@@ -342,7 +342,12 @@ fn run_point(
         threads,
         ..config.portfolio.clone()
     };
-    let exploration = explore(&app, &platform, point.k, &portfolio)?;
+    // The search phase is one span on the point's thread; it closes before
+    // the post-hoc certifications, whose spans stay roots.
+    let exploration = {
+        let _span = ftes_obs::span(ftes_obs::names::OPTIMIZE);
+        explore(&app, &platform, point.k, &portfolio)?
+    };
     let walk = certify_and_demote(config, &app, &platform, point, &exploration)?;
     let reported = &walk.reported;
 

@@ -30,6 +30,54 @@
 //!   replica fault conditions do not escape to downstream guards (the
 //!   scheduler bounds the join time adversarially), which keeps replication
 //!   a fault-containment boundary, consistent with §3.2/§3.3.
+//!
+//! # Size bound
+//!
+//! Every entry point ([`build_ftcpg`], [`build_ftcpg_anchored`],
+//! [`CpgAnchor::rebuild`]) first computes a cheap lower bound on the node
+//! count (`node_lower_bound`) and answers [`CpgError::GraphTooLarge`]
+//! without building when it exceeds [`BuildConfig::node_limit`]. The bound
+//! counts contexts by fault count instead of materializing guards, and
+//! reads no mapping:
+//!
+//! * Per message `m` it keeps a histogram `h_m[0..=k]` of the output
+//!   contexts by fault count, and the set `S_m` of processes whose
+//!   conditions can appear in their guards.
+//! * A process's arrivals start at `A = [1, 0, …]`, `S = ∅` and fold each
+//!   predecessor message: `A` becomes the convolution `A ∗ h_m` truncated
+//!   at `k` when `S ∩ S_m = ∅`, else the elementwise `max(A, h_m)`; then
+//!   `S ∪= S_m`.
+//! * A frozen process adds its sync node and resets `A` and `S`.
+//! * A single copy with `R` recoveries unrolls `min(R+1, k−f+1)` attempts
+//!   per arrival at `f`, with one output at each fault count
+//!   `f … f+len−1`, and joins `S`. A replicated process adds
+//!   `1 + Σ_j min(R_j+1, k−f+1)` nodes (the chains and the join) per
+//!   arrival at `f`, with one output at `f`; `S` is unchanged, because
+//!   replica conditions do not escape the join.
+//! * Each outgoing message adds one node per output and passes the outputs
+//!   on as `h_m`, with `S_m = S`. A frozen message adds its sync node and
+//!   passes `[1, 0, …]` and `∅`.
+//!
+//! **Why it is sound.** Given a process's arrival histogram, the count of
+//! its copies, joins, outputs and messages above is the builder's exact
+//! one, and it grows with the histogram; so the bound is a lower bound as
+//! long as every arrival histogram is. Contexts joined over disjoint
+//! condition sets are always consistent, so the convolution counts their
+//! conjunctions exactly. Otherwise take any context `c` on either side and
+//! the scenario in which exactly `c`'s faults occur: the other side's
+//! context in that scenario has its faults among `c`'s, so `c` extends to
+//! an arrival context with `c`'s fault count, and distinct contexts of one
+//! side, being mutually exclusive, extend to distinct arrival contexts. So
+//! the max never exceeds the true count. Debug builds assert
+//! `bound <= node_count` after every successful build.
+//!
+//! **Feasibility.** The bound answers only when every copy the build would
+//! place is feasible: its copy-mapping entry exists, the process has a
+//! WCET on that node and its recovery scheme is valid. After the policy
+//! and transparency checks, `GraphTooLarge` is then the only error the
+//! build could return, so answering it early changes no result. Otherwise
+//! the bound declines and the build decides: a malformed copy row panics
+//! or errors exactly where it would without the bound.
 
 use crate::{
     CopyMapping, CpgEdge, CpgError, CpgNode, CpgNodeId, CpgNodeKind, FtCpg, Guard, Literal,
@@ -42,7 +90,9 @@ use ftes_model::{Application, FaultModel, MessageId, ProcessId, Time, Transparen
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BuildConfig {
     /// Hard cap on the number of FT-CPG nodes; construction fails with
-    /// [`CpgError::GraphTooLarge`] beyond it. The exact conditional
+    /// [`CpgError::GraphTooLarge`] beyond it. A configuration whose size
+    /// lower bound already exceeds the cap gets that error without being
+    /// built (see the builder's size bound). The exact conditional
     /// scheduler is meant for small/medium instances — large instances use
     /// the estimator in `ftes-sched`.
     pub node_limit: usize,
@@ -97,7 +147,10 @@ pub fn build_ftcpg(
 ) -> Result<FtCpg, CpgError> {
     policies.validate(fault_model.k())?;
     transparency.validate(app)?;
-    Ok(fresh_builder(app, policies, copies, fault_model.k(), transparency, config).run(0)?.graph)
+    let bound = check_size(app, policies, copies, fault_model.k(), transparency, config)?;
+    Ok(fresh_builder(app, policies, copies, fault_model.k(), transparency, config)
+        .run(0, bound)?
+        .graph)
 }
 
 /// Builds the FT-CPG like [`build_ftcpg`] and additionally returns a
@@ -118,8 +171,9 @@ pub fn build_ftcpg_anchored(
 ) -> Result<(FtCpg, CpgAnchor), CpgError> {
     policies.validate(fault_model.k())?;
     transparency.validate(app)?;
-    let parts =
-        fresh_builder(app, policies, copies, fault_model.k(), transparency, config).run(0)?;
+    let bound = check_size(app, policies, copies, fault_model.k(), transparency, config)?;
+    let parts = fresh_builder(app, policies, copies, fault_model.k(), transparency, config)
+        .run(0, bound)?;
     let anchor = CpgAnchor {
         graph: parts.graph.clone(),
         copies: copies.clone(),
@@ -265,6 +319,7 @@ impl CpgAnchor {
             };
             return Ok((self.graph.clone(), stats));
         }
+        let bound = check_size(app, policies, copies, fault_model.k(), transparency, config)?;
         let cp = self.checkpoints[first];
         let cut_edges = |lists: &[Vec<usize>]| -> Vec<Vec<usize>> {
             lists
@@ -317,7 +372,7 @@ impl CpgAnchor {
             checkpoints: self.checkpoints[..first].to_vec(),
             join: ArrivalJoin::default(),
         }
-        .run(first)?;
+        .run(first, bound)?;
         let stats =
             RebuildStats { total_positions: n, reused_positions: first, reused_nodes: cp.nodes };
         self.graph = parts.graph.clone();
@@ -329,6 +384,140 @@ impl CpgAnchor {
         self.message_variant = parts.message_variant;
         Ok((parts.graph, stats))
     }
+}
+
+/// Answers [`CpgError::GraphTooLarge`] when the size bound exceeds the
+/// node limit; otherwise returns the bound, when it answered, for the
+/// post-build check.
+fn check_size(
+    app: &Application,
+    policies: &PolicyAssignment,
+    copies: &CopyMapping,
+    k: u32,
+    transparency: &Transparency,
+    config: BuildConfig,
+) -> Result<Option<u64>, CpgError> {
+    match node_lower_bound(app, policies, copies, k, transparency, config.node_limit) {
+        Some(bound) if bound > config.node_limit as u64 => {
+            Err(CpgError::GraphTooLarge { limit: config.node_limit })
+        }
+        bound => Ok(bound),
+    }
+}
+
+/// Fault counts the size bound tracks. Contexts with more faults are left
+/// out, which keeps it a lower bound; a fault budget that large makes any
+/// single-copy chain longer than a practical node limit anyway.
+const BOUND_MAX_FAULTS: usize = 64;
+
+/// The module doc's size bound: a lower bound on the node count of the
+/// graph the builder would build, or `None` when some copy the build would
+/// place is infeasible (the build then decides). Counting stops once the
+/// total passes `stop_above`; the value returned then only exceeds it.
+fn node_lower_bound(
+    app: &Application,
+    policies: &PolicyAssignment,
+    copies: &CopyMapping,
+    k: u32,
+    transparency: &Transparency,
+    stop_above: usize,
+) -> Option<u64> {
+    let mut rows = policies.iter();
+    let feasible = app.processes().all(|(pid, proc)| {
+        rows.next().is_some_and(|(_, policy)| {
+            (0..policy.copies().len()).all(|copy| {
+                copies
+                    .get(pid, copy)
+                    .and_then(|node| proc.wcet_on(node))
+                    .is_some_and(|wcet| RecoveryScheme::for_process(proc, wcet).is_ok())
+            })
+        })
+    });
+    if !feasible {
+        return None;
+    }
+    let width = (k as usize).min(BOUND_MAX_FAULTS) + 1;
+    let words = app.process_count().div_ceil(64);
+    // Per message: its output histogram and its condition processes.
+    let mut hists = vec![0u64; app.message_count() * width];
+    let mut sets = vec![0u64; app.message_count() * words];
+    let (mut arrivals, mut joined, mut outputs) =
+        (vec![0u64; width], vec![0u64; width], vec![0u64; width]);
+    let mut set = vec![0u64; words];
+    let mut total = 0u64;
+    for &pid in app.topological_order() {
+        one_context(&mut arrivals, &mut set);
+        for &(_, mid) in app.predecessors(pid) {
+            let hist = &hists[mid.index() * width..][..width];
+            let conds = &sets[mid.index() * words..][..words];
+            if set.iter().zip(conds).all(|(a, b)| a & b == 0) {
+                joined.fill(0);
+                for (f, &a) in arrivals.iter().enumerate().filter(|&(_, &a)| a > 0) {
+                    for (j, &h) in hist[..width - f].iter().enumerate() {
+                        joined[f + j] = joined[f + j].saturating_add(a.saturating_mul(h));
+                    }
+                }
+                std::mem::swap(&mut arrivals, &mut joined);
+            } else {
+                for (a, &h) in arrivals.iter_mut().zip(hist) {
+                    *a = (*a).max(h);
+                }
+            }
+            for (s, &c) in set.iter_mut().zip(conds) {
+                *s |= c;
+            }
+        }
+        if transparency.is_process_frozen(pid) {
+            total = total.saturating_add(1);
+            one_context(&mut arrivals, &mut set);
+        }
+        let plans = policies.policy(pid).copies();
+        outputs.fill(0);
+        for (f, &a) in arrivals.iter().enumerate().filter(|&(_, &a)| a > 0) {
+            // Attempts of a copy with `r` recoveries in an arrival at `f`.
+            let attempts = |r: u32| u64::from(r.min(k - f as u32)) + 1;
+            if let [plan] = plans {
+                let len = attempts(plan.recoveries);
+                total = total.saturating_add(a.saturating_mul(len));
+                for o in outputs.iter_mut().skip(f).take(len as usize) {
+                    *o = o.saturating_add(a);
+                }
+            } else {
+                let nodes =
+                    plans.iter().fold(1, |n: u64, p| n.saturating_add(attempts(p.recoveries)));
+                total = total.saturating_add(a.saturating_mul(nodes));
+                outputs[f] = outputs[f].saturating_add(a);
+            }
+        }
+        if plans.len() == 1 {
+            set[pid.index() / 64] |= 1 << (pid.index() % 64);
+        }
+        let produced = outputs.iter().fold(0, |t: u64, &o| t.saturating_add(o));
+        for &(_, mid) in app.successors(pid) {
+            let hist = &mut hists[mid.index() * width..][..width];
+            let conds = &mut sets[mid.index() * words..][..words];
+            if transparency.is_message_frozen(mid) {
+                total = total.saturating_add(1);
+                one_context(hist, conds);
+            } else {
+                total = total.saturating_add(produced);
+                hist.copy_from_slice(&outputs);
+                conds.copy_from_slice(&set);
+            }
+        }
+        if total > stop_above as u64 {
+            break;
+        }
+    }
+    Some(total)
+}
+
+/// Resets a histogram and condition set to one fault-free context over no
+/// conditions.
+fn one_context(hist: &mut [u64], set: &mut [u64]) {
+    hist.fill(0);
+    hist[0] = 1;
+    set.fill(0);
 }
 
 /// One "output becomes available" event: scenario guard, producing node and
@@ -544,12 +733,20 @@ struct BuiltParts {
 }
 
 impl Builder<'_> {
-    fn run(mut self, start: usize) -> Result<BuiltParts, CpgError> {
+    /// Builds every topological position from `start` on; `bound` is the
+    /// size bound the entry point computed, checked against the result in
+    /// debug builds.
+    fn run(mut self, start: usize, bound: Option<u64>) -> Result<BuiltParts, CpgError> {
         let order = self.app.topological_order();
         for &pid in &order[start..] {
             self.step(pid)?;
         }
         debug_assert_eq!(self.graph.check_invariants(), Ok(()));
+        debug_assert!(
+            bound.is_none_or(|b| b <= self.graph.nodes.len() as u64),
+            "size bound {bound:?} above the built node count {}",
+            self.graph.nodes.len()
+        );
         Ok(BuiltParts {
             graph: self.graph,
             checkpoints: self.checkpoints,
@@ -830,7 +1027,7 @@ mod tests {
     use super::*;
     use ftes_ft::Policy;
     use ftes_gen::{generate_application, GeneratorConfig};
-    use ftes_model::{samples, Architecture, Mapping, NodeId};
+    use ftes_model::{samples, Architecture, Mapping, MessageId, NodeId};
     use proptest::prelude::*;
 
     fn fig5_cpg(k: u32) -> (Application, FtCpg) {
@@ -1153,10 +1350,223 @@ mod tests {
         assert_eq!(stats.reused_positions, stats.total_positions);
     }
 
+    /// A generated application (new, chainy or wide by `seed`) on a
+    /// homogeneous architecture, under a mix of re-execution,
+    /// checkpointing, replication and combined policies, with a frozen
+    /// process in a quarter of the seeds and a frozen message in another
+    /// quarter.
+    fn mixed_instance(
+        seed: u64,
+        n: usize,
+        nodes: usize,
+        k: u32,
+    ) -> (Application, Architecture, PolicyAssignment, Transparency) {
+        let config = match seed % 3 {
+            0 => GeneratorConfig::new(n, nodes),
+            1 => GeneratorConfig::chainy(n, nodes),
+            _ => GeneratorConfig::wide(n, nodes),
+        };
+        let app = generate_application(&config, seed).expect("generator config in range");
+        let arch = Architecture::homogeneous(nodes).expect("non-empty architecture");
+        let mut policies = PolicyAssignment::uniform_reexecution(&app, k);
+        for i in 0..n {
+            let policy = match (seed as usize + i) % 5 {
+                0 => Policy::replication(k),
+                1 => Policy::checkpointing(k, 2),
+                2 if k > 0 => {
+                    Policy::from_copies(vec![CopyPlan::reexecuted(k - 1), CopyPlan::plain()])
+                        .expect("non-empty copy list")
+                }
+                _ => Policy::reexecution(k),
+            };
+            policies.set(ProcessId::new(i), policy);
+        }
+        let mut transparency = Transparency::none();
+        if seed.is_multiple_of(4) {
+            transparency.freeze_process(ProcessId::new(seed as usize % n));
+        } else if seed % 4 == 1 && app.message_count() > 0 {
+            transparency.freeze_message(MessageId::new(seed as usize % app.message_count()));
+        }
+        (app, arch, policies, transparency)
+    }
+
+    #[test]
+    fn the_size_bound_is_exact_on_out_trees() {
+        // Every fig3 process has at most one predecessor, so each arrival
+        // join is a convolution with one context and the bound counts the
+        // graph exactly.
+        let (app, arch) = samples::fig3();
+        let mapping = Mapping::cheapest(&app, &arch).unwrap();
+        for k in 0..4 {
+            let mut policies = PolicyAssignment::uniform_reexecution(&app, k);
+            policies.set(ProcessId::new(1), Policy::replication(k));
+            policies.set(ProcessId::new(2), Policy::checkpointing(k, 2));
+            for policies in [PolicyAssignment::uniform_reexecution(&app, k), policies] {
+                let copies = CopyMapping::from_base(&app, &arch, &mapping, &policies).unwrap();
+                let t = Transparency::none();
+                let cpg = build_ftcpg(
+                    &app,
+                    &policies,
+                    &copies,
+                    FaultModel::new(k),
+                    &t,
+                    BuildConfig::default(),
+                )
+                .unwrap();
+                let bound = node_lower_bound(&app, &policies, &copies, k, &t, usize::MAX);
+                assert_eq!(bound, Some(cpg.node_count() as u64), "k = {k}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn a_short_copy_row_is_left_to_the_build() {
+        // Copies placed for one copy per process, built under a policy that
+        // replicates the first process: its replica rows are missing.
+        let (app, arch) = samples::fig3();
+        let mapping = Mapping::cheapest(&app, &arch).unwrap();
+        let single = PolicyAssignment::uniform_reexecution(&app, 2);
+        let copies = CopyMapping::from_base(&app, &arch, &mapping, &single).unwrap();
+        let mut policies = single.clone();
+        policies.set(app.topological_order()[0], Policy::replication(2));
+        let t = Transparency::none();
+        assert_eq!(node_lower_bound(&app, &policies, &copies, 2, &t, usize::MAX), None);
+        // The bound declines, so the build decides: it places the original
+        // within the one-node limit and panics at the missing replica
+        // entry, instead of answering `GraphTooLarge`.
+        let _ = build_ftcpg(
+            &app,
+            &policies,
+            &copies,
+            FaultModel::new(2),
+            &t,
+            BuildConfig { node_limit: 1 },
+        );
+    }
+
+    #[test]
+    fn an_infeasible_copy_is_left_to_the_build() {
+        // P3 has no WCET on N2: the bound declines and the build reports the
+        // infeasible copy it reaches before the node limit (the whole graph
+        // has 53 nodes).
+        let (app, arch) = samples::fig3();
+        let mapping = Mapping::cheapest(&app, &arch).unwrap();
+        let policies = PolicyAssignment::uniform_reexecution(&app, 2);
+        let mut copies = CopyMapping::from_base(&app, &arch, &mapping, &policies).unwrap();
+        let p3 = ProcessId::new(2);
+        copies.overwrite_row(p3, &[NodeId::new(1)]);
+        let t = Transparency::none();
+        assert_eq!(node_lower_bound(&app, &policies, &copies, 2, &t, usize::MAX), None);
+        let err = build_ftcpg(
+            &app,
+            &policies,
+            &copies,
+            FaultModel::new(2),
+            &t,
+            BuildConfig { node_limit: 40 },
+        )
+        .unwrap_err();
+        assert_eq!(err, CpgError::InfeasibleCopyMapping(p3, NodeId::new(1)));
+    }
+
     proptest! {
+        /// The size bound never exceeds the built node count, and with the
+        /// node limit just below the bound every entry point answers
+        /// `GraphTooLarge` (a rebuild leaving its anchor as it was), on
+        /// random applications under mixed policies with frozen processes
+        /// and messages.
+        #[test]
+        fn the_size_bound_is_sound_and_answers_over_budget(
+            seed in 0u64..1000,
+            n in 4usize..30,
+            nodes in 2usize..4,
+            k in 0u32..6,
+        ) {
+            let (app, arch, policies, t) = mixed_instance(seed, n, nodes, k);
+            let mapping = Mapping::cheapest(&app, &arch).expect("generated apps are mappable");
+            let copies = CopyMapping::from_base(&app, &arch, &mapping, &policies)
+                .expect("placement on a homogeneous architecture is feasible");
+            let fm = FaultModel::new(k);
+            let bound = node_lower_bound(&app, &policies, &copies, k, &t, usize::MAX)
+                .expect("every copy is feasible");
+            let built = build_ftcpg(&app, &policies, &copies, fm, &t, BuildConfig {
+                node_limit: 20_000,
+            });
+            match built {
+                Ok(cpg) => prop_assert!(bound <= cpg.node_count() as u64),
+                Err(e) => prop_assert_eq!(e, CpgError::GraphTooLarge { limit: 20_000 }),
+            }
+
+            let limit = (bound - 1) as usize;
+            let tight = BuildConfig { node_limit: limit };
+            let over = CpgError::GraphTooLarge { limit };
+            prop_assert_eq!(build_ftcpg(&app, &policies, &copies, fm, &t, tight), Err(over.clone()));
+            prop_assert_eq!(
+                build_ftcpg_anchored(&app, &policies, &copies, fm, &t, tight).map(|(g, _)| g),
+                Err(over.clone())
+            );
+            // Anchor on all-replication placements where they fit the limit.
+            let light = PolicyAssignment::uniform_replication(&app, k);
+            let light_copies = CopyMapping::from_base(&app, &arch, &mapping, &light)
+                .expect("placement on a homogeneous architecture is feasible");
+            if let Ok((anchored, mut anchor)) =
+                build_ftcpg_anchored(&app, &light, &light_copies, fm, &t, tight)
+            {
+                prop_assert_eq!(
+                    anchor.rebuild(&app, &policies, &copies, fm, &t, tight).map(|(g, _)| g),
+                    Err(over)
+                );
+                prop_assert_eq!(anchor.graph(), &anchored);
+                let (back, _) = anchor
+                    .rebuild(&app, &light, &light_copies, fm, &t, tight)
+                    .expect("the anchored configuration fits");
+                prop_assert_eq!(back, anchored);
+            }
+        }
+
+        /// Remapping processes under fixed policies changes durations and
+        /// locations only: the node count and every node's guard stay.
+        #[test]
+        fn remapping_keeps_every_guard(
+            seed in 0u64..1000,
+            n in 4usize..30,
+            nodes in 2usize..4,
+            k in 0u32..6,
+            picks in proptest::collection::vec(0usize..16, 30),
+        ) {
+            let (app, arch, policies, t) = mixed_instance(seed, n, nodes, k);
+            let cheapest = Mapping::cheapest(&app, &arch).expect("generated apps are mappable");
+            let remapped: Vec<NodeId> = app
+                .processes()
+                .map(|(pid, proc)| {
+                    let candidates: Vec<NodeId> = proc.candidate_nodes().collect();
+                    candidates[picks[pid.index()] % candidates.len()]
+                })
+                .collect();
+            let remapped = Mapping::new(&app, &arch, remapped).expect("candidate nodes are feasible");
+            let build = |mapping: &Mapping| {
+                let copies = CopyMapping::from_base(&app, &arch, mapping, &policies)
+                    .expect("placement on a homogeneous architecture is feasible");
+                build_ftcpg(&app, &policies, &copies, FaultModel::new(k), &t, BuildConfig {
+                    node_limit: 20_000,
+                })
+            };
+            match (build(&cheapest), build(&remapped)) {
+                (Ok(a), Ok(b)) => {
+                    prop_assert_eq!(a.node_count(), b.node_count());
+                    for ((_, x), (_, y)) in a.iter().zip(b.iter()) {
+                        prop_assert_eq!(&x.guard, &y.guard);
+                    }
+                }
+                (a, b) => prop_assert_eq!(a.map(|g| g.node_count()), b.map(|g| g.node_count())),
+            }
+        }
+
         /// The trie join returns the nested loop's contexts in the nested
         /// loop's order, on the arrival and output lists met while building
-        /// random applications under mixed policies and frozen processes.
+        /// random applications under mixed policies with frozen processes
+        /// and messages.
         #[test]
         fn trie_join_equals_the_nested_loop(
             seed in 0u64..1000,
@@ -1164,32 +1574,8 @@ mod tests {
             nodes in 2usize..4,
             k in 0u32..6,
         ) {
-            let config = match seed % 3 {
-                0 => GeneratorConfig::new(n, nodes),
-                1 => GeneratorConfig::chainy(n, nodes),
-                _ => GeneratorConfig::wide(n, nodes),
-            };
-            let app = generate_application(&config, seed).expect("generator config in range");
-            let arch = Architecture::homogeneous(nodes).expect("non-empty architecture");
+            let (app, arch, policies, transparency) = mixed_instance(seed, n, nodes, k);
             let mapping = Mapping::cheapest(&app, &arch).expect("generated apps are mappable");
-            let mut policies = PolicyAssignment::uniform_reexecution(&app, k);
-            for i in 0..n {
-                let policy = match (seed as usize + i) % 5 {
-                    0 => Policy::replication(k),
-                    1 => Policy::checkpointing(k, 2),
-                    2 if k > 0 => Policy::from_copies(vec![
-                        CopyPlan::reexecuted(k - 1),
-                        CopyPlan::plain(),
-                    ])
-                    .expect("non-empty copy list"),
-                    _ => Policy::reexecution(k),
-                };
-                policies.set(ProcessId::new(i), policy);
-            }
-            let mut transparency = Transparency::none();
-            if seed % 4 == 0 {
-                transparency.freeze_process(ProcessId::new(seed as usize % n));
-            }
             let copies = CopyMapping::from_base(&app, &arch, &mapping, &policies)
                 .expect("placement on a homogeneous architecture is feasible");
             let mut builder = fresh_builder(

@@ -120,6 +120,12 @@ impl CopyMapping {
         self.rows[p.index()][copy]
     }
 
+    /// Node of copy `copy` of process `p`, or `None` where the row or the
+    /// entry is missing.
+    pub(crate) fn get(&self, p: ProcessId, copy: usize) -> Option<NodeId> {
+        self.rows.get(p.index())?.get(copy).copied()
+    }
+
     /// Overwrites process `p`'s row in place (change sets write and revert
     /// through this; the caller keeps the row valid).
     pub(crate) fn overwrite_row(&mut self, p: ProcessId, row: &[NodeId]) {

@@ -18,11 +18,13 @@
 pub const PARSE: &str = "parse";
 /// The whole synthesis flow for one spec (search + certification).
 pub const SYNTHESIZE: &str = "synthesize";
-/// Design-space search (tabu / anneal / greedy portfolio member).
+/// Design-space search: the flow's search phase, or one explore point's
+/// portfolio search.
 pub const OPTIMIZE: &str = "optimize";
 /// One exact certification of a candidate (memoized; see `certify.memo_hit`).
 pub const CERTIFY: &str = "certify";
-/// FT-CPG construction inside an uncached certification.
+/// FT-CPG construction (or the size bound that answers an over-budget
+/// graph without building it).
 pub const CPG: &str = "cpg";
 /// Exact conditional scheduling of the built FT-CPG.
 pub const SCHEDULE: &str = "schedule";

@@ -514,6 +514,17 @@ impl Certifier {
         })
     }
 
+    /// The memoized verdict of a configuration, if any, without counting a
+    /// request: the flow reads it to skip rebuilding a winner whose graph
+    /// the certifier already found over the size budget.
+    pub fn memoized(
+        &self,
+        copies: &CopyMapping,
+        policies: &PolicyAssignment,
+    ) -> Option<CertOutcome> {
+        self.verdicts.get(&config_key(&self.app, copies, policies)).copied()
+    }
+
     /// Takes the FT-CPG and exact schedule of the most recent certification
     /// if it was for exactly this configuration — the flow uses this to
     /// avoid rebuilding the winner's graph for table generation.
@@ -687,6 +698,10 @@ mod tests {
         (app, platform, copies, policies)
     }
 
+    /// Serializes the tests that switch tracing on and drain it: a drain
+    /// takes every thread's events.
+    static TRACING: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     fn certifier(app: &Application, platform: &Platform, k: u32, cfg: CertifyConfig) -> Certifier {
         Certifier::new(app, platform, FaultModel::new(k), &Transparency::none(), cfg)
     }
@@ -732,6 +747,7 @@ mod tests {
         let (app, platform, copies, policies) = fig3_instance(2);
         let cfg = CertifyConfig { cpg: BuildConfig { node_limit: 2 }, ..CertifyConfig::default() };
         let mut c = certifier(&app, &platform, 2, cfg);
+        let _tracing = TRACING.lock().unwrap_or_else(|e| e.into_inner());
         ftes_obs::set_enabled(true);
         assert_eq!(c.certify(&copies, &policies).unwrap(), CertOutcome::OverBudget);
         assert_eq!(c.stats().graph_too_large, 1);
@@ -744,6 +760,51 @@ mod tests {
         let me = std::thread::current().name().map(str::to_owned).unwrap_or_default();
         let mine: Vec<_> = ftes_obs::drain().into_iter().filter(|e| e.thread_name == me).collect();
         assert_eq!(ftes_obs::totals(&mine).get(ftes_obs::names::CERTIFY_OVERBUDGET), Some(&1));
+    }
+
+    #[test]
+    fn a_graph_the_size_bound_proves_over_budget_is_never_built() {
+        // fig3 is an out-tree, so the FT-CPG size bound is its exact node
+        // count: 24 nodes under uniform replication, 53 under uniform
+        // re-execution, 23 with P5 re-executed. A 40-node budget makes the
+        // bound answer the second configuration without a build.
+        let (app, platform, copies, policies) = fig3_instance(2);
+        let arch = platform.architecture();
+        let mapping = Mapping::cheapest(&app, arch).unwrap();
+        let replicated = PolicyAssignment::uniform_replication(&app, 2);
+        let replicated_copies = CopyMapping::from_base(&app, arch, &mapping, &replicated).unwrap();
+        let cfg = CertifyConfig { cpg: BuildConfig { node_limit: 40 }, ..CertifyConfig::default() };
+        let mut c = certifier(&app, &platform, 2, cfg);
+        assert!(c.certify(&replicated_copies, &replicated).unwrap().exact_len().is_some());
+        let anchored = c.anchor.as_ref().expect("an in-budget build anchors").graph().clone();
+
+        let tracing = TRACING.lock().unwrap_or_else(|e| e.into_inner());
+        ftes_obs::set_enabled(true);
+        assert_eq!(c.certify(&copies, &policies).unwrap(), CertOutcome::OverBudget);
+        assert_eq!(c.stats().graph_too_large, 1);
+        assert_eq!(c.anchor.as_ref().unwrap().graph(), &anchored, "the anchor is left as it was");
+        assert_eq!(c.memoized(&copies, &policies), Some(CertOutcome::OverBudget));
+        assert_eq!(c.certify(&copies, &policies).unwrap(), CertOutcome::OverBudget);
+        assert_eq!((c.stats().cache_hits, c.stats().graph_too_large), (1, 1));
+        ftes_obs::set_enabled(false);
+        let me = std::thread::current().name().map(str::to_owned).unwrap_or_default();
+        let mine: Vec<_> = ftes_obs::drain().into_iter().filter(|e| e.thread_name == me).collect();
+        assert_eq!(ftes_obs::totals(&mine).get(ftes_obs::names::CERTIFY_OVERBUDGET), Some(&1));
+        drop(tracing);
+
+        // A later in-budget delta still equals a fresh certifier.
+        let mut delta = replicated.clone();
+        delta.set(ftes_model::ProcessId::new(4), ftes_ft::Policy::reexecution(2));
+        let delta_copies = CopyMapping::from_base(&app, arch, &mapping, &delta).unwrap();
+        let mut fresh = certifier(&app, &platform, 2, cfg);
+        let verdict = c.certify(&delta_copies, &delta).unwrap();
+        assert!(verdict.exact_len().is_some());
+        assert_eq!(verdict, fresh.certify(&delta_copies, &delta).unwrap());
+        assert_eq!(
+            c.take_artifacts(&delta_copies, &delta),
+            fresh.take_artifacts(&delta_copies, &delta)
+        );
+        assert_eq!(c.stats().incremental_builds, 2);
     }
 
     #[test]
