@@ -21,6 +21,7 @@ use ftes_opt::Move;
 use ftes_sched::Estimate;
 // ftes-lint: allow(determinism) reason="hash-keyed state lookup only; entries are never iterated into results"
 use std::collections::HashMap;
+use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -32,7 +33,7 @@ use std::sync::Mutex;
 /// same design point), totally ordered (used as the deterministic
 /// tie-breaker throughout this crate) and carries a precomputed 64-bit FNV
 /// hash for cheap shard selection and hashing.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct StateKey {
     bytes: Vec<u8>,
     hash: u64,
@@ -87,6 +88,13 @@ impl StateKey {
     /// The precomputed 64-bit FNV-1a hash of the canonical encoding.
     pub fn hash64(&self) -> u64 {
         self.hash
+    }
+}
+
+// The hash is derived from the bytes, so `Debug` shows the bytes alone.
+impl fmt::Debug for StateKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("StateKey").field("bytes", &self.bytes).finish()
     }
 }
 

@@ -2,23 +2,24 @@
 //!
 //! FNV-1a digests over the `Debug` text of what every search entry point
 //! returns — mapping, policies, copy placement, estimate, objective trace —
-//! and of the evaluator kernel's `EvaluatorStats` afterwards, for a fixed
-//! seeded set of systems: three generator shapes, 2–4 nodes, k 0–3. The
-//! engines covered are `synthesize_with` under MX, MR and MXR,
+//! for a fixed seeded set of systems: three generator shapes, 2–4 nodes,
+//! k 0–3. The engines covered are `synthesize_with` under MX, MR and MXR,
 //! `synthesize_certified` post hoc and guided, the one serial `search`
 //! entry point under each of its tabu, greedy and annealing engines, one
-//! `explore()` portfolio run, and the Fig. 8 checkpoint descent (`compare_checkpointing`, and
-//! `optimize_checkpoints_global` from partly replicated starts). Starts mix
-//! replicated policies in, so replica placement (whose load coupling lets
-//! one move shift other processes' replicas) is on the trajectories.
+//! `explore()` portfolio run, and the Fig. 8 checkpoint descent
+//! (`compare_checkpointing`, and `optimize_checkpoints_global` from partly
+//! replicated starts). Starts mix replicated policies in, so replica
+//! placement (whose load coupling lets one move shift other processes'
+//! replicas) is on the trajectories.
 //!
 //! The digests pin the search trajectories themselves: any change to which
-//! move is sampled, which candidate is accepted, which estimate is
-//! computed or how many evaluations of each tier the kernel ran shows up
-//! here. A deliberate change to search behaviour must re-record them (the
-//! failure message prints the new values). The portfolio run's results and
-//! its kernel counters are digested apart, so a change that scores the same
-//! candidates another way can re-record the counters and keep the results.
+//! move is sampled, which candidate is accepted or which estimate is
+//! computed shows up here. A deliberate change to search behaviour must
+//! re-record them (the failure message prints the new values). Each
+//! engine's results and the evaluator kernel's `EvaluatorStats` afterwards
+//! are digested apart, so a change that scores the same candidates another
+//! way (another tier of pass, say) can re-record the counters digests and
+//! keep every results digest.
 
 use ftes::explore::{explore, PortfolioConfig};
 use ftes::ft::{Policy, PolicyAssignment};
@@ -34,18 +35,24 @@ use ftes::tdma::Platform;
 use std::fmt::{self, Write as _};
 
 /// Digest of `synthesize_with` under MX, MR and MXR.
-const STRATEGY_DIGEST: u64 = 0x115a_863e_9699_ee7d;
+const STRATEGY_DIGEST: u64 = 0x1ab2_98f9_2180_fcd4;
+/// Digest of the evaluator-kernel counters after each `synthesize_with`.
+const STRATEGY_EVALS_DIGEST: u64 = 0x5fc8_fe8a_5a20_802c;
 /// Digest of `synthesize_certified`, post hoc and guided.
-const CERTIFIED_DIGEST: u64 = 0xa4d6_53ed_cc85_de11;
+const CERTIFIED_DIGEST: u64 = 0x7a81_4bdb_74b1_e00e;
+/// Digest of the evaluator-kernel counters after each
+/// `synthesize_certified`.
+const CERTIFIED_EVALS_DIGEST: u64 = 0x5fb2_a076_e57a_3dd0;
 /// Digest of the traced tabu, greedy and annealing engines from mixed
 /// (partly replicated) starts.
-const ENGINE_DIGEST: u64 = 0x33f5_df55_a030_49cd;
+const ENGINE_DIGEST: u64 = 0xa97f_4927_b1fe_3087;
+/// Digest of the evaluator-kernel counters after each tabu run.
+const ENGINE_EVALS_DIGEST: u64 = 0xfc39_5bda_a1a2_212f;
 /// Digest of one portfolio exploration's results: best state, Pareto
-/// archive, estimate-cache and certify-cache counters.
-const EXPLORE_DIGEST: u64 = 0x6a5e_99ed_b5aa_438d;
-/// Digest of the same exploration's evaluator-kernel counters, kept apart
-/// so a change to how the portfolio scores candidates can re-record them
-/// without touching the results pin.
+/// archive (state keys by their bytes), estimate-cache and certify-cache
+/// counters.
+const EXPLORE_DIGEST: u64 = 0xaa70_cd7a_905b_d4b5;
+/// Digest of the same exploration's evaluator-kernel counters.
 const EXPLORE_EVALS_DIGEST: u64 = 0x74e0_b78d_2b6d_ff91;
 /// Digest of the Fig. 8 checkpoint descent: the local-vs-global comparison
 /// and the global descent from partly replicated starts.
@@ -116,7 +123,7 @@ fn replicated(result: &Synthesized) -> usize {
 
 #[test]
 fn strategies_match_the_recorded_digest() {
-    let mut digest = Fnv::new();
+    let (mut digest, mut evals) = (Fnv::new(), Fnv::new());
     let mut replicas = 0;
     for seed in 0..SEEDS {
         let (app, platform) = system(seed);
@@ -127,22 +134,19 @@ fn strategies_match_the_recorded_digest() {
                 if let Ok(s) = &result {
                     replicas += replicated(s);
                 }
-                writeln!(
-                    digest,
-                    "seed {seed} k {k} {strategy}: {result:?} {:?}",
-                    evaluator.stats()
-                )
-                .unwrap();
+                writeln!(digest, "seed {seed} k {k} {strategy}: {result:?}").unwrap();
+                writeln!(evals, "seed {seed} k {k} {strategy}: {:?}", evaluator.stats()).unwrap();
             }
         }
     }
     assert!(replicas >= 50, "only {replicas} replicated processes in the results");
     assert_eq!(digest.0, STRATEGY_DIGEST, "strategy digest changed: {:#x}", digest.0);
+    assert_eq!(evals.0, STRATEGY_EVALS_DIGEST, "strategy counter digest changed: {:#x}", evals.0);
 }
 
 #[test]
 fn certified_synthesis_matches_the_recorded_digest() {
-    let mut digest = Fnv::new();
+    let (mut digest, mut evals) = (Fnv::new(), Fnv::new());
     for seed in 0..SEEDS {
         let (app, platform) = system(seed);
         for k in 0..=MAX_K {
@@ -163,17 +167,18 @@ fn certified_synthesis_matches_the_recorded_digest() {
                     RepairConfig::default(),
                     mode,
                 );
-                writeln!(digest, "seed {seed} k {k} {mode:?}: {result:?} {:?}", evaluator.stats())
-                    .unwrap();
+                writeln!(digest, "seed {seed} k {k} {mode:?}: {result:?}").unwrap();
+                writeln!(evals, "seed {seed} k {k} {mode:?}: {:?}", evaluator.stats()).unwrap();
             }
         }
     }
     assert_eq!(digest.0, CERTIFIED_DIGEST, "certified digest changed: {:#x}", digest.0);
+    assert_eq!(evals.0, CERTIFIED_EVALS_DIGEST, "certified counter digest changed: {:#x}", evals.0);
 }
 
 #[test]
 fn engines_match_the_recorded_digest() {
-    let mut digest = Fnv::new();
+    let (mut digest, mut evals) = (Fnv::new(), Fnv::new());
     let mut replicas = 0;
     for seed in 0..SEEDS {
         let (app, platform) = system(seed);
@@ -200,7 +205,8 @@ fn engines_match_the_recorded_digest() {
             if let Ok((s, _)) = &tabu {
                 replicas += replicated(s);
             }
-            writeln!(digest, "seed {seed} k {k} tabu: {tabu:?} {stats:?}").unwrap();
+            writeln!(digest, "seed {seed} k {k} tabu: {tabu:?}").unwrap();
+            writeln!(evals, "seed {seed} k {k} tabu: {stats:?}").unwrap();
             let (greedy, _) = run(EngineKind::Greedy);
             writeln!(digest, "seed {seed} k {k} greedy: {greedy:?}").unwrap();
             let (anneal, _) = run(EngineKind::Anneal);
@@ -209,6 +215,7 @@ fn engines_match_the_recorded_digest() {
     }
     assert!(replicas >= 20, "only {replicas} replicated processes in the results");
     assert_eq!(digest.0, ENGINE_DIGEST, "engine digest changed: {:#x}", digest.0);
+    assert_eq!(evals.0, ENGINE_EVALS_DIGEST, "engine counter digest changed: {:#x}", evals.0);
 }
 
 #[test]
