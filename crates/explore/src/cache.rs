@@ -7,15 +7,17 @@
 //! facts they compute: root-schedule estimates ([`EstimateCache`], the
 //! dominant cost of every visit) and certify-guided admit verdicts
 //! ([`CertifyCache`]). A table keys a candidate `(mapping, policies)`
-//! state by a canonical byte encoding (exact, collision-free) with a
-//! precomputed FNV hash for shard selection, so a state any worker has
-//! published is never recomputed, whichever thread computed it.
+//! state by a canonical byte encoding (exact, collision-free) with a 64-bit
+//! hash for shard selection, so a state any worker has published is never
+//! recomputed, whichever thread computed it. The hash sums one hash per
+//! process row, so a neighbor's key is patched from its state's key, bytes
+//! and hash alike, in time proportional to the move ([`NeighborKeys`]).
 //!
 //! A table instance is scoped to one problem instance (one
 //! `(application, platform, k)` triple): keys encode only the candidate
 //! state, not the context.
 
-use ftes_ft::PolicyAssignment;
+use ftes_ft::{Policy, PolicyAssignment};
 use ftes_model::{Mapping, NodeId, ProcessId};
 use ftes_opt::Move;
 use ftes_sched::Estimate;
@@ -30,9 +32,12 @@ use std::sync::Mutex;
 /// state.
 ///
 /// The byte encoding is exact (two states compare equal iff they are the
-/// same design point), totally ordered (used as the deterministic
-/// tie-breaker throughout this crate) and carries a precomputed 64-bit FNV
-/// hash for cheap shard selection and hashing.
+/// same design point) and totally ordered (used as the deterministic
+/// tie-breaker throughout this crate). It carries a 64-bit hash for shard
+/// selection and hashing: the wrapping sum of one mix per process row
+/// (process index, base node, copy count, each copy's recoveries and
+/// checkpoints), which a move updates by trading one row's share for
+/// another.
 #[derive(Clone, PartialEq, Eq)]
 pub struct StateKey {
     bytes: Vec<u8>,
@@ -40,54 +45,85 @@ pub struct StateKey {
 }
 
 impl StateKey {
-    /// Encodes a candidate state canonically.
+    /// Encodes a candidate state canonically: one word per process for the
+    /// mapping, then per process its copy count and each copy's recoveries
+    /// and checkpoints. The mapping section has fixed length, so the
+    /// encoding is self-delimiting without separators.
     pub fn encode(mapping: &Mapping, policies: &PolicyAssignment) -> Self {
-        Self::encode_after(mapping, policies, None)
-    }
-
-    /// Encodes the state `mv` leads to from `(mapping, policies)` without
-    /// building it: the same key as [`encode`](StateKey::encode) of the
-    /// successor ([`apply_move`](ftes_opt::apply_move)'s result).
-    pub fn of_move(mapping: &Mapping, policies: &PolicyAssignment, mv: Move<'_>) -> Self {
-        Self::encode_after(mapping, policies, Some(mv))
-    }
-
-    /// The encoding of `(mapping, policies)` after `mv`, if any, written
-    /// into a buffer of exactly its length.
-    fn encode_after(mapping: &Mapping, policies: &PolicyAssignment, mv: Option<Move<'_>>) -> Self {
-        let node_of = |p: ProcessId, node: NodeId| match mv {
-            Some(Move::Remap { process, to }) if process == p => to,
-            _ => node,
-        };
-        let policy_of = |p: ProcessId, policy| match mv {
-            Some(Move::Repolicy { process, policy: new }) if process == p => new,
-            _ => policy,
-        };
-        let policy_words: usize =
-            policies.iter().map(|(p, policy)| 1 + 2 * policy_of(p, policy).copies().len()).sum();
-        let len = 4 * (mapping.iter().count() + policy_words);
-        let mut bytes = Vec::with_capacity(len);
-        for (p, node) in mapping.iter() {
-            push_u32(&mut bytes, node_of(p, node).index() as u32);
+        let policy_words: usize = policies.iter().map(|(_, policy)| policy_words(policy)).sum();
+        let mut bytes = Vec::with_capacity(4 * (mapping.iter().count() + policy_words));
+        for (_, node) in mapping.iter() {
+            push_u32(&mut bytes, node.index() as u32);
         }
-        // The mapping section has fixed length (one word per process), so
-        // the encoding stays self-delimiting without separators.
+        let mut hash = 0u64;
         for (p, policy) in policies.iter() {
-            let policy = policy_of(p, policy);
-            push_u32(&mut bytes, policy.copies().len() as u32);
-            for copy in policy.copies() {
-                push_u32(&mut bytes, copy.recoveries);
-                push_u32(&mut bytes, copy.checkpoints);
-            }
+            push_policy(&mut bytes, policy);
+            hash = hash.wrapping_add(row_hash(p, mapping.node_of(p), policy));
         }
-        debug_assert_eq!(bytes.len(), len, "the buffer is sized exactly");
-        let hash = fnv1a64(&bytes);
         StateKey { bytes, hash }
     }
 
-    /// The precomputed 64-bit FNV-1a hash of the canonical encoding.
+    /// The 64-bit hash of the state: the wrapping sum of its row hashes.
     pub fn hash64(&self) -> u64 {
         self.hash
+    }
+}
+
+/// The keys of one state's neighbors, each patched from the state's own
+/// key in time proportional to the move: the key's bytes are copied and
+/// the moved process's word (a remap) or policy section (a repolicy) is
+/// rewritten, and the hash trades the process's old row hash for its new
+/// one. Built once per state from the byte offset of each policy section.
+pub struct NeighborKeys<'a> {
+    key: &'a StateKey,
+    mapping: &'a Mapping,
+    policies: &'a PolicyAssignment,
+    /// Byte offset of each process's policy section in `key`, then the
+    /// key's length.
+    policy_at: Vec<usize>,
+}
+
+impl<'a> NeighborKeys<'a> {
+    /// The neighbor keys of `(mapping, policies)`, whose key is `key`.
+    pub fn new(key: &'a StateKey, mapping: &'a Mapping, policies: &'a PolicyAssignment) -> Self {
+        let mut at = 4 * mapping.iter().count();
+        let mut policy_at = Vec::with_capacity(at / 4 + 1);
+        policy_at.push(at);
+        for (_, policy) in policies.iter() {
+            at += 4 * policy_words(policy);
+            policy_at.push(at);
+        }
+        debug_assert_eq!(at, key.bytes.len(), "the key encodes this state");
+        NeighborKeys { key, mapping, policies, policy_at }
+    }
+
+    /// The key of the state `mv` leads to: equal, bytes and hash, to
+    /// [`StateKey::encode`] of the successor
+    /// ([`apply_move`](ftes_opt::apply_move)'s result).
+    pub fn key(&self, mv: Move<'_>) -> StateKey {
+        let process = mv.process();
+        let old = &self.key.bytes;
+        let (bytes, row) = match mv {
+            Move::Remap { to, .. } => {
+                let mut bytes = old.clone();
+                let at = 4 * process.index();
+                bytes[at..at + 4].copy_from_slice(&(to.index() as u32).to_le_bytes());
+                (bytes, row_hash(process, to, self.policies.policy(process)))
+            }
+            Move::Repolicy { policy, .. } => {
+                let (start, end) =
+                    (self.policy_at[process.index()], self.policy_at[process.index() + 1]);
+                let mut bytes =
+                    Vec::with_capacity(old.len() - (end - start) + 4 * policy_words(policy));
+                bytes.extend_from_slice(&old[..start]);
+                push_policy(&mut bytes, policy);
+                bytes.extend_from_slice(&old[end..]);
+                (bytes, row_hash(process, self.mapping.node_of(process), policy))
+            }
+        };
+        let replaced =
+            row_hash(process, self.mapping.node_of(process), self.policies.policy(process));
+        StateKey { bytes, hash: self.key.hash.wrapping_sub(replaced).wrapping_add(row) }
     }
 }
 
@@ -116,13 +152,47 @@ impl Ord for StateKey {
     }
 }
 
+/// Words in a policy's section of a key: its copy count, then two per copy.
+fn policy_words(policy: &Policy) -> usize {
+    1 + 2 * policy.copies().len()
+}
+
+fn push_policy(out: &mut Vec<u8>, policy: &Policy) {
+    push_u32(out, policy.copies().len() as u32);
+    for copy in policy.copies() {
+        push_u32(out, copy.recoveries);
+        push_u32(out, copy.checkpoints);
+    }
+}
+
 fn push_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
+/// One process row's share of a [`StateKey`] hash: a 64-bit mix of the
+/// process index, its base node, its copy count and each copy's recoveries
+/// and checkpoints.
+fn row_hash(process: ProcessId, node: NodeId, policy: &Policy) -> u64 {
+    let mut h = mix(((process.index() as u64) << 32) | node.index() as u64);
+    h = mix(h ^ policy.copies().len() as u64);
+    for copy in policy.copies() {
+        h = mix(h ^ ((u64::from(copy.recoveries) << 32) | u64::from(copy.checkpoints)));
+    }
+    h
+}
+
+/// The splitmix64 finalizer: a bijective, well-dispersing 64-bit mix.
+fn mix(z: u64) -> u64 {
+    let z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// FNV-1a over a byte slice: stable across platforms and runs (unlike the
-/// std `DefaultHasher`), dependency-free, good enough dispersion for shard
-/// selection.
+/// std `DefaultHasher`), dependency-free, good enough dispersion for the
+/// journal's frame checksums, the serve cache's keys and the suite's point
+/// seeds.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -344,7 +414,7 @@ mod tests {
     #[test]
     fn fnv_is_stable() {
         // Pinned values: the hash must never drift across platforms/runs
-        // (shard selection and report signatures rely on it).
+        // (journal checksums and the suite's point seeds rely on it).
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_ne!(fnv1a64(b"a"), fnv1a64(b"b"));

@@ -11,12 +11,14 @@
 //! * **Change-set neighborhood scoring** — a search iteration samples its
 //!   whole neighborhood first as moves (via the move primitives `ftes-opt`
 //!   exposes), keys each by the state it leads to without building that
-//!   state ([`StateKey::of_move`]), probes the cache for every key, then
+//!   state, patching the current state's key in time proportional to the
+//!   move ([`NeighborKeys`]), probes the cache for every key, then
 //!   derives each miss's change set (`Move::derive`) and scores all of
 //!   them in one `SystemEvaluator::evaluate_changes` pass over the
 //!   worker's own kernel, anchored at its current state — the path the
-//!   serial `ftes-opt` search takes. Workers parallelize above it
-//!   through `ftes_model::par::ordered_parallel`.
+//!   serial `ftes-opt` search takes. The kernel follows an accepted move
+//!   by committing its change set (`SystemEvaluator::commit`). Workers
+//!   parallelize above it through `ftes_model::par::ordered_parallel`.
 //! * **Memoized estimate cache** ([`EstimateCache`]) — candidate states
 //!   are keyed by a canonical, collision-free encoding ([`StateKey`]);
 //!   any state revisited by any worker is answered without re-running the
@@ -80,7 +82,9 @@ mod report;
 mod suite;
 
 pub use archive::{table_cost, ArchiveEntry, Objectives, ParetoArchive};
-pub use cache::{fnv1a64, CacheStats, CertifyCache, EstimateCache, StateCache, StateKey};
+pub use cache::{
+    fnv1a64, CacheStats, CertifyCache, EstimateCache, NeighborKeys, StateCache, StateKey,
+};
 pub use ftes_opt::EngineKind;
 pub use portfolio::{
     default_portfolio, explore, Exploration, ExploreError, PortfolioConfig, WorkerSpec,

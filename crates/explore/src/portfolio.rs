@@ -11,15 +11,19 @@
 //! evaluator kernel anchored at its current state and scores a sampled
 //! neighborhood the way the serial `ftes-opt` search does. A neighbor
 //! stays a [`Move`] of the current state plus its successor's
-//! [`StateKey`], encoded once from the state and the move
-//! ([`StateKey::of_move`]). The shared [`EstimateCache`] is probed for
-//! every key first, and only the misses are derived as change sets
-//! ([`Move::derive`]) and scored in one
+//! [`StateKey`], patched from the current state's key in time
+//! proportional to the move ([`NeighborKeys`]). The shared
+//! [`EstimateCache`] is probed for every key first, and only the misses
+//! are derived as change sets ([`Move::derive`]) and scored in one
 //! [`evaluate_changes`](SystemEvaluator::evaluate_changes) pass. A
 //! neighbor's objectives come from its estimate and the current state's
 //! table cost, so a `(mapping, policies)` state is built only for the few
 //! neighbors a worker keeps: the one it walks to, a new best, one the
 //! certify-guided gate must certify, and one its Pareto archive admits.
+//! The kernel follows a walk lazily: at the next iteration it commits the
+//! walked move's change set ([`SystemEvaluator::commit`]), re-scheduling
+//! only the suffix the move dirties; only a worker that adopts the round's
+//! incumbent instead re-derives its placement and takes a full pass.
 //! The engine's acceptance is `ftes-opt`'s too: each worker holds one
 //! [`Acceptance`] (tabu, simulated annealing or greedy descent) and steps
 //! it once per iteration, ordering candidates by (worst case, fault-free
@@ -41,7 +45,7 @@
 //! `tests/determinism.rs` locks in.
 
 use crate::archive::{table_cost, table_cost_after, ArchiveEntry, Objectives, ParetoArchive};
-use crate::cache::{CacheStats, CertifyCache, EstimateCache, StateKey};
+use crate::cache::{CacheStats, CertifyCache, EstimateCache, NeighborKeys, StateKey};
 use ftes_ft::PolicyAssignment;
 use ftes_ftcpg::{ChangeSets, CopyMapping, PlacementLoad};
 use ftes_model::par::ordered_parallel;
@@ -60,6 +64,7 @@ use std::convert::Infallible;
 use std::fmt;
 use std::ops::ControlFlow;
 use std::sync::Mutex;
+use std::time::Instant;
 
 /// Error produced by the exploration engine.
 #[derive(Debug)]
@@ -197,13 +202,14 @@ pub struct Exploration {
 }
 
 /// A worker's private search state between rounds.
-struct Worker {
+struct Worker<'s> {
     spec: WorkerSpec,
     rng: ChaCha8Rng,
     current: Candidate,
     best: Candidate,
     acceptance: Acceptance,
-    kernel: Kernel,
+    kernel: Kernel<'s>,
+    clock: PhaseClock,
 }
 
 /// A candidate state plus its evaluation (always feasible by construction).
@@ -238,14 +244,20 @@ fn scored<'k>(estimate: &Estimate, key: &'k StateKey) -> Scored<(Time, Time, &'k
 /// One worker's evaluator kernel, anchored at one state, plus that state's
 /// copy placement and placement inputs — what [`Move::derive`] derives the
 /// change sets of its neighbors from.
-struct Kernel {
+struct Kernel<'s> {
     evaluator: SystemEvaluator,
     key: StateKey,
     copies: CopyMapping,
     load: PlacementLoad,
+    /// The move the worker last walked along from the anchored state, and
+    /// the key of the state it leads to: committed when that state is
+    /// anchored next.
+    walk: Option<(Move<'s>, StateKey)>,
+    /// Change-set scratch, reused across batches.
+    sets: ChangeSets<'s>,
 }
 
-impl Kernel {
+impl<'s> Kernel<'s> {
     /// A kernel anchored at `(mapping, policies)`, with that state's
     /// estimate.
     fn new(
@@ -254,7 +266,7 @@ impl Kernel {
         k: u32,
         mapping: &Mapping,
         policies: &PolicyAssignment,
-    ) -> Result<(Kernel, Estimate), OptError> {
+    ) -> Result<(Kernel<'s>, Estimate), OptError> {
         let mut evaluator = SystemEvaluator::new(app, platform, k);
         let state = Synthesized::evaluate_with(&mut evaluator, mapping.clone(), policies.clone())?;
         let kernel = Kernel {
@@ -262,24 +274,57 @@ impl Kernel {
             key: StateKey::encode(mapping, policies),
             copies: state.copies,
             load: PlacementLoad::new(app, platform.architecture(), mapping, policies),
+            walk: None,
+            sets: ChangeSets::new(),
         };
         Ok((kernel, state.estimate))
     }
 
-    /// Re-anchors at `state` unless the kernel is anchored there already
-    /// (keys are collision-free, so equal keys are equal states).
+    /// Notes that the worker walked along `mv`, a move of the anchored
+    /// state, to the state keyed `key`. The kernel follows only when that
+    /// state is anchored next, so a walk the worker abandons for an adopted
+    /// incumbent costs nothing.
+    fn walk(&mut self, mv: Move<'s>, key: &StateKey) {
+        self.walk = Some((mv, key.clone()));
+    }
+
+    /// Anchors at `state`. The state the kernel is anchored at costs
+    /// nothing (keys are collision-free, so equal keys are equal states);
+    /// the state of the last walk is reached by committing the walked
+    /// move's change set, which steps the copy placement and placement
+    /// inputs along the move and re-schedules only the suffix it dirties;
+    /// any other state (an adopted incumbent) is placed afresh and takes a
+    /// full pass.
     fn anchor(&mut self, state: &Candidate) {
+        let walk = self.walk.take();
         if self.key == state.key {
             return;
         }
-        let (app, arch) = (self.evaluator.app(), self.evaluator.platform().architecture());
-        self.copies = CopyMapping::from_base(app, arch, &state.mapping, &state.policies)
-            .expect("a scored state has a copy placement");
-        self.load = PlacementLoad::new(app, arch, &state.mapping, &state.policies);
-        self.evaluator
-            .evaluate(&self.copies, &state.policies)
-            .expect("a state scored feasible evaluates feasible");
-        self.key = state.key.clone();
+        match walk {
+            Some((mv, key)) if key == state.key => {
+                let process = mv.process();
+                let from = self.copies.copies_of(process)[0];
+                self.sets.clear();
+                mv.derive(self.evaluator.app(), &mut self.load, &self.copies, &mut self.sets);
+                let set = self.sets.get(0);
+                set.write_rows(&mut self.copies);
+                let row = self.copies.copies_of(process);
+                self.load.commit(self.evaluator.app(), process, from, row[0], row.len());
+                let committed =
+                    self.evaluator.commit(set).expect("a state scored feasible commits feasible");
+                debug_assert_eq!(committed, state.estimate, "a commit scores as its batch did");
+            }
+            _ => {
+                let (app, arch) = (self.evaluator.app(), self.evaluator.platform().architecture());
+                self.copies = CopyMapping::from_base(app, arch, &state.mapping, &state.policies)
+                    .expect("a scored state has a copy placement");
+                self.load = PlacementLoad::new(app, arch, &state.mapping, &state.policies);
+                self.evaluator
+                    .evaluate(&self.copies, &state.policies)
+                    .expect("a state scored feasible evaluates feasible");
+            }
+        }
+        self.key.clone_from(&state.key);
     }
 
     /// Scores `moves` of the anchored state through `cache`, `keys[i]` being
@@ -291,19 +336,21 @@ impl Kernel {
     /// [`SystemEvaluator::evaluate_changes`] pass, and their results are
     /// inserted. A key sampled twice in the batch is scored once: its
     /// repeats are read from the cache after the misses are inserted, as the
-    /// hits they are.
+    /// hits they are. `clock` charges the scoring pass to
+    /// [`Phase::Kernel`] and the rest to [`Phase::Probe`].
     fn score(
         &mut self,
         cache: &EstimateCache,
-        moves: &[Move<'_>],
+        moves: &[Move<'s>],
         keys: &[StateKey],
+        clock: &mut PhaseClock,
     ) -> Vec<Option<Estimate>> {
         let app = self.evaluator.app();
         let mut out: Vec<Option<Estimate>> = vec![None; moves.len()];
         let mut misses: Vec<usize> = Vec::new();
         let mut repeats: Vec<usize> = Vec::new();
-        let mut sets = ChangeSets::new();
         let mut seen: HashSet<&StateKey> = HashSet::new();
+        self.sets.clear();
         for (i, (mv, key)) in moves.iter().zip(keys).enumerate() {
             if !seen.insert(key) {
                 repeats.push(i);
@@ -312,13 +359,16 @@ impl Kernel {
             match probe(cache, key) {
                 Some(value) => out[i] = value,
                 None => {
-                    mv.derive(app, &mut self.load, &self.copies, &mut sets);
+                    mv.derive(app, &mut self.load, &self.copies, &mut self.sets);
                     misses.push(i);
                 }
             }
         }
-        if !sets.is_empty() {
-            for (&i, result) in misses.iter().zip(self.evaluator.evaluate_changes(&sets)) {
+        if !self.sets.is_empty() {
+            clock.lap(Phase::Probe);
+            let results = self.evaluator.evaluate_changes(&self.sets);
+            clock.lap(Phase::Kernel);
+            for (&i, result) in misses.iter().zip(results) {
                 out[i] = result.ok();
             }
         }
@@ -328,6 +378,7 @@ impl Kernel {
         for i in repeats {
             out[i] = probe(cache, &keys[i]).expect("a repeat's first occurrence is cached");
         }
+        clock.lap(Phase::Probe);
         out
     }
 }
@@ -342,6 +393,67 @@ fn probe(cache: &EstimateCache, key: &StateKey) -> Option<Option<Estimate>> {
     };
     ftes_obs::counter(name, 1);
     value
+}
+
+/// The phases of a worker's iteration that a [`PhaseClock`] tells apart,
+/// in [`PHASE_COUNTERS`] order.
+#[derive(Debug, Clone, Copy)]
+enum Phase {
+    /// Anchoring the kernel: a lazy commit or, after an adoption, a full
+    /// pass.
+    Anchor,
+    /// Sampling the neighborhood's moves.
+    Sample,
+    /// Keying each move's successor.
+    Key,
+    /// Estimate-cache probes, change-set derivation and inserts.
+    Probe,
+    /// The kernel's [`SystemEvaluator::evaluate_changes`] pass.
+    Kernel,
+    /// Pareto-archive offers, with the entries they build.
+    Archive,
+    /// The acceptance step, with the kept states it builds.
+    Accept,
+}
+
+/// The trace counter each [`Phase`]'s summed nanoseconds are emitted on.
+const PHASE_COUNTERS: [&str; 7] = [
+    ftes_obs::names::SEARCH_ANCHOR_NS,
+    ftes_obs::names::SEARCH_SAMPLE_NS,
+    ftes_obs::names::SEARCH_KEY_NS,
+    ftes_obs::names::SEARCH_PROBE_NS,
+    ftes_obs::names::SEARCH_KERNEL_NS,
+    ftes_obs::names::SEARCH_ARCHIVE_NS,
+    ftes_obs::names::SEARCH_ACCEPT_NS,
+];
+
+/// Wall time per [`Phase`] of one worker's iterations, summed across its
+/// rounds. Laps are contiguous, so every nanosecond of a round lands in
+/// one phase. The clock reads time only while tracing is on; with the gate
+/// off a lap is one branch.
+#[derive(Debug, Default)]
+struct PhaseClock {
+    /// The last phase boundary, when timing.
+    last: Option<Instant>,
+    ns: [u64; 7],
+}
+
+impl PhaseClock {
+    /// Starts a round at a phase boundary, timing it if tracing is on.
+    fn start(&mut self) {
+        // ftes-lint: allow(determinism) reason="phase timings feed trace counters only, never result bytes"
+        self.last = ftes_obs::enabled().then(Instant::now);
+    }
+
+    /// Charges the time since the last boundary to `phase`.
+    fn lap(&mut self, phase: Phase) {
+        if let Some(last) = self.last.as_mut() {
+            // ftes-lint: allow(determinism) reason="phase timings feed trace counters only, never result bytes"
+            let now = Instant::now();
+            self.ns[phase as usize] += now.duration_since(*last).as_nanos() as u64;
+            *last = now;
+        }
+    }
 }
 
 /// The certify-guided admission gate of one worker: an incremental
@@ -461,6 +573,7 @@ pub fn explore(
                 best: initial.clone(),
                 acceptance: Acceptance::new(spec.engine, processes, spec.tenure, worst_case),
                 kernel,
+                clock: PhaseClock::default(),
             })
         })
         .collect();
@@ -548,6 +661,9 @@ pub fn explore(
     // the winner; its feasibility was established when it was evaluated.
     let best =
         Synthesized::evaluate_with(&mut workers[0].kernel.evaluator, best.mapping, best.policies)?;
+    for (phase, name) in PHASE_COUNTERS.iter().enumerate() {
+        ftes_obs::counter(name, workers.iter().map(|w| w.clock.ns[phase]).sum());
+    }
     let evals = workers
         .iter()
         .map(|w| w.kernel.evaluator.stats())
@@ -556,22 +672,25 @@ pub fn explore(
     Ok(Exploration { best, archive, cache: cache.stats(), evals, certify: certify_cache.stats() })
 }
 
-/// Advances one worker by `iterations_per_round` batched iterations.
-fn run_round(
+/// Advances one worker by `iterations_per_round` batched iterations,
+/// charging each phase of an iteration to the worker's [`PhaseClock`].
+fn run_round<'s>(
     app: &Application,
     arch: &Architecture,
     config: &PortfolioConfig,
-    space: &MoveSpace,
+    space: &'s MoveSpace,
     cache: &EstimateCache,
-    worker: &mut Worker,
+    worker: &mut Worker<'s>,
     mut guard: Option<Guard<'_>>,
 ) -> ParetoArchive {
     let mut local_archive = ParetoArchive::new();
+    worker.clock.start();
 
     for _ in 0..config.iterations_per_round {
         // 1. Anchor the kernel at the current state, which changes only on
         // an accepted move or when the worker adopts the incumbent.
         worker.kernel.anchor(&worker.current);
+        worker.clock.lap(Phase::Anchor);
 
         // 2. Sample the whole neighborhood without evaluating. A neighbor
         // stays a move of the current state, keyed by the state it leads to.
@@ -584,14 +703,16 @@ fn run_round(
                 moves.push(mv);
             }
         }
-        let keys: Vec<StateKey> =
-            moves.iter().map(|&mv| StateKey::of_move(mapping, policies, mv)).collect();
+        worker.clock.lap(Phase::Sample);
+        let neighbors = NeighborKeys::new(&current.key, mapping, policies);
+        let keys: Vec<StateKey> = moves.iter().map(|&mv| neighbors.key(mv)).collect();
+        worker.clock.lap(Phase::Key);
 
         // 3. Probe the cache, score the misses as change sets in one kernel
         // pass, and keep the feasible neighbors, in sample order. Each is
         // offered to the archive by its objectives; only an admitted one is
         // built as a state.
-        let estimates = worker.kernel.score(cache, &moves, &keys);
+        let estimates = worker.kernel.score(cache, &moves, &keys, &mut worker.clock);
         let cost = table_cost(policies);
         let mut feasible: Vec<(usize, Estimate)> = Vec::with_capacity(moves.len());
         for (i, estimate) in estimates.into_iter().enumerate() {
@@ -605,6 +726,7 @@ fn run_round(
             }
             feasible.push((i, estimate));
         }
+        worker.clock.lap(Phase::Archive);
 
         // 4. The engine's acceptance step. A candidate that beats the best
         // becomes it only if the certify-guided gate (when on) admits it; a
@@ -635,8 +757,11 @@ fn run_round(
             worker.best = keep(j);
         }
         if let Some(j) = step.walk {
+            let i = feasible[j].0;
+            worker.kernel.walk(moves[i], &keys[i]);
             worker.current = keep(j);
         }
+        worker.clock.lap(Phase::Accept);
     }
     local_archive
 }
@@ -655,6 +780,7 @@ fn successor(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ftes_ftcpg::ChangeSet;
     use ftes_gen::{generate_application, GeneratorConfig};
     use ftes_model::{samples, ProcessId};
     use ftes_opt::candidate_policies;
@@ -669,7 +795,7 @@ mod tests {
 
     /// Fig. 3 at k = 2 and a kernel anchored at its cheapest mapping under
     /// uniform re-execution.
-    fn fig3_kernel() -> (Application, Platform, Mapping, PolicyAssignment, Kernel) {
+    fn fig3_kernel<'s>() -> (Application, Platform, Mapping, PolicyAssignment, Kernel<'s>) {
         let (app, platform) = fig3_platform();
         let mapping = Mapping::cheapest(&app, platform.architecture()).unwrap();
         let policies = PolicyAssignment::uniform_reexecution(&app, 2);
@@ -687,10 +813,11 @@ mod tests {
             .filter_map(|_| space.sample(&mapping, &policies, &mut rng))
             .filter(|mv| mv.fits(arch))
             .collect();
-        let keys: Vec<_> =
-            moves.iter().map(|&mv| StateKey::of_move(&mapping, &policies, mv)).collect();
+        let key = StateKey::encode(&mapping, &policies);
+        let neighbors = NeighborKeys::new(&key, &mapping, &policies);
+        let keys: Vec<_> = moves.iter().map(|&mv| neighbors.key(mv)).collect();
         let cache = EstimateCache::new();
-        let scored = kernel.score(&cache, &moves, &keys);
+        let scored = kernel.score(&cache, &moves, &keys, &mut PhaseClock::default());
         let mut fresh = SystemEvaluator::new(&app, &platform, 2);
         for ((&mv, key), estimate) in moves.iter().zip(&keys).zip(&scored) {
             let (m, p) = apply_move(&app, arch, &mapping, &policies, mv).unwrap();
@@ -716,13 +843,15 @@ mod tests {
         let (c0, c1) = (candidate_policies(&app, p0, 2, 16), candidate_policies(&app, p1, 2, 16));
         let a = Move::Repolicy { process: p0, policy: &c0[1] };
         let b = Move::Repolicy { process: p1, policy: &c1[1] };
-        let key = |mv| StateKey::of_move(&mapping, &policies, mv);
-        let cache = EstimateCache::new();
-        let first = kernel.score(&cache, &[a, b], &[key(a), key(b)]);
+        let state = StateKey::encode(&mapping, &policies);
+        let neighbors = NeighborKeys::new(&state, &mapping, &policies);
+        let key = |mv| neighbors.key(mv);
+        let (cache, clock) = (EstimateCache::new(), &mut PhaseClock::default());
+        let first = kernel.score(&cache, &[a, b], &[key(a), key(b)], clock);
         assert!(first.iter().all(Option::is_some));
         // Every key of this batch hits the cache; the repeated `a` must
         // still read its first occurrence's estimate, not infeasibility.
-        let again = kernel.score(&cache, &[a, b, a], &[key(a), key(b), key(a)]);
+        let again = kernel.score(&cache, &[a, b, a], &[key(a), key(b), key(a)], clock);
         assert_eq!(again, vec![first[0], first[1], first[0]]);
     }
 
@@ -759,7 +888,8 @@ mod tests {
         let replicated = |p: &ftes_ft::Policy| p.copies().len() > 1;
         let checkpointed = |p: &ftes_ft::Policy| p.copies().iter().any(|c| c.checkpoints > 0);
         random_moves(|mapping, policies, mv, m, p| {
-            let key = StateKey::of_move(mapping, policies, mv);
+            let state = StateKey::encode(mapping, policies);
+            let key = NeighborKeys::new(&state, mapping, policies).key(mv);
             assert_eq!(key, StateKey::encode(m, p), "{mv:?}");
             assert_eq!(key.hash64(), StateKey::encode(m, p).hash64());
             let (from, to) = (policies.policy(mv.process()), p.policy(mv.process()));
@@ -785,6 +915,81 @@ mod tests {
                 "{mv:?}"
             );
         });
+    }
+
+    #[test]
+    fn a_committed_kernel_equals_a_fresh_one() {
+        // A replicated start, so a move's change set can shift other
+        // processes' replicas too.
+        let app = generate_application(&GeneratorConfig::new(12, 3), 5).unwrap();
+        let platform = Platform::homogeneous(3, Time::new(8)).unwrap();
+        let arch = platform.architecture();
+        let k = 2;
+        let space = MoveSpace::new(&app, k, PolicyMoves::Full, 8);
+        let mapping = constructive_mapping(&app, arch).unwrap();
+        let policies = PolicyAssignment::uniform_replication(&app, k);
+        let (mut kernel, estimate) = Kernel::new(&app, &platform, k, &mapping, &policies).unwrap();
+        let key = StateKey::encode(&mapping, &policies);
+        let initial = Candidate { mapping, policies, estimate, key };
+        let mut current = initial.clone();
+        let (mut rng, clock) = (ChaCha8Rng::seed_from_u64(3), &mut PhaseClock::default());
+        let mut walks = 0;
+        for _ in 0..40 {
+            kernel.anchor(&current);
+            let (mut fresh, estimate) =
+                Kernel::new(&app, &platform, k, &current.mapping, &current.policies).unwrap();
+            assert_eq!(kernel.copies, fresh.copies);
+            assert_eq!(estimate, current.estimate);
+            let moves: Vec<_> = (0..16)
+                .filter_map(|_| space.sample(&current.mapping, &current.policies, &mut rng))
+                .filter(|mv| mv.fits(arch))
+                .collect();
+            let neighbors = NeighborKeys::new(&current.key, &current.mapping, &current.policies);
+            let keys: Vec<_> = moves.iter().map(|&mv| neighbors.key(mv)).collect();
+            // Empty caches, so both kernels derive and score every move:
+            // equal sets mean equal placement inputs, equal scores equal
+            // anchors.
+            let scored = kernel.score(&EstimateCache::new(), &moves, &keys, clock);
+            assert_eq!(scored, fresh.score(&EstimateCache::new(), &moves, &keys, clock));
+            let sets = |kernel: &Kernel<'_>| -> Vec<_> {
+                let rows = |set: ChangeSet<'_, '_>| -> Vec<_> {
+                    set.iter().map(|(p, row, policy)| (p, row.to_vec(), policy.cloned())).collect()
+                };
+                kernel.sets.iter().map(rows).collect()
+            };
+            assert_eq!(sets(&kernel), sets(&fresh));
+            let Some(i) = scored.iter().position(Option::is_some) else { break };
+            let (mapping, policies) = successor(&app, arch, &current, moves[i]);
+            kernel.walk(moves[i], &keys[i]);
+            current =
+                Candidate { mapping, policies, estimate: scored[i].unwrap(), key: keys[i].clone() };
+            walks += 1;
+        }
+        kernel.anchor(&current);
+        // One evaluation per walk, and the walks were committed by suffix
+        // passes: only commits whose sets reach position 0 run a full one.
+        let stats = kernel.evaluator.stats();
+        assert!(walks > 20, "{walks} walks");
+        assert_eq!(stats.evaluations(), 1 + walks + stats.batch_candidates);
+        assert!(stats.delta_evals > walks / 2, "{stats:?}");
+        let commit_passes = stats.full_evals - 1 - stats.delta_fallbacks;
+
+        // A walk followed by an adoption of another state: a full pass at
+        // the adopted state, and the walk is forgotten.
+        let mv = (0..)
+            .find_map(|_| space.sample(&current.mapping, &current.policies, &mut rng))
+            .expect("a sample eventually moves");
+        let walked = NeighborKeys::new(&current.key, &current.mapping, &current.policies).key(mv);
+        kernel.walk(mv, &walked);
+        kernel.anchor(&initial);
+        assert_eq!(kernel.evaluator.stats().full_evals, stats.full_evals + 1);
+        let (fresh, _) =
+            Kernel::new(&app, &platform, k, &initial.mapping, &initial.policies).unwrap();
+        assert_eq!(kernel.copies, fresh.copies);
+        // Anchoring the anchored state again costs nothing.
+        kernel.anchor(&initial);
+        assert_eq!(kernel.evaluator.stats().evaluations(), stats.evaluations() + 1);
+        assert!(commit_passes < walks);
     }
 
     #[test]

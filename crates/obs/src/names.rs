@@ -38,6 +38,26 @@ pub const SEARCH_ITER: &str = "search.iter";
 pub const SEARCH_ACCEPT: &str = "search.accept";
 /// The iteration's best move was rejected / only diversified.
 pub const SEARCH_REJECT: &str = "search.reject";
+
+// ---- portfolio round phases: nanoseconds per phase summed over an
+// explore() run's workers, emitted once when the run ends (counted only
+// while tracing is on)
+
+/// Anchoring each worker's kernel: lazy commits and, after an adoption,
+/// full passes.
+pub const SEARCH_ANCHOR_NS: &str = "search.anchor_ns";
+/// Sampling neighborhood moves.
+pub const SEARCH_SAMPLE_NS: &str = "search.sample_ns";
+/// Keying each move's successor state.
+pub const SEARCH_KEY_NS: &str = "search.key_ns";
+/// Estimate-cache probes, change-set derivation and inserts.
+pub const SEARCH_PROBE_NS: &str = "search.probe_ns";
+/// The kernels' `evaluate_changes` passes.
+pub const SEARCH_KERNEL_NS: &str = "search.kernel_ns";
+/// Pareto-archive offers, with the entries they build.
+pub const SEARCH_ARCHIVE_NS: &str = "search.archive_ns";
+/// Acceptance steps, with the kept states they build.
+pub const SEARCH_ACCEPT_NS: &str = "search.accept_ns";
 /// A certify-and-repair round ran after the search refuted an estimate.
 pub const REPAIR_ROUND: &str = "certify.repair_round";
 /// Certification answered from the verdict memo instead of scheduling.

@@ -91,7 +91,7 @@ pub fn optimize_checkpoints_global(
     // One kernel for the whole descent. Placement load counts WCETs only,
     // so a one-copy policy change moves no copy row: each step scores its
     // ±1-checkpoint candidates as one batch of policy-only change sets over
-    // the accepted state.
+    // the accepted state, and commits the one it accepts.
     let mut evaluator = SystemEvaluator::new(app, platform, k);
     evaluator.evaluate(&initial.copies, &initial.policies)?;
     let mut best = initial;
@@ -125,11 +125,12 @@ pub fn optimize_checkpoints_global(
             }
         }
         let Some((i, estimate)) = improved else { break };
+        // Move the kernel's anchor along the accepted change set.
+        let committed = evaluator.commit(sets.get(i))?;
+        debug_assert_eq!(committed, estimate, "a commit scores as its batch did");
         let (pid, policy) = moves.swap_remove(i);
         best.policies.set(pid, policy);
         best.estimate = estimate;
-        // Re-anchor the kernel at the accepted state.
-        evaluator.evaluate(&best.copies, &best.policies)?;
     }
     Ok(best)
 }

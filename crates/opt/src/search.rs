@@ -516,8 +516,9 @@ pub type SearchTrace = Vec<i64>;
 ///
 /// Each iteration samples the neighborhood of the current state, scores it
 /// in one batch pass, lets [`Acceptance::step`] pick where the walk goes,
-/// writes that move into the current state and re-anchors the kernel
-/// there. `guard`, when given, decides whether a candidate that beats the
+/// writes that move into the current state and commits its change set to
+/// the kernel ([`SystemEvaluator::commit`]), which re-schedules only the
+/// suffix the move dirties. `guard`, when given, decides whether a candidate that beats the
 /// best may become it (see [`BestGuard`]).
 ///
 /// # Errors
@@ -579,8 +580,9 @@ pub fn search(
         if let Some(c) = step.walk {
             let (i, estimate) = feasible[c];
             hood.accept(evaluator, i, &mut current, estimate)?;
-            // Re-anchor the delta base at the accepted state.
-            evaluator.evaluate(&current.copies, &current.policies)?;
+            // Move the delta base along the accepted change set.
+            let committed = evaluator.commit(hood.sets.get(i))?;
+            debug_assert_eq!(committed, estimate, "a commit scores as its batch did");
         }
         trace.push(best.estimate.worst_case_length.units());
     }

@@ -11,12 +11,17 @@
 //! root-schedule list scheduler (a pure function of the DAG and the
 //! downward ranks, both state-independent), one [`RecoveryScheme`] per
 //! feasible `(process, node)` pair, and reusable per-processor lane and
-//! per-process completion buffers. Two entry points then share them:
+//! per-process completion buffers. Three entry points then share them:
 //!
 //! * **[`evaluate`](SystemEvaluator::evaluate)** — a full pass — re-scores
 //!   a state against those buffers with zero steady-state allocation, and
-//!   anchors it as the evaluator's *base state*. It is the only call that
-//!   moves the anchor.
+//!   anchors it as the evaluator's *base state*.
+//! * **[`commit`](SystemEvaluator::commit)** moves the anchor along one
+//!   change set: it writes the set over the base state and re-schedules
+//!   only the suffix from the set's first dirty position, recording the
+//!   new base's reservation logs as it goes. The new base is bit-for-bit
+//!   the one `evaluate` of the same state anchors. `evaluate` and `commit`
+//!   are the only calls that move the anchor.
 //! * **[`evaluate_changes`](SystemEvaluator::evaluate_changes)** — the
 //!   incremental path — scores a whole neighborhood of the base state in
 //!   one pass, each neighbor given as a change set (the processes whose
@@ -25,7 +30,9 @@
 //!   identical to the base's (the pop order is fixed and every reservation
 //!   at position `< p` derives from positions `< p` only), so only the
 //!   suffix is re-scheduled, and only the set's processes and those whose
-//!   completion times moved re-run the adversarial slack analysis. A set's
+//!   completion times moved re-run the slack analysis: the adversarial
+//!   replica join for a replicated process, a closed form for a single
+//!   copy (whose slack does not depend on when it completes). A set's
 //!   first dirty pop position is its lowest, and only its changed policies
 //!   are validated. Sets are sorted by dirty position (stably; results
 //!   come back in input order), the shared schedule prefix is materialized
@@ -75,10 +82,12 @@ use std::collections::BinaryHeap;
 pub struct EvaluatorStats {
     /// Evaluator constructions (1 per [`SystemEvaluator::new`]).
     pub constructions: u64,
-    /// Full passes: [`SystemEvaluator::evaluate`] calls plus the candidates
-    /// counted in `delta_fallbacks`.
+    /// Full passes: [`SystemEvaluator::evaluate`] calls, the candidates
+    /// counted in `delta_fallbacks`, and commits whose change set reaches
+    /// position 0.
     pub full_evals: u64,
-    /// Candidates scored by re-scheduling only a suffix.
+    /// Candidates scored, and change sets committed
+    /// ([`SystemEvaluator::commit`]), by re-scheduling only a suffix.
     pub delta_evals: u64,
     /// Candidates equal to the base state (empty change sets, answered from
     /// the anchor).
@@ -158,11 +167,12 @@ struct BaseState {
 /// evaluators across requests). All scratch buffers are reused between
 /// calls; steady-state evaluation allocates nothing.
 ///
-/// Only [`evaluate`](SystemEvaluator::evaluate) moves the anchored base
-/// state. Scoring — [`evaluate_changes`](SystemEvaluator::evaluate_changes)
-/// and [`evaluate_batch`](SystemEvaluator::evaluate_batch) — never does,
-/// not even for a candidate it scores by a full pass, so a search anchors
-/// its current state once and re-anchors only on acceptance.
+/// Only [`evaluate`](SystemEvaluator::evaluate) and
+/// [`commit`](SystemEvaluator::commit) move the anchored base state.
+/// Scoring — [`evaluate_changes`](SystemEvaluator::evaluate_changes) and
+/// [`evaluate_batch`](SystemEvaluator::evaluate_batch) — never does, not
+/// even for a candidate it scores by a full pass, so a search anchors its
+/// current state once and commits only the change set it accepts.
 ///
 /// # Examples
 ///
@@ -416,7 +426,6 @@ impl SystemEvaluator {
     /// one).
     pub fn evaluate_changes(&mut self, sets: &ChangeSets<'_>) -> Vec<Result<Estimate, SchedError>> {
         let m = sets.len();
-        let n = self.app.process_count();
         self.count_batch(m);
         let (mut copies, mut policies) =
             self.anchored.take().expect("change sets are scored against an anchored state");
@@ -425,8 +434,7 @@ impl SystemEvaluator {
         // tie-break), so the prefix image only ever grows.
         self.batch_order.clear();
         for (idx, set) in sets.iter().enumerate() {
-            let dirty = set.processes().map(|p| self.pos_of[p.index()]).min().unwrap_or(n as u32);
-            self.batch_order.push((dirty, idx as u32));
+            self.batch_order.push((self.dirty_position(set) as u32, idx as u32));
         }
         self.batch_order.sort_unstable();
         for lane in &mut self.prefix_lanes {
@@ -439,22 +447,62 @@ impl SystemEvaluator {
         for &(dirty, idx) in &batch_order {
             let set = sets.get(idx as usize);
             out[idx as usize] =
-                Some(self.score_change_set(&mut copies, &mut policies, set, dirty as usize));
+                Some(self.score_change_set(&mut copies, &mut policies, set, dirty as usize, false));
         }
         self.batch_order = batch_order;
         self.anchored = Some((copies, policies));
         out.into_iter().map(|r| r.expect("every candidate is scored exactly once")).collect()
     }
 
+    /// Moves the anchor along one change set: writes `set` over the
+    /// anchored state, re-schedules only the suffix from its first dirty
+    /// position (reusing the prefix and the unchanged slack, as
+    /// [`evaluate_changes`](SystemEvaluator::evaluate_changes) does) and
+    /// anchors the result. The new base state and the returned estimate are
+    /// bit-for-bit those of [`evaluate`](SystemEvaluator::evaluate) of the
+    /// same state, which is what a search that accepts a scored change set
+    /// would otherwise pay a full pass for.
+    ///
+    /// A set whose dirty region reaches position 0 runs the full pass; an
+    /// empty set does nothing and answers the anchored estimate. A commit
+    /// counts as one suffix pass (`delta_evals`), or as one full pass from
+    /// position 0.
+    ///
+    /// # Errors
+    ///
+    /// The error [`evaluate`](SystemEvaluator::evaluate) of the same state
+    /// reports; the anchor is then left where it was.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no state is anchored yet (a change set is relative to
+    /// one).
+    pub fn commit(&mut self, set: ChangeSet<'_, '_>) -> Result<Estimate, SchedError> {
+        let (mut copies, mut policies) =
+            self.anchored.take().expect("a change set is committed over an anchored state");
+        let dirty = self.dirty_position(set);
+        let result = self.score_change_set(&mut copies, &mut policies, set, dirty, true);
+        self.anchored = Some((copies, policies));
+        result
+    }
+
+    /// The first pop position a change set dirties: its lowest position,
+    /// or the process count for an empty set.
+    fn dirty_position(&self, set: ChangeSet<'_, '_>) -> usize {
+        set.processes().map(|p| self.pos_of[p.index()] as usize).min().unwrap_or(self.order.len())
+    }
+
     /// Scores one change set over the anchored state (`copies`/`policies`,
     /// taken out of the evaluator), raising and lowering only the set's own
-    /// changed flags, and leaves the anchored state as it found it.
+    /// changed flags. Scoring leaves the anchored state as it found it; a
+    /// successful `commit` leaves the set written and anchors the result.
     fn score_change_set(
         &mut self,
         copies: &mut CopyMapping,
         policies: &mut PolicyAssignment,
         set: ChangeSet<'_, '_>,
         dirty: usize,
+        commit: bool,
     ) -> Result<Estimate, SchedError> {
         // Every unchanged policy is the anchored one, which is valid, so the
         // first invalid changed policy is the error a full validation of the
@@ -463,42 +511,57 @@ impl SystemEvaluator {
             policy.validate(self.k).map_err(|e| FtError::ProcessPolicy(process, Box::new(e)))?;
         }
         if dirty >= self.app.process_count() {
-            self.stats.delta_noops += 1;
+            if !commit {
+                self.stats.delta_noops += 1;
+            }
             return Ok(self.base.as_ref().expect("anchored").estimate);
         }
         self.undo.record(set, copies, policies);
         set.write(copies, policies);
         let result = if dirty == 0 {
-            self.count_fallback();
-            self.full_pass(copies, policies, false)
+            if commit {
+                self.stats.full_evals += 1;
+                ftes_obs::counter(ftes_obs::names::EVAL_FULL, 1);
+            } else {
+                self.count_fallback();
+            }
+            self.full_pass(copies, policies, commit)
         } else {
             self.stats.delta_evals += 1;
             ftes_obs::counter(ftes_obs::names::EVAL_DELTA, 1);
             for p in set.processes() {
                 self.changed[p.index()] = true;
             }
-            let result = self.score_suffix(copies, policies, dirty);
+            let result = self.score_suffix(copies, policies, dirty, commit);
             for p in set.processes() {
                 self.changed[p.index()] = false;
             }
             result
         };
-        self.undo.revert(copies, policies);
+        match result {
+            Ok(estimate) if commit => self.rebase(estimate),
+            _ => self.undo.revert(copies, policies),
+        }
         result
     }
 
-    /// Re-schedules positions `dirty..` of a candidate forked off the
-    /// shared prefix image, then finishes its estimate (reusing unchanged
-    /// processes' slack).
+    /// Re-schedules positions `dirty..` of a candidate forked off the base
+    /// prefix, then finishes its estimate (reusing unchanged processes'
+    /// slack). A scored candidate forks its lanes off the shared prefix
+    /// image; a committed one rebuilds them from the base logs cut at
+    /// `dirty` and records the suffix's reservations after the cut.
     fn score_suffix(
         &mut self,
         copies: &CopyMapping,
         policies: &PolicyAssignment,
         dirty: usize,
+        commit: bool,
     ) -> Result<Estimate, SchedError> {
-        self.advance_prefix(dirty);
-        // Fork the candidate's suffix off the shared prefix image: flat
-        // memcpys of the base arrays, lane clones of the sorted image.
+        if !commit {
+            self.advance_prefix(dirty);
+        }
+        // Fork the candidate's suffix off the base prefix: flat memcpys of
+        // the base arrays, then the lanes.
         let base = self.base.as_ref().expect("anchored");
         let cut = base.copy_off[dirty] as usize;
         self.copy_end.clear();
@@ -508,11 +571,27 @@ impl SystemEvaluator {
         let prefix_makespan = base.makespan_after[dirty - 1];
         self.makespan_after.clear();
         self.makespan_after.extend_from_slice(&base.makespan_after[..dirty]);
-        for (lane, image) in self.lanes.iter_mut().zip(&self.prefix_lanes) {
-            lane.clone_from(image);
+        if commit {
+            // Base logs are in pop order, so the prefix's reservations are
+            // a head of each; inserted in that order they form the very
+            // sorted lanes a full pass holds at `dirty`.
+            for ((lane, log), base_log) in self.lanes.iter_mut().zip(&mut self.logs).zip(&base.logs)
+            {
+                let kept = base_log.partition_point(|&(pos, _, _)| (pos as usize) < dirty);
+                log.clear();
+                log.extend_from_slice(&base_log[..kept]);
+                lane.clear();
+                for &(_, s, e) in log.iter() {
+                    lane_reserve(lane, s, e);
+                }
+            }
+        } else {
+            for (lane, image) in self.lanes.iter_mut().zip(&self.prefix_lanes) {
+                lane.clone_from(image);
+            }
         }
 
-        let makespan = self.schedule_suffix(copies, policies, dirty, prefix_makespan, false)?;
+        let makespan = self.schedule_suffix(copies, policies, dirty, prefix_makespan, commit)?;
         self.finish_estimate(copies, policies, makespan, Some(dirty))
     }
 
@@ -624,9 +703,16 @@ impl SystemEvaluator {
 
     /// Phases 2 + 3: downstream-finish structure and recovery slack. With
     /// `reuse_from = Some(dirty)`, slack values of processes untouched by
-    /// the change set being scored (same policy, placement and completion
-    /// times as the base) are reused instead of re-running the adversarial
-    /// join.
+    /// the change set being scored are reused from the base: a single copy
+    /// needs only the same policy and placement, a replicated process the
+    /// same completion times too.
+    ///
+    /// A single copy's slack is a closed form. Its validated policy has
+    /// `R ≥ k` recoveries (it tolerates `k` faults alone), so its ladder is
+    /// never killable and rises strictly with each fault: the adversarial
+    /// join returns the ladder's top rung, `k` faults into the copy, and the
+    /// slack is [`RecoveryScheme::recovery_slack`] whenever the copy
+    /// completes. Replicated processes keep the ladder join.
     fn finish_estimate(
         &mut self,
         copies: &CopyMapping,
@@ -659,20 +745,26 @@ impl SystemEvaluator {
         for (pid, _) in self.app.processes() {
             let i = pid.index();
             let pos = self.pos_of[i] as usize;
+            let policy = policies.policy(pid);
+            let count = policy.copies().len();
             // Prefix rows are memcpy'd from the base, so equality is
-            // structural there; suffix rows must be compared.
+            // structural there; an unchanged single copy's slack does not
+            // read its row, and a replicated suffix row must be compared.
             let reusable = reuse_from.is_some_and(|d| pos < d)
                 || (reuse_from.is_some()
                     && !self.changed[i]
-                    && self.base.as_ref().is_some_and(|b| {
-                        row(&b.copy_end, &b.copy_off, pos)
-                            == row(&self.copy_end, &self.copy_off, pos)
-                    }));
+                    && (count == 1
+                        || self.base.as_ref().is_some_and(|b| {
+                            row(&b.copy_end, &b.copy_off, pos)
+                                == row(&self.copy_end, &self.copy_off, pos)
+                        })));
             let slack = if reusable {
                 self.base.as_ref().expect("reusable implies base").slack[i]
+            } else if count == 1 {
+                let cpu = copies.copies_of(pid)[0];
+                let scheme = scheme_at(&self.schemes, self.node_count, i, cpu.index())?;
+                scheme.recovery_slack(policy.copies()[0].checkpoints, self.k)
             } else {
-                let policy = policies.policy(pid);
-                let count = policy.copies().len();
                 while self.ladders.len() < count {
                     self.ladders.push(ReplicaLadder { ladder: Vec::new(), killable: false });
                 }
@@ -715,19 +807,30 @@ impl SystemEvaluator {
     /// Stores the just-evaluated state as the anchor, reusing the previous
     /// anchor's allocations.
     fn anchor(&mut self, copies: &CopyMapping, policies: &PolicyAssignment, estimate: Estimate) {
-        match (&mut self.base, &mut self.anchored) {
-            (Some(base), Some((base_copies, base_policies))) => {
+        match &mut self.anchored {
+            Some((base_copies, base_policies)) => {
                 base_copies.clone_from(copies);
                 base_policies.clone_from(policies);
-                base.copy_end.clone_from(&self.copy_end);
-                base.copy_off.clone_from(&self.copy_off);
-                base.logs.clone_from(&self.logs);
-                base.makespan_after.clone_from(&self.makespan_after);
-                base.slack.clone_from(&self.slack);
+            }
+            None => self.anchored = Some((copies.clone(), policies.clone())),
+        }
+        self.rebase(estimate);
+    }
+
+    /// Makes the schedule image in the scratch buffers (a full pass or a
+    /// committed suffix, logs recorded) the base state. The buffers are
+    /// swapped, not copied: every pass rebuilds the scratch it reads.
+    fn rebase(&mut self, estimate: Estimate) {
+        match &mut self.base {
+            Some(base) => {
+                std::mem::swap(&mut base.copy_end, &mut self.copy_end);
+                std::mem::swap(&mut base.copy_off, &mut self.copy_off);
+                std::mem::swap(&mut base.logs, &mut self.logs);
+                std::mem::swap(&mut base.makespan_after, &mut self.makespan_after);
+                std::mem::swap(&mut base.slack, &mut self.slack);
                 base.estimate = estimate;
             }
-            _ => {
-                self.anchored = Some((copies.clone(), policies.clone()));
+            None => {
                 self.base = Some(BaseState {
                     copy_end: self.copy_end.clone(),
                     copy_off: self.copy_off.clone(),
@@ -1117,6 +1220,52 @@ mod tests {
         assert_eq!(batch[1].as_ref().unwrap(), &legacy);
         assert_eq!(ev.stats().delta_fallbacks, 2, "no base: every candidate is a fallback");
         assert_eq!(ev.stats().evaluations(), 2);
+    }
+
+    #[test]
+    fn single_copy_slack_is_the_closed_form() {
+        // splitmix64, so the draws are the same on every platform.
+        let mut state = 23u64;
+        let mut next = |bound: u64| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % bound
+        };
+        let (mut schemes, mut zero_wcets) = (0, 0);
+        let mut ladder = ReplicaLadder { ladder: Vec::new(), killable: false };
+        while schemes < 3000 {
+            let [wcet, alpha, mu, chi] = [next(60), next(12), next(12), next(12)];
+            let scheme = RecoveryScheme::new(
+                Time::new(wcet as i64),
+                Time::new(alpha as i64),
+                Time::new(mu as i64),
+                Time::new(chi as i64),
+            );
+            // A zero WCET has no scheme: its slot holds the error, which
+            // `schedule_suffix` surfaces before any slack is computed.
+            let Ok(scheme) = scheme else {
+                assert_eq!(wcet, 0, "only a zero WCET is rejected");
+                zero_wcets += 1;
+                continue;
+            };
+            schemes += 1;
+            for k in 0..=7 {
+                // A validated single copy tolerates k faults alone: R ≥ k.
+                let plan = CopyPlan::checkpointed(k + next(3) as u32, next(9) as u32);
+                let end = Time::new(next(1_000_000_001) as i64);
+                fill_ladder(scheme, plan, end, k, &mut ladder);
+                let joined = std::slice::from_ref(&ladder);
+                let delivery = worst_case_delivery(joined, k).expect("a single copy delivers");
+                assert_eq!(
+                    scheme.recovery_slack(plan.checkpoints, k),
+                    delivery - ladder.ladder[0],
+                    "{scheme:?} {plan:?} k={k} end={end:?}"
+                );
+            }
+        }
+        assert!(zero_wcets > 0, "the draws include a zero WCET");
     }
 
     #[test]

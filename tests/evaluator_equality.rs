@@ -21,6 +21,11 @@
 //! differs from the current one, and `evaluate_changes` over the sets
 //! equals `evaluate_batch` over the materialized states — result for
 //! result, error for error, counter for counter.
+//!
+//! A fourth pins the committed anchor: along walks that move by
+//! `SystemEvaluator::commit` instead of a full `evaluate`, the commit
+//! answers the estimate its set got in the batch, and the next batch equals
+//! that of a fresh evaluator anchored at the same state by `evaluate`.
 
 use ftes::ft::{Policy, PolicyAssignment};
 use ftes::ftcpg::{ChangeSets, CopyMapping, PlacementLoad};
@@ -363,6 +368,143 @@ proptest! {
                 prop_assert!(change_eval.evaluate(&copies, &policies).is_ok());
                 prop_assert!(batch_eval.evaluate(&copies, &policies).is_ok());
             }
+        }
+    }
+
+    /// Committed-anchor guarantee: a kernel that follows its walk by
+    /// `commit`ting each accepted change set stays indistinguishable from
+    /// one anchored afresh by `evaluate`. Walks mix remaps, repolicies to
+    /// and from replication, and sets moving every source process (one of
+    /// which holds pop position 0, so the commit runs the full pass). Each
+    /// step also commits the empty set (a no-op) and, when k > 0, an
+    /// invalid policy, which must fail and leave the anchor where it was.
+    #[test]
+    fn committed_anchor_equals_full_evaluate(
+        seed in 0u64..1000,
+        n in 6usize..13,
+        nodes in 2usize..5,
+    ) {
+        let config = match seed % 3 {
+            0 => GeneratorConfig::new(n, nodes),
+            1 => GeneratorConfig::chainy(n, nodes),
+            _ => GeneratorConfig::wide(n, nodes),
+        };
+        let app = generate_application(&config, seed)
+            .expect("generator configs in range are valid");
+        let platform = Platform::homogeneous(nodes, Time::new(8)).expect("non-empty platform");
+        let arch = platform.architecture();
+        let invalid = Policy::reexecution(0);
+        let sources: Vec<ProcessId> = app
+            .processes()
+            .map(|(p, _)| p)
+            .filter(|&p| app.predecessors(p).is_empty())
+            .collect();
+
+        for k in 0u32..=3 {
+            let mut mapping = Mapping::cheapest(&app, arch).expect("generated apps are mappable");
+            let mut policies = if (seed + u64::from(k)).is_multiple_of(2) {
+                PolicyAssignment::uniform_replication(&app, k)
+            } else {
+                PolicyAssignment::uniform_reexecution(&app, k)
+            };
+            let mut copies = CopyMapping::from_base(&app, arch, &mapping, &policies)
+                .expect("placement is total");
+            let mut load = PlacementLoad::new(&app, arch, &mapping, &policies);
+            let mut committed = SystemEvaluator::new(&app, &platform, k);
+            if committed.evaluate(&copies, &policies).is_err() {
+                continue;
+            }
+            let (cands, replication) = (candidates(&app, k), Policy::replication(k));
+            let reexecution = Policy::reexecution(k);
+
+            for step in 0..8u64 {
+                // Every source process moved at once: one of them holds pop
+                // position 0.
+                let (mut sm, mut sp) = (mapping.clone(), policies.clone());
+                for &source in &sources {
+                    let to = if sp.policy(source) == &replication { &reexecution } else { &replication };
+                    sp.set(source, to.clone());
+                    let node = app.process(source).candidate_nodes().last().expect("mappable");
+                    if let Ok(moved) = sm.with_move(&app, arch, source, node) {
+                        sm = moved;
+                    }
+                }
+                let sc = CopyMapping::from_base(&app, arch, &sm, &sp).expect("placement is total");
+
+                // The neighborhood: single-process moves, the all-sources
+                // set, the state itself (an empty set) and an invalid policy.
+                let mut sets = ChangeSets::new();
+                let mut states: Vec<(Mapping, PolicyAssignment, CopyMapping)> = Vec::new();
+                for j in 0..6u64 {
+                    let walk = step * 6 + j;
+                    let Some(mv) = step_move(&app, &mapping, &cands, seed, walk) else {
+                        continue;
+                    };
+                    let mv = match mv {
+                        Move::Repolicy { process, .. } if k > 0 && walk % 3 == 1 => {
+                            Move::Repolicy { process, policy: &replication }
+                        }
+                        mv => mv,
+                    };
+                    if let Move::Repolicy { process, policy } = mv {
+                        if policies.policy(process) == policy {
+                            continue;
+                        }
+                    }
+                    let Some((m, p)) = apply_move(&app, arch, &mapping, &policies, mv) else {
+                        continue;
+                    };
+                    let c = CopyMapping::from_base(&app, arch, &m, &p).expect("placement is total");
+                    mv.derive(&app, &mut load, &copies, &mut sets);
+                    states.push((m, p, c));
+                }
+                let all_sources = states.len();
+                sets.push_diff(&app, (&copies, &policies), (&sc, &sp));
+                let empty = all_sources + 1;
+                sets.close();
+                let first = ProcessId::new(0);
+                if k > 0 {
+                    let row = copies.copies_of(first);
+                    load.derive(&app, &copies, first, row[0], 1, Some(&invalid), &mut sets);
+                }
+
+                // The committed kernel scores like a freshly anchored one.
+                let batch = committed.evaluate_changes(&sets);
+                let mut fresh = SystemEvaluator::new(&app, &platform, k);
+                prop_assert!(fresh.evaluate(&copies, &policies).is_ok());
+                prop_assert_eq!(&batch, &fresh.evaluate_changes(&sets), "k={} step={}", k, step);
+
+                // An empty set commits nothing; an invalid policy fails.
+                prop_assert_eq!(&committed.commit(sets.get(empty)), &batch[empty]);
+                if k > 0 {
+                    prop_assert!(committed.commit(sets.get(empty + 1)).is_err());
+                    prop_assert!(batch[empty + 1].is_err());
+                }
+                prop_assert_eq!(&committed.evaluate_changes(&sets), &batch, "k={} step={}", k, step);
+
+                // Walk on: every other step along the all-sources set,
+                // otherwise the first feasible single move from a rotating
+                // start.
+                let pick = if step % 2 == 1 && batch[all_sources].is_ok() {
+                    Some(all_sources)
+                } else {
+                    (0..all_sources)
+                        .map(|j| (j + step as usize) % all_sources)
+                        .find(|&i| batch[i].is_ok())
+                };
+                let Some(i) = pick else { continue };
+                let estimate = committed.commit(sets.get(i));
+                prop_assert_eq!(&estimate, &batch[i], "k={} step={} candidate={}", k, step, i);
+                (mapping, policies, copies) =
+                    if i == all_sources { (sm, sp, sc) } else { states.swap_remove(i) };
+                load = PlacementLoad::new(&app, arch, &mapping, &policies);
+            }
+            // The state the walk ended at, once more.
+            let mut fresh = SystemEvaluator::new(&app, &platform, k);
+            let expected = fresh.evaluate(&copies, &policies);
+            let mut sets = ChangeSets::new();
+            sets.close();
+            prop_assert_eq!(&committed.evaluate_changes(&sets)[0], &expected);
         }
     }
 }

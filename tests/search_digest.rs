@@ -37,23 +37,23 @@ use std::fmt::{self, Write as _};
 /// Digest of `synthesize_with` under MX, MR and MXR.
 const STRATEGY_DIGEST: u64 = 0x1ab2_98f9_2180_fcd4;
 /// Digest of the evaluator-kernel counters after each `synthesize_with`.
-const STRATEGY_EVALS_DIGEST: u64 = 0x5fc8_fe8a_5a20_802c;
+const STRATEGY_EVALS_DIGEST: u64 = 0xd56a_b0fa_d8ee_ef9c;
 /// Digest of `synthesize_certified`, post hoc and guided.
 const CERTIFIED_DIGEST: u64 = 0x7a81_4bdb_74b1_e00e;
 /// Digest of the evaluator-kernel counters after each
 /// `synthesize_certified`.
-const CERTIFIED_EVALS_DIGEST: u64 = 0x5fb2_a076_e57a_3dd0;
+const CERTIFIED_EVALS_DIGEST: u64 = 0xaf42_49d5_9b19_c71d;
 /// Digest of the traced tabu, greedy and annealing engines from mixed
 /// (partly replicated) starts.
 const ENGINE_DIGEST: u64 = 0xa97f_4927_b1fe_3087;
 /// Digest of the evaluator-kernel counters after each tabu run.
-const ENGINE_EVALS_DIGEST: u64 = 0xfc39_5bda_a1a2_212f;
+const ENGINE_EVALS_DIGEST: u64 = 0x6469_faaf_201f_16ab;
 /// Digest of one portfolio exploration's results: best state, Pareto
 /// archive (state keys by their bytes), estimate-cache and certify-cache
 /// counters.
 const EXPLORE_DIGEST: u64 = 0xaa70_cd7a_905b_d4b5;
 /// Digest of the same exploration's evaluator-kernel counters.
-const EXPLORE_EVALS_DIGEST: u64 = 0x74e0_b78d_2b6d_ff91;
+const EXPLORE_EVALS_DIGEST: u64 = 0xbf79_bac2_98c3_78a9;
 /// Digest of the Fig. 8 checkpoint descent: the local-vs-global comparison
 /// and the global descent from partly replicated starts.
 const CHECKPOINT_DIGEST: u64 = 0xb688_3053_a2d7_9bab;
