@@ -74,7 +74,7 @@ impl StateKey {
 /// the moved process's word (a remap) or policy section (a repolicy) is
 /// rewritten, and the hash trades the process's old row hash for its new
 /// one. Built once per state from the byte offset of each policy section.
-pub struct NeighborKeys<'a> {
+pub(crate) struct NeighborKeys<'a> {
     key: &'a StateKey,
     mapping: &'a Mapping,
     policies: &'a PolicyAssignment,
@@ -85,7 +85,11 @@ pub struct NeighborKeys<'a> {
 
 impl<'a> NeighborKeys<'a> {
     /// The neighbor keys of `(mapping, policies)`, whose key is `key`.
-    pub fn new(key: &'a StateKey, mapping: &'a Mapping, policies: &'a PolicyAssignment) -> Self {
+    pub(crate) fn new(
+        key: &'a StateKey,
+        mapping: &'a Mapping,
+        policies: &'a PolicyAssignment,
+    ) -> Self {
         let mut at = 4 * mapping.iter().count();
         let mut policy_at = Vec::with_capacity(at / 4 + 1);
         policy_at.push(at);
@@ -100,7 +104,7 @@ impl<'a> NeighborKeys<'a> {
     /// The key of the state `mv` leads to: equal, bytes and hash, to
     /// [`StateKey::encode`] of the successor
     /// ([`apply_move`](ftes_opt::apply_move)'s result).
-    pub fn key(&self, mv: Move<'_>) -> StateKey {
+    pub(crate) fn key(&self, mv: Move<'_>) -> StateKey {
         let process = mv.process();
         let old = &self.key.bytes;
         let (bytes, row) = match mv {

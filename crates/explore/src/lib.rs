@@ -12,7 +12,7 @@
 //!   whole neighborhood first as moves (via the move primitives `ftes-opt`
 //!   exposes), keys each by the state it leads to without building that
 //!   state, patching the current state's key in time proportional to the
-//!   move ([`NeighborKeys`]), probes the cache for every key, then
+//!   move, probes the cache for every key, then
 //!   derives each miss's change set (`Move::derive`) and scores all of
 //!   them in one `SystemEvaluator::evaluate_changes` pass over the
 //!   worker's own kernel, anchored at its current state — the path the
@@ -82,9 +82,7 @@ mod report;
 mod suite;
 
 pub use archive::{table_cost, ArchiveEntry, Objectives, ParetoArchive};
-pub use cache::{
-    fnv1a64, CacheStats, CertifyCache, EstimateCache, NeighborKeys, StateCache, StateKey,
-};
+pub use cache::{fnv1a64, CacheStats, CertifyCache, EstimateCache, StateCache, StateKey};
 pub use ftes_opt::EngineKind;
 pub use portfolio::{
     default_portfolio, explore, Exploration, ExploreError, PortfolioConfig, WorkerSpec,

@@ -435,7 +435,7 @@ const PHASE_COUNTERS: [&str; 7] = [
 struct PhaseClock {
     /// The last phase boundary, when timing.
     last: Option<Instant>,
-    ns: [u64; 7],
+    ns: [u64; PHASE_COUNTERS.len()],
 }
 
 impl PhaseClock {
