@@ -478,11 +478,13 @@ impl<'s> Neighborhood<'s> {
         Ok(())
     }
 
-    /// Accepts candidate `i`: writes it over `current` and steps the
-    /// placement inputs to match.
+    /// Accepts candidate `i`: writes it over `current`, steps the
+    /// placement inputs to match and commits its change set to the
+    /// kernel, moving the anchor there by re-scheduling only the suffix
+    /// the move dirties.
     fn accept(
         &mut self,
-        evaluator: &SystemEvaluator,
+        evaluator: &mut SystemEvaluator,
         i: usize,
         current: &mut Synthesized,
         estimate: Estimate,
@@ -493,6 +495,8 @@ impl<'s> Neighborhood<'s> {
         let to = current.mapping.node_of(process);
         let copies = current.copies.copies_of(process).len();
         self.load.commit(evaluator.app(), process, from, to, copies);
+        let committed = evaluator.commit(self.sets.get(i))?;
+        debug_assert_eq!(committed, estimate, "a commit scores as its batch did");
         Ok(())
     }
 }
@@ -580,9 +584,6 @@ pub fn search(
         if let Some(c) = step.walk {
             let (i, estimate) = feasible[c];
             hood.accept(evaluator, i, &mut current, estimate)?;
-            // Move the delta base along the accepted change set.
-            let committed = evaluator.commit(hood.sets.get(i))?;
-            debug_assert_eq!(committed, estimate, "a commit scores as its batch did");
         }
         trace.push(best.estimate.worst_case_length.units());
     }
