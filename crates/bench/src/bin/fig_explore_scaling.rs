@@ -1,13 +1,12 @@
 //! Scaling harness for the `ftes-explore` portfolio engine: wall-clock
 //! speedup over the serial MXR synthesis at matched evaluation budgets,
-//! swept over thread counts, plus the estimate-cache contribution.
+//! swept over thread counts.
 //!
 //! Output is CSV (`point,engine,threads,wall_ms,worst_case,speedup`), one
 //! block per experiment point, with the serial baseline as `threads=0`.
 //! The portfolio's search budget (workers × rounds × iterations) matches
 //! the serial iteration count, so the speedup column isolates the
-//! parallel/caching machinery rather than comparing different search
-//! effort.
+//! parallel machinery rather than comparing different search effort.
 //!
 //! Run with: `cargo run --release -p ftes-bench --bin fig_explore_scaling
 //! [seeds-per-point]`
@@ -32,7 +31,7 @@ fn main() {
     threads.retain(|&t| t <= cores.max(8));
 
     println!("# explore scaling — portfolio exploration vs serial MXR ({seeds} seeds/point)");
-    println!("point,engine,threads,wall_ms,worst_case,cache_hit_rate,speedup");
+    println!("point,engine,threads,wall_ms,worst_case,speedup");
 
     for point in fig7_points() {
         let plat = platform(point.nodes);
@@ -62,7 +61,7 @@ fn main() {
         }
         let baseline_ms = mean(&serial_ms);
         println!(
-            "n{}_k{},serial_mxr,0,{:.1},{:.0},0.0000,1.00",
+            "n{}_k{},serial_mxr,0,{:.1},{:.0},1.00",
             point.processes,
             point.k,
             baseline_ms,
@@ -72,7 +71,6 @@ fn main() {
         for &t in &threads {
             let mut ms = Vec::new();
             let mut wc = Vec::new();
-            let mut hit = Vec::new();
             for seed in 0..seeds {
                 let app = workload(point, seed);
                 let started = Instant::now();
@@ -80,16 +78,14 @@ fn main() {
                     .expect("exploration on generated instances succeeds");
                 ms.push(started.elapsed().as_secs_f64() * 1e3);
                 wc.push(result.best.estimate.worst_case_length.units() as f64);
-                hit.push(result.cache.hit_rate());
             }
             println!(
-                "n{}_k{},portfolio,{},{:.1},{:.0},{:.4},{:.2}",
+                "n{}_k{},portfolio,{},{:.1},{:.0},{:.2}",
                 point.processes,
                 point.k,
                 t,
                 mean(&ms),
                 mean(&wc),
-                mean(&hit),
                 baseline_ms / mean(&ms).max(1e-9),
             );
         }

@@ -17,9 +17,8 @@
 //! OUTPUT:
 //!   --csv | --json print machine-readable results instead of the summary
 //!   --out FILE     write the chosen format to FILE as well
-//!   (wall time, evaluator-kernel and estimate-cache counters go to
-//!   stderr, never into the report, whose bytes are identical for any
-//!   thread split)
+//!   (wall time and evaluator-kernel counters go to stderr, never into
+//!   the report, whose bytes are identical for any thread split)
 //!
 //! CERTIFICATION:
 //!   incumbents are exact-certified by default (and demoted down the
@@ -215,25 +214,21 @@ impl ExploreCommand {
     }
 }
 
-/// The stderr diagnostics line: the run's wall time, evaluator-kernel work
-/// and estimate-cache traffic. All depend on the host or the thread split,
-/// so they stay out of every rendered report.
+/// The stderr diagnostics line: the run's wall time and evaluator-kernel
+/// work. They measure the host and the search's effort, not the design, so
+/// they stay out of every rendered report.
 fn kernel_line(outcome: &SuiteOutcome, wall: Duration) -> String {
     let evals = outcome.points.iter().fold(EvaluatorStats::default(), |a, p| a.merged(p.evals));
-    let cache = outcome.total_cache();
     let secs = wall.as_secs_f64();
     let rate = if secs > 0.0 { evals.evaluations() as f64 / secs } else { 0.0 };
     format!(
         "explore: {} points in {} ms; {} kernel evaluations from {} evaluators \
-         ({} reused, {rate:.0} evals/s); estimate cache {} hits, {} misses ({:.1}%)",
+         ({} reused, {rate:.0} evals/s)",
         outcome.points.len(),
         wall.as_millis(),
         evals.evaluations(),
         evals.constructions,
         evals.reused(),
-        cache.hits,
-        cache.misses,
-        100.0 * cache.hit_rate(),
     )
 }
 
@@ -369,7 +364,7 @@ mod tests {
     }
 
     #[test]
-    fn kernel_line_carries_the_estimate_cache_counters() {
+    fn kernel_line_carries_the_kernel_counters() {
         let cmd = parse(&[
             "--processes",
             "8",
@@ -386,19 +381,21 @@ mod tests {
         ])
         .unwrap();
         let outcome = ftes::explore::run_suite(&cmd.suite).unwrap();
-        let cache = outcome.total_cache();
-        assert!(cache.hits > 0 && cache.misses > 0, "{cache:?}");
+        let evals = outcome.points[0].evals;
+        assert!(evals.evaluations() > evals.constructions, "{evals:?}");
         let line = kernel_line(&outcome, Duration::from_millis(250));
-        assert!(line.starts_with("explore: 1 points in 250 ms; "), "{line}");
-        let counters = format!(
-            "; estimate cache {} hits, {} misses ({:.1}%)",
-            cache.hits,
-            cache.misses,
-            100.0 * cache.hit_rate()
+        let rate = evals.evaluations() as f64 / 0.25;
+        let expected = format!(
+            "explore: 1 points in 250 ms; {} kernel evaluations from {} evaluators \
+             ({} reused, {rate:.0} evals/s)",
+            evals.evaluations(),
+            evals.constructions,
+            evals.reused(),
         );
-        assert!(line.ends_with(&counters), "{line}");
-        // The summary table is a report: no memo counter in it.
-        assert!(!summarize(&outcome).contains("cache"));
+        assert_eq!(line, expected);
+        // The summary table is a report: no work or memo counter in it.
+        let summary = summarize(&outcome);
+        assert!(!summary.contains("cache") && !summary.contains("evaluations"), "{summary}");
     }
 
     #[test]

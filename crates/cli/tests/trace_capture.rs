@@ -12,8 +12,8 @@ fn a_traced_paper_grid_point_drops_no_events() {
         .join(format!("ftes-trace-capture-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let (chrome, folded) = (dir.join("trace.json"), dir.join("folded.txt"));
-    // The smallest paper-grid point on one thread: one search thread
-    // records more events than its ring holds.
+    // The smallest paper-grid point, at two seeds, on one thread: one
+    // search thread records more events than its ring holds.
     let args: Vec<String> = [
         "--processes",
         "20",
@@ -21,6 +21,8 @@ fn a_traced_paper_grid_point_drops_no_events() {
         "4",
         "--k",
         "3",
+        "--seeds",
+        "2",
         "--threads",
         "1",
         "--csv",

@@ -30,7 +30,7 @@
 //! | [`sim`] | fault-injection replay and verification |
 //! | [`gen`] | seeded synthetic workloads + the named corpus families (the §6 experiments) |
 //! | [`opt`] | MXR/MX/MR/SFX synthesis, checkpoint + bus optimization |
-//! | [`explore`] | parallel portfolio exploration: batched evaluation, estimate cache, Pareto archive, scenario suites |
+//! | [`explore`] | parallel portfolio exploration: batched evaluation, Pareto archive, scenario suites |
 //! | [`soft`] | soft/hard time-constraint extension (utility scheduling, \[17\]) |
 //!
 //! This crate additionally hosts the `.ftes` system-specification parser

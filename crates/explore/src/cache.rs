@@ -1,17 +1,15 @@
-//! Memo tables over candidate states: a sharded, lock-light map from
-//! canonical candidate-state encodings to values computed from the state.
+//! Canonical candidate-state keys, and a sharded, lock-light memo table
+//! over them.
 //!
-//! The portfolio workers of this crate repeatedly revisit states — tabu
-//! cycles, annealing re-acceptance, and *cross-worker* convergence on the
-//! same basins. One table type, [`StateCache`], memoizes both per-state
-//! facts they compute: root-schedule estimates ([`EstimateCache`], the
-//! dominant cost of every visit) and certify-guided admit verdicts
-//! ([`CertifyCache`]). A table keys a candidate `(mapping, policies)`
-//! state by a canonical byte encoding (exact, collision-free) with a 64-bit
-//! hash for shard selection, so a state any worker has published is never
-//! recomputed, whichever thread computed it. The hash sums one hash per
-//! process row, so a neighbor's key is patched from its state's key, bytes
-//! and hash alike, in time proportional to the move ([`NeighborKeys`]).
+//! A [`StateKey`] encodes a candidate `(mapping, policies)` state as
+//! canonical bytes (exact, collision-free) with a 64-bit hash for shard
+//! selection. The hash sums one hash per process row, so a neighbor's key
+//! is patched from its state's key, bytes and hash alike, in time
+//! proportional to the move ([`NeighborKeys`]). Keys are the portfolio's
+//! canonical tie-break and the Pareto archive's identity, and they key the
+//! one memo table, [`StateCache`]: as [`CertifyCache`] it holds the
+//! certify-guided admit verdicts the workers share, so a state any worker
+//! has certified is never certified again, whichever thread certified it.
 //!
 //! A table instance is scoped to one problem instance (one
 //! `(application, platform, k)` triple): keys encode only the candidate
@@ -20,7 +18,6 @@
 use ftes_ft::{Policy, PolicyAssignment};
 use ftes_model::{Mapping, NodeId, ProcessId};
 use ftes_opt::Move;
-use ftes_sched::Estimate;
 // ftes-lint: allow(determinism) reason="hash-keyed state lookup only; entries are never iterated into results"
 use std::collections::HashMap;
 use std::fmt;
@@ -247,19 +244,14 @@ type Shard<V> = Mutex<HashMap<StateKey, V>>;
 /// [`insert`](StateCache::insert). Two workers that miss the same key
 /// concurrently both compute it and arrive at the same value, so the first
 /// insert wins and the second is a no-op. The hit/miss counters follow
-/// that interleaving, so they are in-memory diagnostics, like the
-/// evaluator-kernel counters, and no report renders them; at one thread
-/// each unique key misses exactly once.
+/// that interleaving, so they are in-memory diagnostics and no report
+/// renders them; at one thread each unique key misses exactly once.
 #[derive(Debug)]
 pub struct StateCache<V> {
     shards: Box<[Shard<V>]>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
-
-/// State → root-schedule estimate; `None` caches infeasibility, so
-/// known-dead states are never re-tried.
-pub type EstimateCache = StateCache<Option<Estimate>>;
 
 /// State → certify-guided admit verdict (`true` = the state may become a
 /// worker's best, `false` = demoted). Certifiers run unbudgeted in guided
@@ -323,7 +315,7 @@ impl<V: Copy> StateCache<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftes_model::{samples, Time};
+    use ftes_model::samples;
     use std::sync::atomic::AtomicUsize;
     use std::sync::Barrier;
 
@@ -359,31 +351,15 @@ mod tests {
     fn cache_memoizes_and_counts() {
         let (mapping, policies) = fig3_state();
         let key = StateKey::encode(&mapping, &policies);
-        let cache = EstimateCache::new();
-        let est = Estimate {
-            fault_free_length: Time::new(10),
-            worst_case_length: Time::new(20),
-            critical_process: ftes_model::ProcessId::new(0),
-        };
+        let cache = StateCache::<bool>::new();
         assert_eq!(cache.get(&key), None);
-        cache.insert(&key, Some(est));
+        cache.insert(&key, false);
         for _ in 0..4 {
-            assert_eq!(cache.get(&key), Some(Some(est)));
+            assert_eq!(cache.get(&key), Some(false));
         }
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (4, 1, 1));
         assert!(stats.hit_rate() > 0.79);
-    }
-
-    #[test]
-    fn infeasibility_is_cached_too() {
-        let (mapping, policies) = fig3_state();
-        let key = StateKey::encode(&mapping, &policies);
-        let cache = EstimateCache::new();
-        assert_eq!(cache.get(&key), None);
-        cache.insert(&key, None);
-        // A later lookup reads the cached infeasibility.
-        assert_eq!(cache.get(&key), Some(None));
     }
 
     #[test]

@@ -1,39 +1,35 @@
 //! # ftes-explore
 //!
-//! Parallel, cache-accelerated design-space exploration for the FTES
-//! synthesis flow — the scale layer over `ftes-opt`'s serial searches.
+//! Parallel design-space exploration for the FTES synthesis flow — the
+//! scale layer over `ftes-opt`'s serial searches.
 //!
 //! The paper's §6 synthesis evaluates one candidate `(mapping, policy)`
 //! state at a time; the 100-process / k = 7 experiment grid is therefore
 //! bounded by single-core estimator throughput. This crate lifts that
-//! limit with four cooperating pieces:
+//! limit with three cooperating pieces:
 //!
 //! * **Change-set neighborhood scoring** — a search iteration samples its
 //!   whole neighborhood first as moves (via the move primitives `ftes-opt`
 //!   exposes), keys each by the state it leads to without building that
-//!   state, patching the current state's key in time proportional to the
-//!   move, probes the cache for every key, then
-//!   derives each miss's change set (`Move::derive`) and scores all of
-//!   them in one `SystemEvaluator::evaluate_changes` pass over the
-//!   worker's own kernel, anchored at its current state — the path the
-//!   serial `ftes-opt` search takes. The kernel follows an accepted move
-//!   by committing its change set (`SystemEvaluator::commit`). Workers
+//!   state ([`StateKey`], a canonical, collision-free encoding patched from
+//!   the current state's key in time proportional to the move), derives
+//!   every move's change set (`Move::derive`) and scores all of them in
+//!   one `SystemEvaluator::evaluate_changes` pass over the worker's own
+//!   kernel, anchored at its current state — the path the serial
+//!   `ftes-opt` search takes. The kernel follows an accepted move by
+//!   committing its change set (`SystemEvaluator::commit`). Workers
 //!   parallelize above it through `ftes_model::par::ordered_parallel`.
-//! * **Memoized estimate cache** ([`EstimateCache`]) — candidate states
-//!   are keyed by a canonical, collision-free encoding ([`StateKey`]);
-//!   any state revisited by any worker is answered without re-running the
-//!   estimator, and infeasibility is cached too. The certify-guided admit
-//!   verdicts live in the same table type ([`StateCache`]).
 //! * **Pareto archive** ([`ParetoArchive`]) — every visited candidate is
 //!   offered to an order-independent non-dominated archive over the §3.3
 //!   trade-off (worst-case length, recovery slack, schedule-table size),
 //!   so one run yields the whole front.
 //! * **Portfolio of diversified searchers** ([`explore`]) — tabu /
 //!   simulated-annealing / greedy workers ([`EngineKind`]) with distinct
-//!   seeds and tunables run concurrently, sharing the cache continuously
-//!   and incumbents at deterministic round barriers. Each worker steps
-//!   `ftes-opt`'s `Acceptance`, the one definition of the three
-//!   engines' acceptance rules the serial search uses too.
+//!   seeds and tunables run concurrently, sharing incumbents at
+//!   deterministic round barriers (and, in certify-guided mode, admit
+//!   verdicts through a [`CertifyCache`]). Each worker steps `ftes-opt`'s
+//!   `Acceptance`, the one definition of the three engines' acceptance
+//!   rules the serial search uses too.
 //!
 //! A [scenario-suite runner](run_suite) sweeps the §6 experiment grid
 //! ([`paper_grid`]: 20–100 processes, 2–6 nodes, k = 3–7) with
@@ -45,13 +41,15 @@
 //! For a fixed configuration (seed included), [`explore`] and
 //! [`run_suite`] return identical incumbents and identical Pareto
 //! archives for **any** `threads` / `point_parallelism` values. Worker
-//! trajectories never depend on thread interleaving: the cache only
-//! memoizes pure functions, archives are order-independent sets, and all
-//! cross-worker communication happens at round barriers with canonical
-//! (`StateKey`) tie-breaks. The rendered reports are byte-identical for
-//! any split too: they carry no wall clocks, no evaluator-kernel work
-//! counters and no memo hit/miss counters ([`PointOutcome::evals`] and
-//! [`PointOutcome::cache`] depend on the thread split).
+//! trajectories never depend on thread interleaving: each worker scores
+//! on its own kernel, the admit cache only memoizes pure functions,
+//! archives are order-independent sets, and all cross-worker
+//! communication happens at round barriers with canonical (`StateKey`)
+//! tie-breaks. So the workers' kernel counters ([`PointOutcome::evals`])
+//! do not depend on the split either, while the admit-cache hit/miss
+//! counters ([`PointOutcome::certify_cache`]) do. The rendered reports are
+//! byte-identical for any split: they carry no wall clocks, no
+//! evaluator-kernel work counters and no memo hit/miss counters.
 //!
 //! ## Example
 //!
@@ -82,7 +80,7 @@ mod report;
 mod suite;
 
 pub use archive::{table_cost, ArchiveEntry, Objectives, ParetoArchive};
-pub use cache::{fnv1a64, CacheStats, CertifyCache, EstimateCache, StateCache, StateKey};
+pub use cache::{fnv1a64, CacheStats, CertifyCache, StateCache, StateKey};
 pub use ftes_opt::EngineKind;
 pub use portfolio::{
     default_portfolio, explore, Exploration, ExploreError, PortfolioConfig, WorkerSpec,

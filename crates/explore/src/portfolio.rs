@@ -1,6 +1,6 @@
-//! The parallel portfolio engine: diversified search workers over a shared
-//! estimate cache, with incumbent broadcasting at deterministic round
-//! barriers.
+//! The parallel portfolio engine: diversified search workers, each scoring
+//! on its own evaluator kernel, with incumbent broadcasting at
+//! deterministic round barriers.
 //!
 //! ## Design
 //!
@@ -12,18 +12,19 @@
 //! neighborhood the way the serial `ftes-opt` search does. A neighbor
 //! stays a [`Move`] of the current state plus its successor's
 //! [`StateKey`], patched from the current state's key in time
-//! proportional to the move ([`NeighborKeys`]). The shared
-//! [`EstimateCache`] is probed for every key first, and only the misses
-//! are derived as change sets ([`Move::derive`]) and scored in one
+//! proportional to the move ([`NeighborKeys`]). Every sampled move is
+//! derived as a change set ([`Move::derive`]) and the whole neighborhood
+//! is scored in one
 //! [`evaluate_changes`](SystemEvaluator::evaluate_changes) pass. A
 //! neighbor's objectives come from its estimate and the current state's
 //! table cost, so a `(mapping, policies)` state is built only for the few
 //! neighbors a worker keeps: the one it walks to, a new best, one the
 //! certify-guided gate must certify, and one its Pareto archive admits.
-//! The kernel follows a walk lazily: at the next iteration it commits the
-//! walked move's change set ([`SystemEvaluator::commit`]), re-scheduling
-//! only the suffix the move dirties; only a worker that adopts the round's
-//! incumbent instead re-derives its placement and takes a full pass.
+//! The kernel follows a walk at once, as the serial search's does: it
+//! commits the walked move's change set ([`SystemEvaluator::commit`]),
+//! re-scheduling only the suffix the move dirties; only a worker that
+//! adopts the round's incumbent re-derives its placement and takes a full
+//! pass.
 //! The engine's acceptance is `ftes-opt`'s too: each worker holds one
 //! [`Acceptance`] (tabu, simulated annealing or greedy descent) and steps
 //! it once per iteration, ordering candidates by (worst case, fault-free
@@ -36,16 +37,17 @@
 //!
 //! ## Determinism
 //!
-//! Thread scheduling can reorder *when* states are evaluated but never
-//! *which* states each worker visits: the cache returns identical values
-//! regardless of who computed them, archives are order-independent sets,
-//! and all cross-worker communication happens at barriers with canonical
-//! tie-breaks. Hence: same seed ⇒ identical best state and identical
-//! Pareto archive for **any** thread count — the property
-//! `tests/determinism.rs` locks in.
+//! Thread scheduling can reorder *when* workers run but never *which*
+//! states each worker visits or scores: within a round a worker shares
+//! nothing it writes except the certify-guided admit cache, whose verdicts
+//! are pure facts of the state, archives are order-independent sets, and
+//! all cross-worker communication happens at barriers with canonical
+//! tie-breaks. Hence: same seed ⇒ identical best state, identical Pareto
+//! archive and identical kernel counters for **any** thread count — the
+//! property `tests/determinism.rs` locks in.
 
 use crate::archive::{table_cost, table_cost_after, ArchiveEntry, Objectives, ParetoArchive};
-use crate::cache::{CacheStats, CertifyCache, EstimateCache, NeighborKeys, StateKey};
+use crate::cache::{CacheStats, CertifyCache, NeighborKeys, StateKey};
 use ftes_ft::PolicyAssignment;
 use ftes_ftcpg::{ChangeSets, CopyMapping, PlacementLoad};
 use ftes_model::par::ordered_parallel;
@@ -58,8 +60,6 @@ use ftes_sched::{Certifier, CertifyConfig, Estimate, EvaluatorStats, SystemEvalu
 use ftes_tdma::Platform;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-// ftes-lint: allow(determinism) reason="in-batch repeat lookup only; entries are never iterated into results"
-use std::collections::HashSet;
 use std::convert::Infallible;
 use std::fmt;
 use std::ops::ControlFlow;
@@ -188,16 +188,15 @@ pub struct Exploration {
     pub best: Synthesized,
     /// The Pareto front over (worst-case, recovery slack, table cost).
     pub archive: ParetoArchive,
-    /// Estimate-cache counters for the whole run. Workers that miss the
-    /// same state concurrently each count a miss, so like `evals` these
-    /// follow the thread split: in-memory diagnostics only.
-    pub cache: CacheStats,
     /// Evaluator-kernel counters (constructions, full/delta evaluations,
-    /// reuse) summed over the workers' kernels, one per worker.
+    /// reuse) summed over the workers' kernels, one per worker. A kernel
+    /// scores only its own worker's trajectory, so they do not depend on
+    /// the thread split.
     pub evals: EvaluatorStats,
     /// Certify-guided admit-cache counters (all zero when
-    /// [`PortfolioConfig::certify_guided`] is off). They follow the thread
-    /// split, like the estimate-cache counters.
+    /// [`PortfolioConfig::certify_guided`] is off). Workers that miss the
+    /// same state concurrently each count a miss, so these follow the
+    /// thread split: in-memory diagnostics only.
     pub certify: CacheStats,
 }
 
@@ -249,11 +248,7 @@ struct Kernel<'s> {
     key: StateKey,
     copies: CopyMapping,
     load: PlacementLoad,
-    /// The move the worker last walked along from the anchored state, and
-    /// the key of the state it leads to: committed when that state is
-    /// anchored next.
-    walk: Option<(Move<'s>, StateKey)>,
-    /// Change-set scratch, reused across batches.
+    /// The change sets of the last scored neighborhood, in sample order.
     sets: ChangeSets<'s>,
 }
 
@@ -274,140 +269,78 @@ impl<'s> Kernel<'s> {
             key: StateKey::encode(mapping, policies),
             copies: state.copies,
             load: PlacementLoad::new(app, platform.architecture(), mapping, policies),
-            walk: None,
             sets: ChangeSets::new(),
         };
         Ok((kernel, state.estimate))
     }
 
-    /// Notes that the worker walked along `mv`, a move of the anchored
-    /// state, to the state keyed `key`. The kernel follows only when that
-    /// state is anchored next, so a walk the worker abandons for an adopted
-    /// incumbent costs nothing.
-    fn walk(&mut self, mv: Move<'s>, key: &StateKey) {
-        self.walk = Some((mv, key.clone()));
-    }
-
     /// Anchors at `state`. The state the kernel is anchored at costs
     /// nothing (keys are collision-free, so equal keys are equal states);
-    /// the state of the last walk is reached by committing the walked
-    /// move's change set, which steps the copy placement and placement
-    /// inputs along the move and re-schedules only the suffix it dirties;
     /// any other state (an adopted incumbent) is placed afresh and takes a
     /// full pass.
     fn anchor(&mut self, state: &Candidate) {
-        let walk = self.walk.take();
         if self.key == state.key {
             return;
         }
-        match walk {
-            Some((mv, key)) if key == state.key => {
-                let process = mv.process();
-                let from = self.copies.copies_of(process)[0];
-                self.sets.clear();
-                mv.derive(self.evaluator.app(), &mut self.load, &self.copies, &mut self.sets);
-                let set = self.sets.get(0);
-                set.write_rows(&mut self.copies);
-                let row = self.copies.copies_of(process);
-                self.load.commit(self.evaluator.app(), process, from, row[0], row.len());
-                let committed =
-                    self.evaluator.commit(set).expect("a state scored feasible commits feasible");
-                debug_assert_eq!(committed, state.estimate, "a commit scores as its batch did");
-            }
-            _ => {
-                let (app, arch) = (self.evaluator.app(), self.evaluator.platform().architecture());
-                self.copies = CopyMapping::from_base(app, arch, &state.mapping, &state.policies)
-                    .expect("a scored state has a copy placement");
-                self.load = PlacementLoad::new(app, arch, &state.mapping, &state.policies);
-                self.evaluator
-                    .evaluate(&self.copies, &state.policies)
-                    .expect("a state scored feasible evaluates feasible");
-            }
-        }
+        let (app, arch) = (self.evaluator.app(), self.evaluator.platform().architecture());
+        self.copies = CopyMapping::from_base(app, arch, &state.mapping, &state.policies)
+            .expect("a scored state has a copy placement");
+        self.load = PlacementLoad::new(app, arch, &state.mapping, &state.policies);
+        self.evaluator
+            .evaluate(&self.copies, &state.policies)
+            .expect("a state scored feasible evaluates feasible");
         self.key.clone_from(&state.key);
     }
 
-    /// Scores `moves` of the anchored state through `cache`, `keys[i]` being
-    /// the key of the state `moves[i]` leads to, returning every neighbor's
-    /// estimate in input order (`None` = infeasible).
-    ///
-    /// The first occurrence of every key is looked up, in input order; only
-    /// the misses are derived as change sets and scored, in one
-    /// [`SystemEvaluator::evaluate_changes`] pass, and their results are
-    /// inserted. A key sampled twice in the batch is scored once: its
-    /// repeats are read from the cache after the misses are inserted, as the
-    /// hits they are. `clock` charges the scoring pass to
-    /// [`Phase::Kernel`] and the rest to [`Phase::Probe`].
-    fn score(
-        &mut self,
-        cache: &EstimateCache,
-        moves: &[Move<'s>],
-        keys: &[StateKey],
-        clock: &mut PhaseClock,
-    ) -> Vec<Option<Estimate>> {
+    /// Scores `moves` of the anchored state, returning every neighbor's
+    /// estimate in input order (`None` = infeasible): each move's change
+    /// set is derived into [`Kernel::sets`] and the whole neighborhood is
+    /// scored in one [`SystemEvaluator::evaluate_changes`] pass, as the
+    /// serial search scores its own. `clock` charges the derivation to
+    /// [`Phase::Derive`] and the pass to [`Phase::Kernel`].
+    fn score(&mut self, moves: &[Move<'s>], clock: &mut PhaseClock) -> Vec<Option<Estimate>> {
         let app = self.evaluator.app();
-        let mut out: Vec<Option<Estimate>> = vec![None; moves.len()];
-        let mut misses: Vec<usize> = Vec::new();
-        let mut repeats: Vec<usize> = Vec::new();
-        let mut seen: HashSet<&StateKey> = HashSet::new();
         self.sets.clear();
-        for (i, (mv, key)) in moves.iter().zip(keys).enumerate() {
-            if !seen.insert(key) {
-                repeats.push(i);
-                continue;
-            }
-            match probe(cache, key) {
-                Some(value) => out[i] = value,
-                None => {
-                    mv.derive(app, &mut self.load, &self.copies, &mut self.sets);
-                    misses.push(i);
-                }
-            }
+        for mv in moves {
+            mv.derive(app, &mut self.load, &self.copies, &mut self.sets);
         }
-        if !self.sets.is_empty() {
-            clock.lap(Phase::Probe);
-            let results = self.evaluator.evaluate_changes(&self.sets);
-            clock.lap(Phase::Kernel);
-            for (&i, result) in misses.iter().zip(results) {
-                out[i] = result.ok();
-            }
-        }
-        for &i in &misses {
-            cache.insert(&keys[i], out[i]);
-        }
-        for i in repeats {
-            out[i] = probe(cache, &keys[i]).expect("a repeat's first occurrence is cached");
-        }
-        clock.lap(Phase::Probe);
-        out
+        clock.lap(Phase::Derive);
+        let scores = self.evaluator.evaluate_changes(&self.sets);
+        clock.lap(Phase::Kernel);
+        scores.into_iter().map(Result::ok).collect()
     }
-}
 
-/// Looks `key` up in the estimate cache, reporting the lookup on the
-/// `cache.estimate_hit`/`cache.estimate_miss` trace counters.
-fn probe(cache: &EstimateCache, key: &StateKey) -> Option<Option<Estimate>> {
-    let value = cache.get(key);
-    let name = match value {
-        Some(_) => ftes_obs::names::ESTIMATE_CACHE_HIT,
-        None => ftes_obs::names::ESTIMATE_CACHE_MISS,
-    };
-    ftes_obs::counter(name, 1);
-    value
+    /// Walks to `state` along `mv`, the `i`-th move of the last scored
+    /// neighborhood: writes its change set's rows over the copy placement,
+    /// steps the placement inputs along the move and commits the set to
+    /// the evaluator, re-scheduling only the suffix it dirties.
+    fn walk(&mut self, i: usize, mv: Move<'_>, state: &Candidate) {
+        let process = mv.process();
+        let from = self.copies.copies_of(process)[0];
+        let set = self.sets.get(i);
+        set.write_rows(&mut self.copies);
+        let row = self.copies.copies_of(process);
+        self.load.commit(self.evaluator.app(), process, from, row[0], row.len());
+        let committed =
+            self.evaluator.commit(set).expect("a state scored feasible commits feasible");
+        debug_assert_eq!(committed, state.estimate, "a commit scores as its batch did");
+        self.key.clone_from(&state.key);
+    }
 }
 
 /// The phases of a worker's iteration that a [`PhaseClock`] tells apart,
 /// in [`PHASE_COUNTERS`] order.
 #[derive(Debug, Clone, Copy)]
 enum Phase {
-    /// Anchoring the kernel: a lazy commit or, after an adoption, a full
-    /// pass.
+    /// Moving the kernel's anchor: the walked move's commit or, after an
+    /// adoption, a full pass.
     Anchor,
     /// Sampling the neighborhood's moves.
     Sample,
     /// Keying each move's successor.
     Key,
-    /// Estimate-cache probes, change-set derivation and inserts.
-    Probe,
+    /// Deriving each move's change set.
+    Derive,
     /// The kernel's [`SystemEvaluator::evaluate_changes`] pass.
     Kernel,
     /// Pareto-archive offers, with the entries they build.
@@ -421,7 +354,7 @@ const PHASE_COUNTERS: [&str; 7] = [
     ftes_obs::names::SEARCH_ANCHOR_NS,
     ftes_obs::names::SEARCH_SAMPLE_NS,
     ftes_obs::names::SEARCH_KEY_NS,
-    ftes_obs::names::SEARCH_PROBE_NS,
+    ftes_obs::names::SEARCH_DERIVE_NS,
     ftes_obs::names::SEARCH_KERNEL_NS,
     ftes_obs::names::SEARCH_ARCHIVE_NS,
     ftes_obs::names::SEARCH_ACCEPT_NS,
@@ -541,13 +474,7 @@ pub fn explore(
         .unzip();
     let key = StateKey::encode(&mapping, &policies);
     let initial = Candidate { mapping, policies, estimate: estimates[0], key };
-
-    let cache = EstimateCache::new();
     let space = MoveSpace::new(app, k, PolicyMoves::Full, config.max_checkpoints);
-    // Seed the cache with the initial state so workers hit it immediately;
-    // the lookup counts its miss, as every scored state's first lookup does.
-    probe(&cache, &initial.key);
-    cache.insert(&initial.key, Some(initial.estimate));
 
     let worker_count = config.workers.len();
 
@@ -624,7 +551,7 @@ pub fn explore(
                     arch: platform.architecture(),
                     deadline: app.deadline(),
                 });
-                run_round(app, platform.architecture(), config, &space, &cache, &mut worker, guard)
+                run_round(app, platform.architecture(), config, &space, &mut worker, guard)
             },
             |_, local| {
                 archive.merge(local);
@@ -669,7 +596,7 @@ pub fn explore(
         .map(|w| w.kernel.evaluator.stats())
         .fold(EvaluatorStats::default(), EvaluatorStats::merged);
 
-    Ok(Exploration { best, archive, cache: cache.stats(), evals, certify: certify_cache.stats() })
+    Ok(Exploration { best, archive, evals, certify: certify_cache.stats() })
 }
 
 /// Advances one worker by `iterations_per_round` batched iterations,
@@ -679,7 +606,6 @@ fn run_round<'s>(
     arch: &Architecture,
     config: &PortfolioConfig,
     space: &'s MoveSpace,
-    cache: &EstimateCache,
     worker: &mut Worker<'s>,
     mut guard: Option<Guard<'_>>,
 ) -> ParetoArchive {
@@ -687,8 +613,8 @@ fn run_round<'s>(
     worker.clock.start();
 
     for _ in 0..config.iterations_per_round {
-        // 1. Anchor the kernel at the current state, which changes only on
-        // an accepted move or when the worker adopts the incumbent.
+        // 1. Anchor the kernel at the current state. After a walk it is
+        // anchored there already; only an adopted incumbent moves it.
         worker.kernel.anchor(&worker.current);
         worker.clock.lap(Phase::Anchor);
 
@@ -708,11 +634,11 @@ fn run_round<'s>(
         let keys: Vec<StateKey> = moves.iter().map(|&mv| neighbors.key(mv)).collect();
         worker.clock.lap(Phase::Key);
 
-        // 3. Probe the cache, score the misses as change sets in one kernel
-        // pass, and keep the feasible neighbors, in sample order. Each is
-        // offered to the archive by its objectives; only an admitted one is
-        // built as a state.
-        let estimates = worker.kernel.score(cache, &moves, &keys, &mut worker.clock);
+        // 3. Score the neighborhood as change sets in one kernel pass, and
+        // keep the feasible neighbors, in sample order. Each is offered to
+        // the archive by its objectives; only an admitted one is built as a
+        // state.
+        let estimates = worker.kernel.score(&moves, &mut worker.clock);
         let cost = table_cost(policies);
         let mut feasible: Vec<(usize, Estimate)> = Vec::with_capacity(moves.len());
         for (i, estimate) in estimates.into_iter().enumerate() {
@@ -730,7 +656,8 @@ fn run_round<'s>(
 
         // 4. The engine's acceptance step. A candidate that beats the best
         // becomes it only if the certify-guided gate (when on) admits it; a
-        // demoted candidate is still walked through.
+        // demoted candidate is still walked through, and the kernel commits
+        // the walk at once.
         let judged: Vec<_> = feasible
             .iter()
             .map(|(i, estimate)| (moves[*i].process(), scored(estimate, &keys[*i])))
@@ -757,9 +684,11 @@ fn run_round<'s>(
             worker.best = keep(j);
         }
         if let Some(j) = step.walk {
-            let i = feasible[j].0;
-            worker.kernel.walk(moves[i], &keys[i]);
             worker.current = keep(j);
+            worker.clock.lap(Phase::Accept);
+            let i = feasible[j].0;
+            worker.kernel.walk(i, moves[i], &worker.current);
+            worker.clock.lap(Phase::Anchor);
         }
         worker.clock.lap(Phase::Accept);
     }
@@ -782,8 +711,7 @@ mod tests {
     use super::*;
     use ftes_ftcpg::ChangeSet;
     use ftes_gen::{generate_application, GeneratorConfig};
-    use ftes_model::{samples, ProcessId};
-    use ftes_opt::candidate_policies;
+    use ftes_model::samples;
 
     fn fig3_platform() -> (Application, Platform) {
         let (app, arch) = samples::fig3();
@@ -816,8 +744,7 @@ mod tests {
         let key = StateKey::encode(&mapping, &policies);
         let neighbors = NeighborKeys::new(&key, &mapping, &policies);
         let keys: Vec<_> = moves.iter().map(|&mv| neighbors.key(mv)).collect();
-        let cache = EstimateCache::new();
-        let scored = kernel.score(&cache, &moves, &keys, &mut PhaseClock::default());
+        let scored = kernel.score(&moves, &mut PhaseClock::default());
         let mut fresh = SystemEvaluator::new(&app, &platform, 2);
         for ((&mv, key), estimate) in moves.iter().zip(&keys).zip(&scored) {
             let (m, p) = apply_move(&app, arch, &mapping, &policies, mv).unwrap();
@@ -829,30 +756,8 @@ mod tests {
         distinct.sort();
         distinct.dedup();
         assert!(distinct.len() < moves.len(), "the sample must repeat a state");
-        // One entry and one miss per distinct state; the kernel scores
-        // exactly the misses.
-        let stats = cache.stats();
-        assert_eq!((stats.entries, stats.misses), (distinct.len(), distinct.len() as u64));
-        assert_eq!(kernel.evaluator.stats().batch_candidates, stats.misses);
-    }
-
-    #[test]
-    fn duplicates_are_filled_when_the_rest_of_the_batch_hits() {
-        let (app, _, mapping, policies, mut kernel) = fig3_kernel();
-        let (p0, p1) = (ProcessId::new(0), ProcessId::new(1));
-        let (c0, c1) = (candidate_policies(&app, p0, 2, 16), candidate_policies(&app, p1, 2, 16));
-        let a = Move::Repolicy { process: p0, policy: &c0[1] };
-        let b = Move::Repolicy { process: p1, policy: &c1[1] };
-        let state = StateKey::encode(&mapping, &policies);
-        let neighbors = NeighborKeys::new(&state, &mapping, &policies);
-        let key = |mv| neighbors.key(mv);
-        let (cache, clock) = (EstimateCache::new(), &mut PhaseClock::default());
-        let first = kernel.score(&cache, &[a, b], &[key(a), key(b)], clock);
-        assert!(first.iter().all(Option::is_some));
-        // Every key of this batch hits the cache; the repeated `a` must
-        // still read its first occurrence's estimate, not infeasibility.
-        let again = kernel.score(&cache, &[a, b, a], &[key(a), key(b), key(a)], clock);
-        assert_eq!(again, vec![first[0], first[1], first[0]]);
+        // The kernel scored every move, repeats included.
+        assert_eq!(kernel.evaluator.stats().batch_candidates, moves.len() as u64);
     }
 
     /// Random walks over random applications (k 0–3), calling `f` with
@@ -933,9 +838,12 @@ mod tests {
         let initial = Candidate { mapping, policies, estimate, key };
         let mut current = initial.clone();
         let (mut rng, clock) = (ChaCha8Rng::seed_from_u64(3), &mut PhaseClock::default());
-        let mut walks = 0;
+        let (mut walks, mut walked) = (0, false);
         for _ in 0..40 {
+            // A walk leaves the kernel anchored at the walked state.
+            let before = kernel.evaluator.stats();
             kernel.anchor(&current);
+            assert_eq!(kernel.evaluator.stats(), before);
             let (mut fresh, estimate) =
                 Kernel::new(&app, &platform, k, &current.mapping, &current.policies).unwrap();
             assert_eq!(kernel.copies, fresh.copies);
@@ -944,13 +852,10 @@ mod tests {
                 .filter_map(|_| space.sample(&current.mapping, &current.policies, &mut rng))
                 .filter(|mv| mv.fits(arch))
                 .collect();
-            let neighbors = NeighborKeys::new(&current.key, &current.mapping, &current.policies);
-            let keys: Vec<_> = moves.iter().map(|&mv| neighbors.key(mv)).collect();
-            // Empty caches, so both kernels derive and score every move:
-            // equal sets mean equal placement inputs, equal scores equal
-            // anchors.
-            let scored = kernel.score(&EstimateCache::new(), &moves, &keys, clock);
-            assert_eq!(scored, fresh.score(&EstimateCache::new(), &moves, &keys, clock));
+            // Both kernels derive and score every move: equal sets mean
+            // equal placement inputs, equal scores equal anchors.
+            let scored = kernel.score(&moves, clock);
+            assert_eq!(scored, fresh.score(&moves, clock));
             let sets = |kernel: &Kernel<'_>| -> Vec<_> {
                 let rows = |set: ChangeSet<'_, '_>| -> Vec<_> {
                     set.iter().map(|(p, row, policy)| (p, row.to_vec(), policy.cloned())).collect()
@@ -958,14 +863,18 @@ mod tests {
                 kernel.sets.iter().map(rows).collect()
             };
             assert_eq!(sets(&kernel), sets(&fresh));
-            let Some(i) = scored.iter().position(Option::is_some) else { break };
+            walked = false;
+            let Some(i) = scored.iter().position(Option::is_some) else { continue };
             let (mapping, policies) = successor(&app, arch, &current, moves[i]);
-            kernel.walk(moves[i], &keys[i]);
-            current =
-                Candidate { mapping, policies, estimate: scored[i].unwrap(), key: keys[i].clone() };
-            walks += 1;
+            let key =
+                NeighborKeys::new(&current.key, &current.mapping, &current.policies).key(moves[i]);
+            current = Candidate { mapping, policies, estimate: scored[i].unwrap(), key };
+            kernel.walk(i, moves[i], &current);
+            (walks, walked) = (walks + 1, true);
         }
-        kernel.anchor(&current);
+        let (fresh, _) =
+            Kernel::new(&app, &platform, k, &current.mapping, &current.policies).unwrap();
+        assert_eq!(kernel.copies, fresh.copies);
         // One evaluation per walk, and the walks were committed by suffix
         // passes: only commits whose sets reach position 0 run a full one.
         let stats = kernel.evaluator.stats();
@@ -973,23 +882,20 @@ mod tests {
         assert_eq!(stats.evaluations(), 1 + walks + stats.batch_candidates);
         assert!(stats.delta_evals > walks / 2, "{stats:?}");
         let commit_passes = stats.full_evals - 1 - stats.delta_fallbacks;
+        assert!(commit_passes < walks);
 
         // A walk followed by an adoption of another state: a full pass at
-        // the adopted state, and the walk is forgotten.
-        let mv = (0..)
-            .find_map(|_| space.sample(&current.mapping, &current.policies, &mut rng))
-            .expect("a sample eventually moves");
-        let walked = NeighborKeys::new(&current.key, &current.mapping, &current.policies).key(mv);
-        kernel.walk(mv, &walked);
+        // the adopted state.
+        assert!(walked, "the last iteration walks");
         kernel.anchor(&initial);
         assert_eq!(kernel.evaluator.stats().full_evals, stats.full_evals + 1);
+        assert_eq!(kernel.evaluator.stats().evaluations(), stats.evaluations() + 1);
         let (fresh, _) =
             Kernel::new(&app, &platform, k, &initial.mapping, &initial.policies).unwrap();
         assert_eq!(kernel.copies, fresh.copies);
         // Anchoring the anchored state again costs nothing.
         kernel.anchor(&initial);
         assert_eq!(kernel.evaluator.stats().evaluations(), stats.evaluations() + 1);
-        assert!(commit_passes < walks);
     }
 
     #[test]
@@ -1020,7 +926,7 @@ mod tests {
         assert!(result.best.estimate.worst_case_length <= initial.estimate.worst_case_length);
         result.best.policies.validate(2).unwrap();
         assert!(!result.archive.is_empty());
-        assert!(result.cache.misses > 0);
+        assert!(result.evals.batch_candidates > 0);
     }
 
     #[test]
@@ -1052,6 +958,7 @@ mod tests {
         assert_eq!(serial.archive.signature(), parallel.archive.signature());
         assert_eq!(serial.best.estimate, parallel.best.estimate);
         assert_eq!(serial.best.mapping, parallel.best.mapping);
+        assert_eq!(serial.evals, parallel.evals);
     }
 
     #[test]
@@ -1068,6 +975,7 @@ mod tests {
         assert_eq!(serial.archive.signature(), parallel.archive.signature());
         assert_eq!(serial.best.estimate, parallel.best.estimate);
         assert_eq!(serial.best.mapping, parallel.best.mapping);
+        assert_eq!(serial.evals, parallel.evals);
         assert!(
             serial.certify.misses > 0,
             "the guided run must actually certify incumbents: {:?}",
@@ -1104,13 +1012,6 @@ mod tests {
         let (app, platform) = fig3_platform();
         let result = explore(&app, &platform, 1, &PortfolioConfig::quick(2)).unwrap();
         assert_eq!(result.certify, CacheStats::default());
-    }
-
-    #[test]
-    fn cache_hits_accumulate_across_workers() {
-        let (app, platform) = fig3_platform();
-        let result = explore(&app, &platform, 1, &PortfolioConfig::quick(2)).unwrap();
-        assert!(result.cache.hits > 0, "portfolio revisits states; the cache must absorb them");
     }
 
     #[test]

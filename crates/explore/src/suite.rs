@@ -204,18 +204,19 @@ pub struct PointOutcome {
     pub slack_pct: f64,
     /// The Pareto front of the point.
     pub archive: ParetoArchive,
-    /// Estimate-cache counters of the point. Like `evals` they depend on the
-    /// thread split, so no report renders them.
+    /// Always zero: the portfolio keeps no estimate cache (every worker
+    /// scores its whole neighborhood on its own kernel). The field stays
+    /// only because `perfbench` still reads it.
     pub cache: CacheStats,
     /// Certify-guided admit-cache counters of the point (all zero unless
-    /// [`PortfolioConfig::certify_guided`] is on). Like `evals` they depend
-    /// on the thread split, so no report renders them.
+    /// [`PortfolioConfig::certify_guided`] is on). They depend on the
+    /// thread split — workers that miss the same state concurrently each
+    /// count a miss — so no report renders them.
     pub certify_cache: CacheStats,
     /// Evaluator-kernel counters of the point (constructions, evaluations,
-    /// reuse), summed over the workers' kernels. Constructions follow the
-    /// worker count, but the rest depends on the thread split — workers
-    /// that miss the same state concurrently each score it — so no report
-    /// renders them; they are in-memory diagnostics only.
+    /// reuse), summed over the workers' kernels. They do not depend on the
+    /// thread split, but no report renders them: they measure work, not
+    /// the design.
     pub evals: EvaluatorStats,
     /// Exact-certification verdict of the reported incumbent.
     pub certified: CertifyVerdict,
@@ -242,11 +243,6 @@ pub struct SuiteOutcome {
 }
 
 impl SuiteOutcome {
-    /// Aggregated estimate-cache counters across all points.
-    pub fn total_cache(&self) -> CacheStats {
-        self.points.iter().fold(CacheStats::default(), |acc, p| acc.merged(p.cache))
-    }
-
     /// Deterministic fingerprint of the whole sweep: per point, its label
     /// plus the archive signature.
     pub fn signature(&self) -> Vec<(String, Vec<(crate::Objectives, u64)>)> {
@@ -375,7 +371,7 @@ fn run_point(
         schedulable,
         slack_pct,
         archive: exploration.archive,
-        cache: exploration.cache,
+        cache: CacheStats::default(),
         certify_cache: exploration.certify,
         evals: exploration.evals,
         certified: walk.certified,
@@ -624,7 +620,6 @@ mod tests {
             assert!(p.evals.evaluations() > 0, "points must report kernel work");
             assert!(p.evals.reused() > 0, "worker kernels must be reused within a point");
         }
-        assert!(outcome.total_cache().misses > 0);
     }
 
     #[test]

@@ -29,8 +29,8 @@
 //!
 //! Span and counter names are `&'static str` constants in [`names`], so an
 //! event record is a pointer, a tag and two integers. The taxonomy covers
-//! the whole pipeline: parse, search iterations (accept/reject,
-//! estimate-cache hit/miss, delta-vs-full evaluation), certification
+//! the whole pipeline: parse, search iterations (accept/reject, round
+//! phases, delta-vs-full evaluation), certification
 //! (FT-CPG build, exact schedule, memo hit, repair round), job lifecycle
 //! and journal writes, and serve request handling.
 //!

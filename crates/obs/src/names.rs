@@ -8,8 +8,8 @@
 //!
 //! Dotted prefixes group related events: `search.*` for per-iteration
 //! search introspection, `certify.*` for the exact-certification pipeline,
-//! `eval.*` for the estimator kernel, `cache.*` for the estimate cache,
-//! `job.*`/`journal.*` for the job subsystem and `serve.*` for the daemon.
+//! `eval.*` for the estimator kernel, `job.*`/`journal.*` for the job
+//! subsystem and `serve.*` for the daemon.
 
 // ---- synthesis flow spans (nested: parse > synthesize > optimize, with
 // certify/cpg/schedule nested under the search wherever the certifier runs)
@@ -43,15 +43,15 @@ pub const SEARCH_REJECT: &str = "search.reject";
 // explore() run's workers, emitted once when the run ends (counted only
 // while tracing is on)
 
-/// Anchoring each worker's kernel: lazy commits and, after an adoption,
-/// full passes.
+/// Moving each worker's kernel anchor: walked moves' commits and, after an
+/// adoption, full passes.
 pub const SEARCH_ANCHOR_NS: &str = "search.anchor_ns";
 /// Sampling neighborhood moves.
 pub const SEARCH_SAMPLE_NS: &str = "search.sample_ns";
 /// Keying each move's successor state.
 pub const SEARCH_KEY_NS: &str = "search.key_ns";
-/// Estimate-cache probes, change-set derivation and inserts.
-pub const SEARCH_PROBE_NS: &str = "search.probe_ns";
+/// Deriving each sampled move's change set.
+pub const SEARCH_DERIVE_NS: &str = "search.derive_ns";
 /// The kernels' `evaluate_changes` passes.
 pub const SEARCH_KERNEL_NS: &str = "search.kernel_ns";
 /// Pareto-archive offers, with the entries they build.
@@ -89,13 +89,6 @@ pub const EVAL_FULL: &str = "eval.full";
 pub const EVAL_BATCH: &str = "eval.batch";
 /// Candidates scored by a batched evaluation (counter delta per batch).
 pub const EVAL_BATCH_CANDIDATES: &str = "eval.batch_candidates";
-
-// ---- estimate-cache counters (`ftes-explore`)
-
-/// Estimate cache returned a memoized cost.
-pub const ESTIMATE_CACHE_HIT: &str = "cache.estimate_hit";
-/// Estimate cache missed; the evaluator ran.
-pub const ESTIMATE_CACHE_MISS: &str = "cache.estimate_miss";
 
 // ---- job lifecycle (`ftes-jobs`): queued → running → row* → terminal
 

@@ -11,7 +11,7 @@
 //! The [`Certifier`] closes that gap: it runs the full FT-CPG construction
 //! and exact conditional scheduler for one candidate configuration on
 //! demand, under a work budget, and memoizes the verdict behind the same
-//! canonical-key discipline as the exploration estimate cache (an exact,
+//! canonical-key discipline as the exploration's state keys (an exact,
 //! collision-free encoding of the `(copies, policies)` state — the two
 //! inputs that vary between candidates of one `(app, platform, k,
 //! transparency)` instance). The repair loops in `ftes-opt` and the suite

@@ -47,9 +47,9 @@ use ftes_tdma::Platform;
 
 /// Result of the fast schedule-length estimation.
 ///
-/// `Estimate` is a plain value type — `Copy`, `Hash`, `Ord` — so it can key
-/// memoization tables (the `ftes-explore` estimate cache) and serialize into
-/// flat CSV/JSON rows without any conversion layer.
+/// `Estimate` is a plain value type — `Copy`, `Hash`, `Ord` — so it can be
+/// stored, compared and ordered as is, and serialize into flat CSV/JSON
+/// rows without any conversion layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Estimate {
     /// Makespan of the fault-free root schedule.

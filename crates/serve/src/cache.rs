@@ -10,8 +10,7 @@
 //!
 //! Keys are canonical, collision-free byte encodings (for `/synthesize`,
 //! [`ftes::spec::SystemSpec::canonical_bytes`]) with a precomputed FNV-1a
-//! hash for shard selection — the same recipe as `ftes-explore`'s
-//! estimate cache.
+//! hash for shard selection — the recipe of `ftes-explore`'s state keys.
 //! Eviction is least-recently-used per shard, tracked with a monotonic
 //! use-stamp; shards are small (capacity / shards entries), so the O(cap)
 //! eviction scan is noise next to a synthesis run.
