@@ -310,11 +310,12 @@ impl<'s> Kernel<'s> {
         scores.into_iter().map(Result::ok).collect()
     }
 
-    /// Walks to `state` along `mv`, the `i`-th move of the last scored
-    /// neighborhood: writes its change set's rows over the copy placement,
-    /// steps the placement inputs along the move and commits the set to
-    /// the evaluator, re-scheduling only the suffix it dirties.
-    fn walk(&mut self, i: usize, mv: Move<'_>, state: &Candidate) {
+    /// Moves the anchor to `state` along `mv`, the `i`-th move of the last
+    /// scored neighborhood, as the serial search's `Neighborhood::accept`
+    /// does: writes its change set's rows over the copy placement, steps
+    /// the placement inputs along the move and commits the set to the
+    /// evaluator, re-scheduling only the suffix it dirties.
+    fn commit(&mut self, i: usize, mv: Move<'_>, state: &Candidate) {
         let process = mv.process();
         let from = self.copies.copies_of(process)[0];
         let set = self.sets.get(i);
@@ -687,7 +688,7 @@ fn run_round<'s>(
             worker.current = keep(j);
             worker.clock.lap(Phase::Accept);
             let i = feasible[j].0;
-            worker.kernel.walk(i, moves[i], &worker.current);
+            worker.kernel.commit(i, moves[i], &worker.current);
             worker.clock.lap(Phase::Anchor);
         }
         worker.clock.lap(Phase::Accept);
@@ -869,7 +870,7 @@ mod tests {
             let key =
                 NeighborKeys::new(&current.key, &current.mapping, &current.policies).key(moves[i]);
             current = Candidate { mapping, policies, estimate: scored[i].unwrap(), key };
-            kernel.walk(i, moves[i], &current);
+            kernel.commit(i, moves[i], &current);
             (walks, walked) = (walks + 1, true);
         }
         let (fresh, _) =
