@@ -49,12 +49,12 @@
 use crate::archive::{table_cost, table_cost_after, ArchiveEntry, Objectives, ParetoArchive};
 use crate::cache::{CacheStats, CertifyCache, NeighborKeys, StateKey};
 use ftes_ft::PolicyAssignment;
-use ftes_ftcpg::{ChangeSets, CopyMapping, PlacementLoad};
+use ftes_ftcpg::CopyMapping;
 use ftes_model::par::ordered_parallel;
 use ftes_model::{Application, Architecture, FaultModel, Mapping, Time, Transparency};
 use ftes_opt::{
-    apply_move, constructive_mapping, Acceptance, EngineKind, Move, MoveSpace, OptError,
-    PolicyMoves, Scored, Synthesized,
+    apply_move, constructive_mapping, Acceptance, EngineKind, Move, MoveSpace, Neighborhood,
+    OptError, PolicyMoves, Scored, Synthesized,
 };
 use ftes_sched::{Certifier, CertifyConfig, Estimate, EvaluatorStats, SystemEvaluator};
 use ftes_tdma::Platform;
@@ -207,7 +207,11 @@ struct Worker<'s> {
     current: Candidate,
     best: Candidate,
     acceptance: Acceptance,
-    kernel: Kernel<'s>,
+    /// The worker's own kernel, anchored at the state keyed `anchored`.
+    evaluator: SystemEvaluator,
+    /// The neighborhood of the anchored state.
+    hood: Neighborhood<'s>,
+    anchored: StateKey,
     clock: PhaseClock,
 }
 
@@ -238,95 +242,6 @@ impl Candidate {
 fn scored<'k>(estimate: &Estimate, key: &'k StateKey) -> Scored<(Time, Time, &'k StateKey)> {
     let worst_case = estimate.worst_case_length;
     Scored { worst_case, objective: (worst_case, estimate.fault_free_length, key) }
-}
-
-/// One worker's evaluator kernel, anchored at one state, plus that state's
-/// copy placement and placement inputs — what [`Move::derive`] derives the
-/// change sets of its neighbors from.
-struct Kernel<'s> {
-    evaluator: SystemEvaluator,
-    key: StateKey,
-    copies: CopyMapping,
-    load: PlacementLoad,
-    /// The change sets of the last scored neighborhood, in sample order.
-    sets: ChangeSets<'s>,
-}
-
-impl<'s> Kernel<'s> {
-    /// A kernel anchored at `(mapping, policies)`, with that state's
-    /// estimate.
-    fn new(
-        app: &Application,
-        platform: &Platform,
-        k: u32,
-        mapping: &Mapping,
-        policies: &PolicyAssignment,
-    ) -> Result<(Kernel<'s>, Estimate), OptError> {
-        let mut evaluator = SystemEvaluator::new(app, platform, k);
-        let state = Synthesized::evaluate_with(&mut evaluator, mapping.clone(), policies.clone())?;
-        let kernel = Kernel {
-            evaluator,
-            key: StateKey::encode(mapping, policies),
-            copies: state.copies,
-            load: PlacementLoad::new(app, platform.architecture(), mapping, policies),
-            sets: ChangeSets::new(),
-        };
-        Ok((kernel, state.estimate))
-    }
-
-    /// Anchors at `state`. The state the kernel is anchored at costs
-    /// nothing (keys are collision-free, so equal keys are equal states);
-    /// any other state (an adopted incumbent) is placed afresh and takes a
-    /// full pass.
-    fn anchor(&mut self, state: &Candidate) {
-        if self.key == state.key {
-            return;
-        }
-        let (app, arch) = (self.evaluator.app(), self.evaluator.platform().architecture());
-        self.copies = CopyMapping::from_base(app, arch, &state.mapping, &state.policies)
-            .expect("a scored state has a copy placement");
-        self.load = PlacementLoad::new(app, arch, &state.mapping, &state.policies);
-        self.evaluator
-            .evaluate(&self.copies, &state.policies)
-            .expect("a state scored feasible evaluates feasible");
-        self.key.clone_from(&state.key);
-    }
-
-    /// Scores `moves` of the anchored state, returning every neighbor's
-    /// estimate in input order (`None` = infeasible): each move's change
-    /// set is derived into [`Kernel::sets`] and the whole neighborhood is
-    /// scored in one [`SystemEvaluator::evaluate_changes`] pass, as the
-    /// serial search scores its own. `clock` charges the derivation to
-    /// [`Phase::Derive`] and the pass to [`Phase::Kernel`].
-    fn score(&mut self, moves: &[Move<'s>], clock: &mut PhaseClock) -> Vec<Option<Estimate>> {
-        let app = self.evaluator.app();
-        self.sets.clear();
-        for mv in moves {
-            mv.derive(app, &mut self.load, &self.copies, &mut self.sets);
-        }
-        clock.lap(Phase::Derive);
-        let scores = self.evaluator.evaluate_changes(&self.sets);
-        clock.lap(Phase::Kernel);
-        scores.into_iter().map(Result::ok).collect()
-    }
-
-    /// Moves the anchor to `state` along `mv`, the `i`-th move of the last
-    /// scored neighborhood, as the serial search's `Neighborhood::accept`
-    /// does: writes its change set's rows over the copy placement, steps
-    /// the placement inputs along the move and commits the set to the
-    /// evaluator, re-scheduling only the suffix it dirties.
-    fn commit(&mut self, i: usize, mv: Move<'_>, state: &Candidate) {
-        let process = mv.process();
-        let from = self.copies.copies_of(process)[0];
-        let set = self.sets.get(i);
-        set.write_rows(&mut self.copies);
-        let row = self.copies.copies_of(process);
-        self.load.commit(self.evaluator.app(), process, from, row[0], row.len());
-        let committed =
-            self.evaluator.commit(set).expect("a state scored feasible commits feasible");
-        debug_assert_eq!(committed, state.estimate, "a commit scores as its batch did");
-        self.key.clone_from(&state.key);
-    }
 }
 
 /// The phases of a worker's iteration that a [`PhaseClock`] tells apart,
@@ -461,10 +376,15 @@ pub fn explore(
     let policies = PolicyAssignment::uniform_reexecution(app, k);
     // One evaluator kernel per worker for the whole run, each anchored at
     // the starting state.
-    let (kernels, estimates): (Vec<Kernel>, Vec<Estimate>) = config
+    let (evaluators, estimates): (Vec<SystemEvaluator>, Vec<Estimate>) = config
         .workers
         .iter()
-        .map(|_| Kernel::new(app, platform, k, &mapping, &policies))
+        .map(|_| {
+            let mut evaluator = SystemEvaluator::new(app, platform, k);
+            let state =
+                Synthesized::evaluate_with(&mut evaluator, mapping.clone(), policies.clone());
+            state.map(|state| (evaluator, state.estimate))
+        })
         .collect::<Result<Vec<_>, _>>()
         .map_err(|_| {
             ExploreError::Infeasible(OptError::NoFeasibleConfiguration(
@@ -482,9 +402,9 @@ pub fn explore(
     let workers: Vec<Mutex<Worker>> = config
         .workers
         .iter()
-        .zip(kernels)
+        .zip(evaluators)
         .enumerate()
-        .map(|(i, (spec, kernel))| {
+        .map(|(i, (spec, evaluator))| {
             // Decorrelate workers: golden-ratio mix of master seed, offset
             // and index.
             let seed = config
@@ -500,7 +420,9 @@ pub fn explore(
                 current: initial.clone(),
                 best: initial.clone(),
                 acceptance: Acceptance::new(spec.engine, processes, spec.tenure, worst_case),
-                kernel,
+                hood: Neighborhood::new(&space, &evaluator, &initial.mapping, &initial.policies),
+                evaluator,
+                anchored: initial.key.clone(),
                 clock: PhaseClock::default(),
             })
         })
@@ -552,7 +474,7 @@ pub fn explore(
                     arch: platform.architecture(),
                     deadline: app.deadline(),
                 });
-                run_round(app, platform.architecture(), config, &space, &mut worker, guard)
+                run_round(app, platform.architecture(), config, &mut worker, guard)
             },
             |_, local| {
                 archive.merge(local);
@@ -587,14 +509,13 @@ pub fn explore(
         .clone();
     // Rebuild the full synthesized configuration (replica placement) for
     // the winner; its feasibility was established when it was evaluated.
-    let best =
-        Synthesized::evaluate_with(&mut workers[0].kernel.evaluator, best.mapping, best.policies)?;
+    let best = Synthesized::evaluate_with(&mut workers[0].evaluator, best.mapping, best.policies)?;
     for (phase, name) in PHASE_COUNTERS.iter().enumerate() {
         ftes_obs::counter(name, workers.iter().map(|w| w.clock.ns[phase]).sum());
     }
     let evals = workers
         .iter()
-        .map(|w| w.kernel.evaluator.stats())
+        .map(|w| w.evaluator.stats())
         .fold(EvaluatorStats::default(), EvaluatorStats::merged);
 
     Ok(Exploration { best, archive, evals, certify: certify_cache.stats() })
@@ -602,12 +523,11 @@ pub fn explore(
 
 /// Advances one worker by `iterations_per_round` batched iterations,
 /// charging each phase of an iteration to the worker's [`PhaseClock`].
-fn run_round<'s>(
+fn run_round(
     app: &Application,
     arch: &Architecture,
     config: &PortfolioConfig,
-    space: &'s MoveSpace,
-    worker: &mut Worker<'s>,
+    worker: &mut Worker<'_>,
     mut guard: Option<Guard<'_>>,
 ) -> ParetoArchive {
     let mut local_archive = ParetoArchive::new();
@@ -616,30 +536,36 @@ fn run_round<'s>(
     for _ in 0..config.iterations_per_round {
         // 1. Anchor the kernel at the current state. After a walk it is
         // anchored there already; only an adopted incumbent moves it.
-        worker.kernel.anchor(&worker.current);
+        let current = &worker.current;
+        if worker.anchored != current.key {
+            let (mapping, policies) = (&current.mapping, &current.policies);
+            worker
+                .hood
+                .anchor(&mut worker.evaluator, mapping, policies)
+                .expect("a state scored feasible evaluates feasible");
+            worker.anchored.clone_from(&current.key);
+        }
         worker.clock.lap(Phase::Anchor);
 
         // 2. Sample the whole neighborhood without evaluating. A neighbor
         // stays a move of the current state, keyed by the state it leads to.
-        let current = &worker.current;
         let (mapping, policies) = (&current.mapping, &current.policies);
-        let mut moves = Vec::with_capacity(worker.spec.neighborhood);
-        for _ in 0..worker.spec.neighborhood {
-            let Some(mv) = space.sample(mapping, policies, &mut worker.rng) else { continue };
-            if mv.fits(arch) {
-                moves.push(mv);
-            }
-        }
+        let (n, rng) = (worker.spec.neighborhood, &mut worker.rng);
+        worker.hood.sample(&worker.evaluator, mapping, policies, n, rng);
         worker.clock.lap(Phase::Sample);
         let neighbors = NeighborKeys::new(&current.key, mapping, policies);
-        let keys: Vec<StateKey> = moves.iter().map(|&mv| neighbors.key(mv)).collect();
+        let keys: Vec<StateKey> = worker.hood.moves().iter().map(|&mv| neighbors.key(mv)).collect();
         worker.clock.lap(Phase::Key);
 
         // 3. Score the neighborhood as change sets in one kernel pass, and
         // keep the feasible neighbors, in sample order. Each is offered to
         // the archive by its objectives; only an admitted one is built as a
         // state.
-        let estimates = worker.kernel.score(&moves, &mut worker.clock);
+        worker.hood.derive(&worker.evaluator);
+        worker.clock.lap(Phase::Derive);
+        let estimates = worker.hood.score(&mut worker.evaluator);
+        worker.clock.lap(Phase::Kernel);
+        let moves = worker.hood.moves();
         let cost = table_cost(policies);
         let mut feasible: Vec<(usize, Estimate)> = Vec::with_capacity(moves.len());
         for (i, estimate) in estimates.into_iter().enumerate() {
@@ -687,8 +613,15 @@ fn run_round<'s>(
         if let Some(j) = step.walk {
             worker.current = keep(j);
             worker.clock.lap(Phase::Accept);
-            let i = feasible[j].0;
-            worker.kernel.commit(i, moves[i], &worker.current);
+            let committed = worker
+                .hood
+                .commit(&mut worker.evaluator, feasible[j].0)
+                .expect("a state scored feasible commits feasible");
+            debug_assert_eq!(
+                committed, worker.current.estimate,
+                "a commit scores as its batch did"
+            );
+            worker.anchored.clone_from(&worker.current.key);
             worker.clock.lap(Phase::Anchor);
         }
         worker.clock.lap(Phase::Accept);
@@ -710,7 +643,6 @@ fn successor(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftes_ftcpg::ChangeSet;
     use ftes_gen::{generate_application, GeneratorConfig};
     use ftes_model::samples;
 
@@ -722,30 +654,26 @@ mod tests {
         (app, platform)
     }
 
-    /// Fig. 3 at k = 2 and a kernel anchored at its cheapest mapping under
-    /// uniform re-execution.
-    fn fig3_kernel<'s>() -> (Application, Platform, Mapping, PolicyAssignment, Kernel<'s>) {
-        let (app, platform) = fig3_platform();
-        let mapping = Mapping::cheapest(&app, platform.architecture()).unwrap();
-        let policies = PolicyAssignment::uniform_reexecution(&app, 2);
-        let (kernel, _) = Kernel::new(&app, &platform, 2, &mapping, &policies).unwrap();
-        (app, platform, mapping, policies, kernel)
-    }
-
     #[test]
     fn batch_matches_fresh_evaluation() {
-        let (app, platform, mapping, policies, mut kernel) = fig3_kernel();
+        // Fig. 3 at k = 2, anchored at its cheapest mapping under uniform
+        // re-execution.
+        let (app, platform) = fig3_platform();
         let arch = platform.architecture();
+        let mapping = Mapping::cheapest(&app, arch).unwrap();
+        let policies = PolicyAssignment::uniform_reexecution(&app, 2);
+        let mut evaluator = SystemEvaluator::new(&app, &platform, 2);
+        Synthesized::evaluate_with(&mut evaluator, mapping.clone(), policies.clone()).unwrap();
         let space = MoveSpace::new(&app, 2, PolicyMoves::Full, 16);
+        let mut hood = Neighborhood::new(&space, &evaluator, &mapping, &policies);
         let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let moves: Vec<_> = (0..48)
-            .filter_map(|_| space.sample(&mapping, &policies, &mut rng))
-            .filter(|mv| mv.fits(arch))
-            .collect();
+        hood.sample(&evaluator, &mapping, &policies, 48, &mut rng);
+        hood.derive(&evaluator);
+        let scored = hood.score(&mut evaluator);
+        let moves = hood.moves();
         let key = StateKey::encode(&mapping, &policies);
         let neighbors = NeighborKeys::new(&key, &mapping, &policies);
         let keys: Vec<_> = moves.iter().map(|&mv| neighbors.key(mv)).collect();
-        let scored = kernel.score(&moves, &mut PhaseClock::default());
         let mut fresh = SystemEvaluator::new(&app, &platform, 2);
         for ((&mv, key), estimate) in moves.iter().zip(&keys).zip(&scored) {
             let (m, p) = apply_move(&app, arch, &mapping, &policies, mv).unwrap();
@@ -758,7 +686,7 @@ mod tests {
         distinct.dedup();
         assert!(distinct.len() < moves.len(), "the sample must repeat a state");
         // The kernel scored every move, repeats included.
-        assert_eq!(kernel.evaluator.stats().batch_candidates, moves.len() as u64);
+        assert_eq!(evaluator.stats().batch_candidates, moves.len() as u64);
     }
 
     /// Random walks over random applications (k 0–3), calling `f` with
@@ -821,82 +749,6 @@ mod tests {
                 "{mv:?}"
             );
         });
-    }
-
-    #[test]
-    fn a_committed_kernel_equals_a_fresh_one() {
-        // A replicated start, so a move's change set can shift other
-        // processes' replicas too.
-        let app = generate_application(&GeneratorConfig::new(12, 3), 5).unwrap();
-        let platform = Platform::homogeneous(3, Time::new(8)).unwrap();
-        let arch = platform.architecture();
-        let k = 2;
-        let space = MoveSpace::new(&app, k, PolicyMoves::Full, 8);
-        let mapping = constructive_mapping(&app, arch).unwrap();
-        let policies = PolicyAssignment::uniform_replication(&app, k);
-        let (mut kernel, estimate) = Kernel::new(&app, &platform, k, &mapping, &policies).unwrap();
-        let key = StateKey::encode(&mapping, &policies);
-        let initial = Candidate { mapping, policies, estimate, key };
-        let mut current = initial.clone();
-        let (mut rng, clock) = (ChaCha8Rng::seed_from_u64(3), &mut PhaseClock::default());
-        let (mut walks, mut walked) = (0, false);
-        for _ in 0..40 {
-            // A walk leaves the kernel anchored at the walked state.
-            let before = kernel.evaluator.stats();
-            kernel.anchor(&current);
-            assert_eq!(kernel.evaluator.stats(), before);
-            let (mut fresh, estimate) =
-                Kernel::new(&app, &platform, k, &current.mapping, &current.policies).unwrap();
-            assert_eq!(kernel.copies, fresh.copies);
-            assert_eq!(estimate, current.estimate);
-            let moves: Vec<_> = (0..16)
-                .filter_map(|_| space.sample(&current.mapping, &current.policies, &mut rng))
-                .filter(|mv| mv.fits(arch))
-                .collect();
-            // Both kernels derive and score every move: equal sets mean
-            // equal placement inputs, equal scores equal anchors.
-            let scored = kernel.score(&moves, clock);
-            assert_eq!(scored, fresh.score(&moves, clock));
-            let sets = |kernel: &Kernel<'_>| -> Vec<_> {
-                let rows = |set: ChangeSet<'_, '_>| -> Vec<_> {
-                    set.iter().map(|(p, row, policy)| (p, row.to_vec(), policy.cloned())).collect()
-                };
-                kernel.sets.iter().map(rows).collect()
-            };
-            assert_eq!(sets(&kernel), sets(&fresh));
-            walked = false;
-            let Some(i) = scored.iter().position(Option::is_some) else { continue };
-            let (mapping, policies) = successor(&app, arch, &current, moves[i]);
-            let key =
-                NeighborKeys::new(&current.key, &current.mapping, &current.policies).key(moves[i]);
-            current = Candidate { mapping, policies, estimate: scored[i].unwrap(), key };
-            kernel.commit(i, moves[i], &current);
-            (walks, walked) = (walks + 1, true);
-        }
-        let (fresh, _) =
-            Kernel::new(&app, &platform, k, &current.mapping, &current.policies).unwrap();
-        assert_eq!(kernel.copies, fresh.copies);
-        // One evaluation per walk, and the walks were committed by suffix
-        // passes: only commits whose sets reach position 0 run a full one.
-        let stats = kernel.evaluator.stats();
-        assert!(walks > 20, "{walks} walks");
-        assert_eq!(stats.evaluations(), 1 + walks + stats.batch_candidates);
-        assert!(stats.delta_evals > walks / 2, "{stats:?}");
-        let commit_passes = stats.full_evals - 1 - stats.delta_fallbacks;
-        assert!(commit_passes < walks);
-
-        // A walk followed by an adoption of another state: a full pass at
-        // the adopted state.
-        assert!(walked, "the last iteration walks");
-        kernel.anchor(&initial);
-        assert_eq!(kernel.evaluator.stats().full_evals, stats.full_evals + 1);
-        assert_eq!(kernel.evaluator.stats().evaluations(), stats.evaluations() + 1);
-        let (fresh, _) =
-            Kernel::new(&app, &platform, k, &initial.mapping, &initial.policies).unwrap();
-        assert_eq!(kernel.copies, fresh.copies);
-        // Anchoring the anchored state again costs nothing.
-        kernel.anchor(&initial);
-        assert_eq!(kernel.evaluator.stats().evaluations(), stats.evaluations() + 1);
     }
 
     #[test]

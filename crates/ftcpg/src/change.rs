@@ -184,21 +184,11 @@ impl<'a, 'p> ChangeSet<'a, 'p> {
     ///
     /// Panics if a process is out of range for the state.
     pub fn write(&self, copies: &mut CopyMapping, policies: &mut PolicyAssignment) {
-        self.write_rows(copies);
-        for (process, policy) in self.policies() {
-            policies.set_from(process, policy);
-        }
-    }
-
-    /// Writes the set's rows into a copy placement, leaving policies to the
-    /// caller (one that keeps a placement apart from its state's policies).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a process is out of range for the placement.
-    pub fn write_rows(&self, copies: &mut CopyMapping) {
-        for (process, row, _) in self.iter() {
+        for (process, row, policy) in self.iter() {
             copies.overwrite_row(process, row);
+            if let Some(policy) = policy {
+                policies.set_from(process, policy);
+            }
         }
     }
 }

@@ -54,7 +54,7 @@ pub use engine::{Acceptance, EngineKind, Scored, Step};
 pub use error::OptError;
 pub use repair::{synthesize_certified, CertifiedSynthesis, CertifyMode, RepairConfig};
 pub use search::{
-    apply_move, candidate_policies, search, BestGuard, Move, MoveSpace, PolicyMoves, SearchConfig,
-    SearchTrace, Synthesized,
+    apply_move, candidate_policies, search, BestGuard, Move, MoveSpace, Neighborhood, PolicyMoves,
+    SearchConfig, SearchTrace, Synthesized,
 };
 pub use strategy::{synthesize, synthesize_with, Strategy};

@@ -5,12 +5,14 @@
 //! A state is a base mapping plus one policy per process; replicas are
 //! placed by [`CopyMapping::from_base`] and the state is evaluated with the
 //! root-schedule estimator. A search step never builds its candidates as
-//! states: it draws moves from a [`MoveSpace`] precomputed once per search,
-//! derives each move's change set (the rows and policy that differ from
-//! the current state) with [`PlacementLoad`], scores the sets in one batch
-//! over the evaluator's anchored current state, lets the engine's
-//! [`Acceptance::step`] choose, and writes only the accepted move into the
-//! current state. Moves:
+//! states: its [`Neighborhood`] draws moves from a [`MoveSpace`]
+//! precomputed once per search, derives each move's change set (the rows
+//! and policy that differ from the current state) with [`PlacementLoad`]
+//! and scores the sets in one batch over the evaluator's anchored current
+//! state; the engine's [`Acceptance::step`] chooses, and only the accepted
+//! move is written into the current state and committed to the evaluator.
+//! The `ftes-explore` portfolio workers drive the same [`Neighborhood`].
+//! Moves:
 //!
 //! * **remap** — move one (non-fixed) process to another feasible node;
 //! * **repolicy** — switch one process among its candidate policies
@@ -269,7 +271,7 @@ impl<'s> Move<'s> {
     ///
     /// Panics if a remap targets a node that is not feasible for its
     /// process ([`apply_move`] rejects such a move).
-    // Inlined so that `Neighborhood::sample`, on every search's hot path,
+    // Inlined so that `Neighborhood::derive`, on every search's hot path,
     // derives each move without an extra call.
     #[inline]
     pub fn derive(
@@ -390,12 +392,17 @@ pub fn apply_move(
     }
 }
 
-/// One search's neighborhood machinery, reused across iterations: the move
-/// space, the current state's placement inputs, and the sampled moves with
-/// their change sets. Candidates exist only as change sets over the
-/// current state (which the evaluator keeps anchored); only an accepted
-/// move (or a promoted best) is ever written into a configuration.
-struct Neighborhood<'s> {
+/// The one neighborhood machinery of every search: it samples a state's
+/// moves from a [`MoveSpace`], derives their change sets against the copy
+/// placement the evaluator keeps anchored, scores them in one
+/// [`SystemEvaluator::evaluate_changes`] pass and commits the walked one.
+/// The serial [`search`] and the portfolio workers of `ftes-explore` both
+/// drive it, each over its own evaluator, so a candidate exists only as a
+/// move plus its change set. The evaluator holds the anchored placement;
+/// the neighborhood holds the placement inputs ([`PlacementLoad`]) of the
+/// same state and the last sample, reused across iterations.
+#[derive(Debug)]
+pub struct Neighborhood<'s> {
     space: &'s MoveSpace,
     load: PlacementLoad,
     moves: Vec<Move<'s>>,
@@ -403,61 +410,118 @@ struct Neighborhood<'s> {
 }
 
 impl<'s> Neighborhood<'s> {
-    /// A neighborhood over `space`, starting at `current`, whose copy
-    /// placement must be its mapping's and policies' [`CopyMapping::from_base`]
-    /// placement (as every [`Synthesized`] constructor builds it).
-    fn new(space: &'s MoveSpace, evaluator: &SystemEvaluator, current: &Synthesized) -> Self {
+    /// A neighborhood over `space` of the state `(mapping, policies)`, at
+    /// whose [`CopyMapping::from_base`] placement `evaluator` must be
+    /// anchored.
+    pub fn new(
+        space: &'s MoveSpace,
+        evaluator: &SystemEvaluator,
+        mapping: &Mapping,
+        policies: &PolicyAssignment,
+    ) -> Self {
         let (app, arch) = (evaluator.app(), evaluator.platform().architecture());
         debug_assert_eq!(
-            CopyMapping::from_base(app, arch, &current.mapping, &current.policies).ok().as_ref(),
-            Some(&current.copies),
-            "search states carry their derived copy placement"
+            CopyMapping::from_base(app, arch, mapping, policies).ok().as_ref(),
+            Some(evaluator.anchored_copies()),
+            "the evaluator is anchored at the state's derived copy placement"
         );
         Neighborhood {
             space,
-            load: PlacementLoad::new(app, arch, &current.mapping, &current.policies),
+            load: PlacementLoad::new(app, arch, mapping, policies),
             moves: Vec::new(),
             sets: ChangeSets::new(),
         }
     }
 
-    /// Samples up to `config.neighborhood` moves of `current`, deriving
-    /// each one's change set **without scoring**. Degenerate samples and
-    /// infeasible remaps are skipped; scoring never draws from `rng`.
-    fn sample(
+    /// Anchors `evaluator` and the placement inputs at `(mapping, policies)`
+    /// by a full pass, returning its estimate: how a search moves to a state
+    /// that is not one move away (an adopted incumbent).
+    ///
+    /// # Errors
+    ///
+    /// Propagates estimator and copy-placement errors, leaving the
+    /// evaluator and the neighborhood where they were.
+    pub fn anchor(
+        &mut self,
+        evaluator: &mut SystemEvaluator,
+        mapping: &Mapping,
+        policies: &PolicyAssignment,
+    ) -> Result<Estimate, OptError> {
+        let (app, arch) = (evaluator.app(), evaluator.platform().architecture());
+        let copies = CopyMapping::from_base(app, arch, mapping, policies)?;
+        let load = PlacementLoad::new(app, arch, mapping, policies);
+        let estimate = evaluator.evaluate(&copies, policies)?;
+        self.load = load;
+        Ok(estimate)
+    }
+
+    /// Samples up to `n` moves of the anchored state `(mapping, policies)`
+    /// **without deriving or scoring them**. Degenerate samples and remaps
+    /// off the architecture are skipped; nothing after this draws from
+    /// `rng`.
+    pub fn sample(
         &mut self,
         evaluator: &SystemEvaluator,
-        current: &Synthesized,
-        config: SearchConfig,
+        mapping: &Mapping,
+        policies: &PolicyAssignment,
+        n: usize,
         rng: &mut ChaCha8Rng,
     ) {
-        let (app, arch) = (evaluator.app(), evaluator.platform().architecture());
+        let arch = evaluator.platform().architecture();
         self.moves.clear();
-        self.sets.clear();
-        for _ in 0..config.neighborhood {
-            let Some(mv) = self.space.sample(&current.mapping, &current.policies, rng) else {
-                continue;
-            };
-            if !mv.fits(arch) {
-                continue;
+        for _ in 0..n {
+            let Some(mv) = self.space.sample(mapping, policies, rng) else { continue };
+            if mv.fits(arch) {
+                self.moves.push(mv);
             }
-            mv.derive(app, &mut self.load, &current.copies, &mut self.sets);
-            self.moves.push(mv);
         }
     }
 
-    /// Scores every sampled candidate in one batch pass over the anchored
-    /// current state, returning the feasible ones' indices and estimates in
-    /// sample order. A candidate whose evaluation fails (e.g. a policy the
-    /// bus cannot carry) is left out — the move is simply not available.
-    fn score(&self, evaluator: &mut SystemEvaluator) -> Vec<(usize, Estimate)> {
-        let scores = evaluator.evaluate_changes(&self.sets).into_iter();
-        scores.enumerate().filter_map(|(i, estimate)| Some((i, estimate.ok()?))).collect()
+    /// The sampled moves, in sample order.
+    pub fn moves(&self) -> &[Move<'s>] {
+        &self.moves
     }
 
-    /// The process candidate `i`'s move touches.
-    fn process(&self, i: usize) -> ProcessId {
-        self.moves[i].process()
+    /// Derives every sampled move's change set ([`Move::derive`]) against
+    /// the evaluator's anchored copy placement.
+    pub fn derive(&mut self, evaluator: &SystemEvaluator) {
+        let (app, current) = (evaluator.app(), evaluator.anchored_copies());
+        self.sets.clear();
+        for mv in &self.moves {
+            mv.derive(app, &mut self.load, current, &mut self.sets);
+        }
+    }
+
+    /// Scores the derived change sets in one
+    /// [`SystemEvaluator::evaluate_changes`] pass over the anchored state:
+    /// one estimate per sampled move, in sample order. `None` marks a
+    /// neighbor whose evaluation fails (e.g. a policy the bus cannot
+    /// carry): the move is simply not available.
+    pub fn score(&self, evaluator: &mut SystemEvaluator) -> Vec<Option<Estimate>> {
+        evaluator.evaluate_changes(&self.sets).into_iter().map(Result::ok).collect()
+    }
+
+    /// Walks the `i`-th sampled move: commits its change set to the
+    /// evaluator ([`SystemEvaluator::commit`], re-scheduling only the
+    /// suffix the move dirties), then steps the placement inputs along the
+    /// move from the anchored rows. Returns the walked state's estimate,
+    /// the one its change set scored; a failed commit leaves both the
+    /// evaluator and the neighborhood where they were.
+    ///
+    /// # Errors
+    ///
+    /// The error the evaluator reports for the walked state.
+    pub fn commit(
+        &mut self,
+        evaluator: &mut SystemEvaluator,
+        i: usize,
+    ) -> Result<Estimate, OptError> {
+        let process = self.moves[i].process();
+        let from = evaluator.anchored_copies().copies_of(process)[0];
+        let estimate = evaluator.commit(self.sets.get(i))?;
+        let row = evaluator.anchored_copies().copies_of(process);
+        self.load.commit(evaluator.app(), process, from, row[0], row.len());
+        Ok(estimate)
     }
 
     /// Writes candidate `i` with its `estimate` over `state`, the state it
@@ -475,28 +539,6 @@ impl<'s> Neighborhood<'s> {
         }
         self.sets.get(i).write(&mut state.copies, &mut state.policies);
         state.estimate = estimate;
-        Ok(())
-    }
-
-    /// Accepts candidate `i`: writes it over `current`, steps the
-    /// placement inputs to match and commits its change set to the
-    /// kernel, moving the anchor there by re-scheduling only the suffix
-    /// the move dirties.
-    fn accept(
-        &mut self,
-        evaluator: &mut SystemEvaluator,
-        i: usize,
-        current: &mut Synthesized,
-        estimate: Estimate,
-    ) -> Result<(), OptError> {
-        let process = self.process(i);
-        let from = current.mapping.node_of(process);
-        self.write(evaluator, i, current, estimate)?;
-        let to = current.mapping.node_of(process);
-        let copies = current.copies.copies_of(process).len();
-        self.load.commit(evaluator.app(), process, from, to, copies);
-        let committed = evaluator.commit(self.sets.get(i))?;
-        debug_assert_eq!(committed, estimate, "a commit scores as its batch did");
         Ok(())
     }
 }
@@ -545,24 +587,29 @@ pub fn search(
     };
     let space =
         MoveSpace::new(evaluator.app(), evaluator.k(), policy_moves, config.max_checkpoints);
-    let mut hood = Neighborhood::new(&space, evaluator, &initial);
+    // Anchor the evaluator at the search's starting state.
+    evaluator.evaluate(&initial.copies, &initial.policies)?;
+    let mut hood = Neighborhood::new(&space, evaluator, &initial.mapping, &initial.policies);
     let processes = evaluator.app().process_count();
     let mut acceptance =
         Acceptance::new(engine, processes, config.tenure, initial.estimate.worst_case_length);
-    // Anchor the delta base at the search's starting state.
-    evaluator.evaluate(&initial.copies, &initial.policies)?;
     let mut current = initial.clone();
     let mut best = initial;
     let mut trace = SearchTrace::with_capacity(config.iterations);
     let mut candidates = Vec::with_capacity(config.neighborhood);
 
     for _ in 0..config.iterations {
-        // Sample the whole neighborhood, then score it in one batch pass.
-        hood.sample(evaluator, &current, config, &mut rng);
-        let feasible = hood.score(evaluator);
+        // Sample the whole neighborhood, then score it in one batch pass,
+        // keeping the feasible candidates in sample order.
+        hood.sample(evaluator, &current.mapping, &current.policies, config.neighborhood, &mut rng);
+        hood.derive(evaluator);
+        let scores = hood.score(evaluator).into_iter().enumerate();
+        let feasible: Vec<(usize, Estimate)> =
+            scores.filter_map(|(i, estimate)| Some((i, estimate?))).collect();
         candidates.clear();
-        candidates
-            .extend(feasible.iter().map(|&(i, estimate)| (hood.process(i), scored(&estimate))));
+        candidates.extend(
+            feasible.iter().map(|&(i, estimate)| (hood.moves()[i].process(), scored(&estimate))),
+        );
         let step = acceptance.step(
             &candidates,
             scored(&current.estimate),
@@ -583,7 +630,9 @@ pub fn search(
         }
         if let Some(c) = step.walk {
             let (i, estimate) = feasible[c];
-            hood.accept(evaluator, i, &mut current, estimate)?;
+            hood.write(evaluator, i, &mut current, estimate)?;
+            let committed = hood.commit(evaluator, i)?;
+            debug_assert_eq!(committed, estimate, "a commit scores as its batch did");
         }
         trace.push(best.estimate.worst_case_length.units());
     }
@@ -593,6 +642,7 @@ pub fn search(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::constructive_mapping;
     use ftes_gen::{generate_application, GeneratorConfig};
     use ftes_model::samples;
 
@@ -755,6 +805,99 @@ mod tests {
         for w in trace.windows(2) {
             assert!(w[1] <= w[0], "greedy trace is non-increasing");
         }
+    }
+
+    /// One change set's entries: process, successor row and policy.
+    type Entries = Vec<(ProcessId, Vec<NodeId>, Option<Policy>)>;
+
+    /// The change sets a neighborhood last derived.
+    fn derived(hood: &Neighborhood<'_>) -> Vec<Entries> {
+        let rows = |set: ftes_ftcpg::ChangeSet<'_, '_>| {
+            set.iter().map(|(p, row, policy)| (p, row.to_vec(), policy.cloned())).collect()
+        };
+        hood.sets.iter().map(rows).collect()
+    }
+
+    #[test]
+    fn a_committed_neighborhood_equals_a_fresh_one() {
+        // A replicated start, so a move's change set can shift other
+        // processes' replicas too.
+        let app = generate_application(&GeneratorConfig::new(12, 3), 5).unwrap();
+        let platform = Platform::homogeneous(3, Time::new(8)).unwrap();
+        let arch = platform.architecture();
+        let k = 2;
+        let space = MoveSpace::new(&app, k, PolicyMoves::Full, 8);
+        // A fresh evaluator anchored at a state, its neighborhood and the
+        // state's estimate.
+        let fresh = |(mapping, policies): &(Mapping, PolicyAssignment)| {
+            let mut evaluator = SystemEvaluator::new(&app, &platform, k);
+            let state =
+                Synthesized::evaluate_with(&mut evaluator, mapping.clone(), policies.clone());
+            let hood = Neighborhood::new(&space, &evaluator, mapping, policies);
+            (evaluator, hood, state.unwrap().estimate)
+        };
+        let sample = |hood: &mut Neighborhood<'_>,
+                      evaluator: &SystemEvaluator,
+                      (mapping, policies): &(Mapping, PolicyAssignment),
+                      rng: &mut ChaCha8Rng| {
+            hood.sample(evaluator, mapping, policies, 16, rng);
+            hood.derive(evaluator);
+        };
+        let initial = (
+            constructive_mapping(&app, arch).unwrap(),
+            PolicyAssignment::uniform_replication(&app, k),
+        );
+        let (mut evaluator, mut hood, mut estimate) = fresh(&initial);
+        let mut current = initial.clone();
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        let (mut walks, mut walked) = (0, false);
+        for _ in 0..40 {
+            // A walk leaves the evaluator anchored at the walked state, with
+            // the estimate its change set scored.
+            let (mut theirs, mut their_hood, their_estimate) = fresh(&current);
+            assert_eq!(evaluator.anchored_copies(), theirs.anchored_copies());
+            assert_eq!(estimate, their_estimate);
+            // Both neighborhoods sample the same moves and derive them:
+            // equal sets mean equal placement inputs, equal scores equal
+            // anchors.
+            let mut same = rng.clone();
+            sample(&mut hood, &evaluator, &current, &mut rng);
+            sample(&mut their_hood, &theirs, &current, &mut same);
+            assert_eq!(hood.moves(), their_hood.moves());
+            assert_eq!(derived(&hood), derived(&their_hood));
+            let scored = hood.score(&mut evaluator);
+            assert_eq!(scored, their_hood.score(&mut theirs));
+            walked = false;
+            let Some(i) = scored.iter().position(Option::is_some) else { continue };
+            let mv = hood.moves()[i];
+            current = apply_move(&app, arch, &current.0, &current.1, mv).unwrap();
+            estimate = hood.commit(&mut evaluator, i).unwrap();
+            assert_eq!(Some(estimate), scored[i]);
+            (walks, walked) = (walks + 1, true);
+        }
+        let (theirs, _, _) = fresh(&current);
+        assert_eq!(evaluator.anchored_copies(), theirs.anchored_copies());
+        // One evaluation per walk, and the walks were committed by suffix
+        // passes: only commits whose sets reach position 0 run a full one.
+        let stats = evaluator.stats();
+        assert!(walks > 20, "{walks} walks");
+        assert_eq!(stats.evaluations(), 1 + walks + stats.batch_candidates);
+        assert!(stats.delta_evals > walks / 2, "{stats:?}");
+        let commit_passes = stats.full_evals - 1 - stats.delta_fallbacks;
+        assert!(commit_passes < walks);
+
+        // A walk followed by an anchor elsewhere (an adopted incumbent): one
+        // full pass, after which the neighborhood derives as a fresh one.
+        assert!(walked, "the last iteration walks");
+        hood.anchor(&mut evaluator, &initial.0, &initial.1).unwrap();
+        assert_eq!(evaluator.stats().full_evals, stats.full_evals + 1);
+        assert_eq!(evaluator.stats().evaluations(), stats.evaluations() + 1);
+        let (theirs, mut their_hood, _) = fresh(&initial);
+        assert_eq!(evaluator.anchored_copies(), theirs.anchored_copies());
+        let mut same = rng.clone();
+        sample(&mut hood, &evaluator, &initial, &mut rng);
+        sample(&mut their_hood, &theirs, &initial, &mut same);
+        assert_eq!(derived(&hood), derived(&their_hood));
     }
 
     #[test]

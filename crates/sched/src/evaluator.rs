@@ -316,6 +316,16 @@ impl SystemEvaluator {
         self.stats
     }
 
+    /// The anchored state's copy placement, which change sets are derived
+    /// against.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no state is anchored yet.
+    pub fn anchored_copies(&self) -> &CopyMapping {
+        &self.anchored.as_ref().expect("a state is anchored").0
+    }
+
     /// Evaluates a state from scratch (reusing all buffers) and anchors it
     /// as the base state that change sets are scored against.
     ///
