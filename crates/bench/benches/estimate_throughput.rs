@@ -2,8 +2,9 @@
 //! cold construct+evaluate vs reused-evaluator vs one move scored alone vs
 //! a whole neighborhood scored in one batch — the regimes of the synthesis
 //! hot loop. Every incremental number goes through the kernel's one
-//! incremental path, `evaluate_batch` (a one-candidate call for a single
-//! move).
+//! incremental path, `evaluate_changes` (a one-set call for a single
+//! move), over change sets diffed from whole states once, outside the
+//! timed loops, so the numbers time scoring alone.
 //!
 //! Besides the console medians, the run records its numbers to
 //! `BENCH_estimate.json` at the workspace root, continuing the performance
@@ -13,7 +14,7 @@
 
 use criterion::{criterion_group, Criterion};
 use ftes::ft::{Policy, PolicyAssignment};
-use ftes::ftcpg::CopyMapping;
+use ftes::ftcpg::{ChangeSets, CopyMapping};
 use ftes::json::JsonWriter;
 use ftes::model::{Mapping, NodeId};
 use ftes::sched::SystemEvaluator;
@@ -56,6 +57,19 @@ fn instance() -> Instance {
     let moved_copies =
         CopyMapping::from_base(&spec.app, arch, &moved, &policies).expect("feasible");
     Instance { spec, mapping, policies, copies, moved_copies }
+}
+
+/// One batch of change sets: each of `states` diffed against the
+/// instance's base state.
+fn change_sets<'p>(
+    inst: &Instance,
+    states: &[(&'p CopyMapping, &'p PolicyAssignment)],
+) -> ChangeSets<'p> {
+    let mut sets = ChangeSets::new();
+    for &state in states {
+        sets.push_diff(&inst.spec.app, (&inst.copies, &inst.policies), state);
+    }
+    sets
 }
 
 /// A deterministic `size`-candidate neighborhood of the instance's base
@@ -111,14 +125,15 @@ fn bench_estimate_throughput(c: &mut Criterion) {
 
     let mut delta = SystemEvaluator::new(&inst.spec.app, &inst.spec.platform, k);
     delta.evaluate(&inst.copies, &inst.policies).unwrap();
-    let moved = [(&inst.moved_copies, &inst.policies)];
-    group.bench_function("batch_evaluate_1", |b| b.iter(|| delta.evaluate_batch(&moved)));
+    let moved = change_sets(&inst, &[(&inst.moved_copies, &inst.policies)]);
+    group.bench_function("batch_evaluate_1", |b| b.iter(|| delta.evaluate_changes(&moved)));
 
     let neigh = neighborhood(&inst, 24);
     let refs: Vec<(&CopyMapping, &PolicyAssignment)> = neigh.iter().map(|(c, p)| (c, p)).collect();
+    let sets = change_sets(&inst, &refs);
     let mut batch = SystemEvaluator::new(&inst.spec.app, &inst.spec.platform, k);
     batch.evaluate(&inst.copies, &inst.policies).unwrap();
-    group.bench_function("batch_evaluate_24", |b| b.iter(|| batch.evaluate_batch(&refs)));
+    group.bench_function("batch_evaluate_24", |b| b.iter(|| batch.evaluate_changes(&sets)));
     group.finish();
 
     assert!(delta.stats().delta_evals > 0, "the bench move must exercise the delta fast path");
@@ -162,41 +177,43 @@ fn write_report() {
         kernel
     };
     let mut kernel = anchored();
-    let moved = [(&inst.moved_copies, policies)];
+    let moved = change_sets(&inst, &[(&inst.moved_copies, policies)]);
     let [cold] = median_ns(
         iters,
         [&mut || drop(SystemEvaluator::new(app, platform, k).evaluate(copies, policies))],
     );
     let [reused] = median_ns(iters, [&mut || drop(kernel.evaluate(copies, policies))]);
-    let [delta] = median_ns(iters, [&mut || drop(kernel.evaluate_batch(&moved))]);
+    let [delta] = median_ns(iters, [&mut || drop(kernel.evaluate_changes(&moved))]);
     // Guard the recorded number: if the move ever degenerated into the
     // noop/fallback path (e.g. the spec changed and the moved process now
     // sits at position 0), the timing above would not measure suffix
     // re-scheduling and must not be published as `delta_ns`.
     assert!(kernel.stats().delta_evals > 0, "the recorded move must exercise the delta fast path");
-    assert!(kernel.evaluate_batch(&moved)[0].is_ok(), "the recorded move must score");
+    assert!(kernel.evaluate_changes(&moved)[0].is_ok(), "the recorded move must score");
 
     // The batch path at neighborhood sizes 8, 24 and 64 (24 is the default
     // `SearchConfig::neighborhood`, the `batch_ns` headline number), on
     // kernels anchored at the base state: the search-loop regime of one
-    // anchor and whole neighborhoods diffed against it. Its
+    // anchor and whole neighborhoods of change sets against it. Its
     // apples-to-apples baseline is the *same* 24 candidates scored as 24
     // one-candidate calls (`delta_ns` above is one fixed move — a different
     // workload from a whole neighborhood, whose candidates dirty the
     // schedule at every depth). The four are timed in alternation.
     let hoods = [8, 24, 64].map(|size| neighborhood(&inst, size));
-    let [r8, r24, r64] = hoods.each_ref().map(|hood| {
+    let refs = hoods.each_ref().map(|hood| {
         hood.iter().map(|(c, p)| (c, p)).collect::<Vec<(&CopyMapping, &PolicyAssignment)>>()
     });
+    let [s8, s24, s64] = refs.each_ref().map(|refs| change_sets(&inst, refs));
+    let singles: Vec<_> = refs[1].iter().map(|&state| change_sets(&inst, &[state])).collect();
     let mut kernels = [(); 4].map(|_| anchored());
     let [k8, k24, k64, single] = &mut kernels;
     let [batch8, batch24, batch64, seq] = median_ns(
         iters,
         [
-            &mut || drop(k8.evaluate_batch(&r8)),
-            &mut || drop(k24.evaluate_batch(&r24)),
-            &mut || drop(k64.evaluate_batch(&r64)),
-            &mut || r24.iter().for_each(|&candidate| drop(single.evaluate_batch(&[candidate]))),
+            &mut || drop(k8.evaluate_changes(&s8)),
+            &mut || drop(k24.evaluate_changes(&s24)),
+            &mut || drop(k64.evaluate_changes(&s64)),
+            &mut || singles.iter().for_each(|set| drop(single.evaluate_changes(set))),
         ],
     );
     let (batch8, batch24, batch64, seq) = (batch8 / 8, batch24 / 24, batch64 / 64, seq / 24);

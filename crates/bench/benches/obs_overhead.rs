@@ -1,7 +1,8 @@
 //! Criterion bench for the tracing instrumentation's overhead on the
-//! synthesis hot path: one move scored as a one-candidate `evaluate_batch`
+//! synthesis hot path: one move scored as a one-set `evaluate_changes`
 //! call on `specs/mixed20.ftes` (the `delta_ns` regime recorded in
-//! `BENCH_estimate.json`) with the trace gate off and on.
+//! `BENCH_estimate.json`; the change set is diffed once, outside the timed
+//! loop) with the trace gate off and on.
 //!
 //! The disabled path of every span/counter is one relaxed atomic load
 //! and a branch, so `disabled_ns` must stay within noise of the
@@ -11,7 +12,7 @@
 
 use criterion::{criterion_group, Criterion};
 use ftes::ft::PolicyAssignment;
-use ftes::ftcpg::CopyMapping;
+use ftes::ftcpg::{ChangeSets, CopyMapping};
 use ftes::json::JsonWriter;
 use ftes::model::{Mapping, NodeId};
 use ftes::sched::SystemEvaluator;
@@ -54,6 +55,14 @@ fn instance() -> Instance {
     Instance { spec, policies, copies, moved_copies }
 }
 
+/// The moved state's change set against the base state.
+fn moved(inst: &Instance) -> ChangeSets<'_> {
+    let mut sets = ChangeSets::new();
+    let base = (&inst.copies, &inst.policies);
+    sets.push_diff(&inst.spec.app, base, (&inst.moved_copies, &inst.policies));
+    sets
+}
+
 fn bench_obs_overhead(c: &mut Criterion) {
     let inst = instance();
     let k = inst.spec.fault_model.k();
@@ -63,15 +72,15 @@ fn bench_obs_overhead(c: &mut Criterion) {
     let mut evaluator = SystemEvaluator::new(&inst.spec.app, &inst.spec.platform, k);
     evaluator.evaluate(&inst.copies, &inst.policies).unwrap();
 
-    let moved = [(&inst.moved_copies, &inst.policies)];
+    let moved = moved(&inst);
     ftes::obs::set_enabled(false);
     group.bench_function("batch_evaluate_1_tracing_disabled", |b| {
-        b.iter(|| evaluator.evaluate_batch(&moved))
+        b.iter(|| evaluator.evaluate_changes(&moved))
     });
 
     ftes::obs::set_enabled(true);
     group.bench_function("batch_evaluate_1_tracing_enabled", |b| {
-        b.iter(|| evaluator.evaluate_batch(&moved))
+        b.iter(|| evaluator.evaluate_changes(&moved))
     });
     ftes::obs::set_enabled(false);
     // Keep the rings from pinning a full buffer of bench events.
@@ -111,8 +120,9 @@ fn write_report() {
     let mut evaluator = SystemEvaluator::new(&inst.spec.app, &inst.spec.platform, k);
     evaluator.evaluate(&inst.copies, &inst.policies).unwrap();
 
+    let moved = moved(&inst);
     let mut score = || {
-        evaluator.evaluate_batch(&[(&inst.moved_copies, &inst.policies)]).remove(0).unwrap();
+        evaluator.evaluate_changes(&moved).remove(0).unwrap();
     };
     ftes::obs::set_enabled(false);
     let disabled = median_ns(iters, &mut score);

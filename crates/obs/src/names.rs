@@ -84,8 +84,7 @@ pub const EVAL_FALLBACK: &str = "eval.fallback";
 /// An anchoring full evaluation ran (`SystemEvaluator::evaluate`).
 pub const EVAL_FULL: &str = "eval.full";
 /// One neighborhood-scoring call ran: `SystemEvaluator::evaluate_changes`,
-/// directly or through its full-state front end `evaluate_batch`, for one
-/// candidate or many.
+/// for one change set or many.
 pub const EVAL_BATCH: &str = "eval.batch";
 /// Candidates scored by a batched evaluation (counter delta per batch).
 pub const EVAL_BATCH_CANDIDATES: &str = "eval.batch_candidates";

@@ -30,11 +30,12 @@
 //! one is built. Calibration is measured in `tests/` and EXPERIMENTS.md.
 //!
 //! The implementation lives in the reusable
-//! [`SystemEvaluator`](crate::SystemEvaluator) kernel and its two entry
-//! points — full (`evaluate`, the only call that anchors a state) and
-//! neighborhood (`evaluate_changes`, which re-schedules each change set's
-//! suffix off one shared schedule-prefix image and leaves the anchor in
-//! place; `evaluate_batch` is its front end for whole states); this module
+//! [`SystemEvaluator`](crate::SystemEvaluator) kernel and its entry points
+//! — full (`evaluate`, which anchors a state), commit (`commit`, which
+//! moves the anchor along one change set) and neighborhood
+//! (`evaluate_changes`, which re-schedules each change set's suffix off
+//! one shared schedule-prefix image and leaves the anchor in place); this
+//! module
 //! keeps the [`Estimate`] value type and the one-shot compatibility
 //! wrapper, which constructs a throwaway kernel and runs a single full
 //! pass.

@@ -41,9 +41,6 @@
 //!   off that image with flat `memcpy` restores, and reverted. A set whose
 //!   dirty region reaches position 0 is scored by a full pass instead —
 //!   never a wrong one — and still leaves the anchor where it was.
-//!   [`evaluate_batch`](SystemEvaluator::evaluate_batch) is the front end
-//!   for whole states: it diffs each into a change set and calls the same
-//!   core.
 //!
 //! ## SoA layout
 //!
@@ -64,10 +61,10 @@
 //! Equality with the legacy free function is bit-for-bit — including which
 //! process is reported critical and which error is reported for infeasible
 //! states — and is locked in by `tests/evaluator_equality.rs` at the
-//! workspace root for both entry points: `evaluate` along random walks,
-//! `evaluate_batch` over random neighborhoods (result for result and error
-//! for error, in input order, and equal to one-candidate calls), and
-//! `evaluate_changes` to `evaluate_batch` counter for counter.
+//! workspace root for every entry point: `evaluate` and one-candidate
+//! `evaluate_changes` calls along random walks, `evaluate_changes` over
+//! random neighborhoods (result for result and error for error, in input
+//! order, and equal to one-candidate calls), and `commit` along walks.
 
 use crate::{worst_case_delivery, Estimate, ReplicaLadder, SchedError};
 use ftes_ft::{CopyPlan, FtError, PolicyAssignment, RecoveryScheme};
@@ -92,11 +89,10 @@ pub struct EvaluatorStats {
     /// Candidates equal to the base state (empty change sets, answered from
     /// the anchor).
     pub delta_noops: u64,
-    /// Candidates scored by a full pass instead of a suffix (no base yet,
-    /// or the dirty region reached position 0). The anchor stays put.
+    /// Candidates scored by a full pass instead of a suffix (the dirty
+    /// region reached position 0). The anchor stays put.
     pub delta_fallbacks: u64,
-    /// Neighborhood scoring calls ([`SystemEvaluator::evaluate_changes`],
-    /// directly or through [`SystemEvaluator::evaluate_batch`]).
+    /// Neighborhood scoring calls ([`SystemEvaluator::evaluate_changes`]).
     pub batch_evals: u64,
     /// Candidates those calls scored (each also counted in the
     /// full/delta/noop buckets above, so [`EvaluatorStats::evaluations`]
@@ -169,16 +165,17 @@ struct BaseState {
 ///
 /// Only [`evaluate`](SystemEvaluator::evaluate) and
 /// [`commit`](SystemEvaluator::commit) move the anchored base state.
-/// Scoring — [`evaluate_changes`](SystemEvaluator::evaluate_changes) and
-/// [`evaluate_batch`](SystemEvaluator::evaluate_batch) — never does, not
-/// even for a candidate it scores by a full pass, so a search anchors its
-/// current state once and commits only the change set it accepts.
+/// Scoring ([`evaluate_changes`](SystemEvaluator::evaluate_changes)) never
+/// does, not even for a candidate it scores by a full pass, so a search
+/// anchors its current state once and commits only the change set it
+/// accepts.
 ///
 /// # Examples
 ///
 /// ```
-/// use ftes_ft::PolicyAssignment;
-/// use ftes_ftcpg::CopyMapping;
+/// use ftes_ft::{Policy, PolicyAssignment};
+/// use ftes_ftcpg::{ChangeSets, CopyMapping};
+/// use ftes_model::ProcessId;
 /// use ftes_model::{samples, Mapping, Time};
 /// use ftes_sched::{estimate_schedule_length, SystemEvaluator};
 /// use ftes_tdma::Platform;
@@ -195,9 +192,17 @@ struct BaseState {
 /// let legacy = estimate_schedule_length(&app, &platform, &copies, &policies, 2)?;
 /// assert_eq!(fast, legacy);
 ///
-/// // A whole neighborhood in one pass, results in input order.
-/// let batch = evaluator.evaluate_batch(&[(&copies, &policies)]);
-/// assert_eq!(batch[0].as_ref().unwrap(), &legacy);
+/// // A neighborhood in one pass, each neighbor a change set against the
+/// // anchored state; results come back in input order.
+/// let mut moved = policies.clone();
+/// moved.set(ProcessId::new(1), Policy::checkpointing(2, 2));
+/// let mut sets = ChangeSets::new();
+/// sets.push_diff(&app, (&copies, &policies), (&copies, &moved));
+/// sets.close(); // the anchored state itself: an empty set
+/// let batch = evaluator.evaluate_changes(&sets);
+/// let one = estimate_schedule_length(&app, &platform, &copies, &moved, 2)?;
+/// assert_eq!(batch[0].as_ref().unwrap(), &one);
+/// assert_eq!(batch[1].as_ref().unwrap(), &legacy);
 /// # Ok(())
 /// # }
 /// ```
@@ -373,39 +378,6 @@ impl SystemEvaluator {
         self.makespan_after.clear();
         let makespan = self.schedule_suffix(copies, policies, 0, Time::ZERO, record_logs)?;
         self.finish_estimate(copies, policies, makespan, None)
-    }
-
-    /// Scores a whole neighborhood of full states against the base state,
-    /// returning one `Result` per candidate **in input order** — each
-    /// bit-for-bit equal (estimate *and* error) to
-    /// [`estimate_schedule_length`](crate::estimate_schedule_length) of the
-    /// same candidate.
-    ///
-    /// A thin front end of [`evaluate_changes`]: each candidate is diffed
-    /// against the anchored state into a change set, and the change sets
-    /// are scored. With no base anchored yet, every candidate runs a full
-    /// pass. Either way the anchor does not move.
-    ///
-    /// [`evaluate_changes`]: SystemEvaluator::evaluate_changes
-    pub fn evaluate_batch(
-        &mut self,
-        candidates: &[(&CopyMapping, &PolicyAssignment)],
-    ) -> Vec<Result<Estimate, SchedError>> {
-        let Some((base_copies, base_policies)) = self.anchored.as_ref() else {
-            self.count_batch(candidates.len());
-            return candidates
-                .iter()
-                .map(|&(copies, policies)| {
-                    self.count_fallback();
-                    self.full_pass(copies, policies, false)
-                })
-                .collect();
-        };
-        let mut sets = ChangeSets::new();
-        for &(copies, policies) in candidates {
-            sets.push_diff(&self.app, (base_copies, base_policies), (copies, policies));
-        }
-        self.evaluate_changes(&sets)
     }
 
     /// Scores a whole neighborhood given as change sets against the
@@ -996,6 +968,20 @@ mod tests {
         (app, platform, mapping, policies)
     }
 
+    /// Scores whole `states` in one `evaluate_changes` pass, each diffed
+    /// into a change set against `base`, the anchored state.
+    fn score_states(
+        ev: &mut SystemEvaluator,
+        base: (&CopyMapping, &PolicyAssignment),
+        states: &[(&CopyMapping, &PolicyAssignment)],
+    ) -> Vec<Result<Estimate, SchedError>> {
+        let mut sets = ChangeSets::new();
+        for &state in states {
+            sets.push_diff(ev.app(), base, state);
+        }
+        ev.evaluate_changes(&sets)
+    }
+
     #[test]
     fn evaluate_matches_legacy_bit_for_bit() {
         for k in 0..=3 {
@@ -1023,10 +1009,9 @@ mod tests {
             let mut moved = policies.clone();
             moved.set(ProcessId::new(p), Policy::checkpointing(2, 2));
             let moved_copies = CopyMapping::from_base(&app, &arch, &mapping, &moved).unwrap();
-            let delta = ev.evaluate_batch(&[(&moved_copies, &moved)]).remove(0).unwrap();
-            let legacy =
-                estimate_schedule_length(&app, &platform, &moved_copies, &moved, 2).unwrap();
-            assert_eq!(delta, legacy, "repolicy of P{p}");
+            let delta = score_states(&mut ev, (&copies, &policies), &[(&moved_copies, &moved)]);
+            let legacy = estimate_schedule_length(&app, &platform, &moved_copies, &moved, 2);
+            assert_eq!(delta[0], Ok(legacy.unwrap()), "repolicy of P{p}");
         }
         let stats = ev.stats();
         assert!(stats.delta_evals + stats.delta_fallbacks > 0);
@@ -1050,10 +1035,10 @@ mod tests {
                 }
                 let Ok(moved) = mapping.with_move(&app, &arch, pid, node) else { continue };
                 let moved_copies = CopyMapping::from_base(&app, &arch, &moved, &policies).unwrap();
-                let delta = ev.evaluate_batch(&[(&moved_copies, &policies)]).remove(0).unwrap();
-                let legacy =
-                    estimate_schedule_length(&app, &platform, &moved_copies, &policies, 1).unwrap();
-                assert_eq!(delta, legacy, "remap of {pid:?} to {node:?}");
+                let moved = [(&moved_copies, &policies)];
+                let delta = score_states(&mut ev, (&copies, &policies), &moved);
+                let legacy = estimate_schedule_length(&app, &platform, &moved_copies, &policies, 1);
+                assert_eq!(delta[0], Ok(legacy.unwrap()), "remap of {pid:?} to {node:?}");
             }
         }
     }
@@ -1065,22 +1050,31 @@ mod tests {
             CopyMapping::from_base(&app, platform.architecture(), &mapping, &policies).unwrap();
         let mut ev = SystemEvaluator::new(&app, &platform, 2);
         let full = ev.evaluate(&copies, &policies).unwrap();
-        assert_eq!(ev.evaluate_batch(&[(&copies, &policies)]).remove(0).unwrap(), full);
+        let state = (&copies, &policies);
+        assert_eq!(score_states(&mut ev, state, &[state])[0], Ok(full));
         assert_eq!(ev.stats().delta_noops, 1);
     }
 
     #[test]
-    fn delta_without_base_falls_back_to_full() {
+    fn delta_from_position_zero_falls_back_to_full() {
         let (app, platform, mapping, policies) = fig3_instance(2);
         let copies =
             CopyMapping::from_base(&app, platform.architecture(), &mapping, &policies).unwrap();
         let mut ev = SystemEvaluator::new(&app, &platform, 2);
-        let legacy = estimate_schedule_length(&app, &platform, &copies, &policies, 2).unwrap();
-        // Scoring never anchors: the second call finds no base either.
+        let full = ev.evaluate(&copies, &policies).unwrap();
+        // A repolicy of the first process popped dirties position 0.
+        let mut moved = policies.clone();
+        moved.set(ev.order[0], Policy::checkpointing(2, 2));
+        let legacy = estimate_schedule_length(&app, &platform, &copies, &moved, 2).unwrap();
+        // Scoring never anchors: the second call falls back too, and the
+        // anchored state still answers as a noop.
+        let state = (&copies, &policies);
         for calls in 1..=2 {
-            assert_eq!(ev.evaluate_batch(&[(&copies, &policies)]).remove(0).unwrap(), legacy);
+            assert_eq!(score_states(&mut ev, state, &[(&copies, &moved)])[0], Ok(legacy));
             assert_eq!(ev.stats().delta_fallbacks, calls);
         }
+        assert_eq!(score_states(&mut ev, state, &[state])[0], Ok(full));
+        assert_eq!(ev.stats().delta_evals, 0);
     }
 
     #[test]
@@ -1126,7 +1120,8 @@ mod tests {
         for _ in 0..3 {
             ev.evaluate(&copies, &policies).unwrap();
         }
-        ev.evaluate_batch(&[(&copies, &policies)]).remove(0).unwrap();
+        let state = (&copies, &policies);
+        score_states(&mut ev, state, &[state]).remove(0).unwrap();
         let stats = ev.stats();
         assert_eq!(stats.constructions, 1);
         assert_eq!(stats.full_evals, 3);
@@ -1157,11 +1152,12 @@ mod tests {
         let bad_copies = CopyMapping::from_base(&app, &arch, &mapping, &bad).unwrap();
         neighborhood.insert(3, (bad_copies, bad));
 
+        let base = (&copies, &policies);
         let mut batch_ev = SystemEvaluator::new(&app, &platform, 2);
         batch_ev.evaluate(&copies, &policies).unwrap();
         let refs: Vec<(&CopyMapping, &PolicyAssignment)> =
             neighborhood.iter().map(|(c, p)| (c, p)).collect();
-        let batch = batch_ev.evaluate_batch(&refs);
+        let batch = score_states(&mut batch_ev, base, &refs);
 
         let stats = batch_ev.stats();
         assert_eq!(stats.batch_evals, 1);
@@ -1171,12 +1167,12 @@ mod tests {
         let mut one_ev = SystemEvaluator::new(&app, &platform, 2);
         one_ev.evaluate(&copies, &policies).unwrap();
         for (i, (c, p)) in neighborhood.iter().enumerate() {
-            let one = one_ev.evaluate_batch(&[(c, p)]).remove(0);
+            let one = score_states(&mut one_ev, base, &[(c, p)]).remove(0);
             assert_eq!(batch[i], one, "candidate {i}");
             assert_eq!(one, estimate_schedule_length(&app, &platform, c, p, 2), "candidate {i}");
         }
         // The batch never moves the base: the base still answers as a noop.
-        assert_eq!(batch_ev.evaluate_batch(&[(&copies, &policies)])[0], batch[1]);
+        assert_eq!(score_states(&mut batch_ev, base, &[base])[0], batch[1]);
         assert_eq!(batch_ev.stats().delta_noops, 2);
     }
 
@@ -1212,24 +1208,11 @@ mod tests {
             assert_ne!(after.worst_case_length, before.worst_case_length, "w={w}");
             let mut ev = SystemEvaluator::new(&app, &platform, 2);
             ev.evaluate(&base, &policies).unwrap();
-            assert_eq!(ev.evaluate_batch(&[(&cand, &policies)])[0], Ok(after), "w={w}");
+            let scored = score_states(&mut ev, (&base, &policies), &[(&cand, &policies)]);
+            assert_eq!(scored[0], Ok(after), "w={w}");
             assert_eq!(ev.stats().delta_evals, 1, "B's move is scored as a suffix delta");
         }
         assert_eq!(same_end, 1, "exactly one WCET of B reproduces its completion time");
-    }
-
-    #[test]
-    fn batch_without_base_runs_full_passes() {
-        let (app, platform, mapping, policies) = fig3_instance(1);
-        let copies =
-            CopyMapping::from_base(&app, platform.architecture(), &mapping, &policies).unwrap();
-        let mut ev = SystemEvaluator::new(&app, &platform, 1);
-        let batch = ev.evaluate_batch(&[(&copies, &policies), (&copies, &policies)]);
-        let legacy = estimate_schedule_length(&app, &platform, &copies, &policies, 1).unwrap();
-        assert_eq!(batch[0].as_ref().unwrap(), &legacy);
-        assert_eq!(batch[1].as_ref().unwrap(), &legacy);
-        assert_eq!(ev.stats().delta_fallbacks, 2, "no base: every candidate is a fallback");
-        assert_eq!(ev.stats().evaluations(), 2);
     }
 
     #[test]
@@ -1280,10 +1263,13 @@ mod tests {
 
     #[test]
     fn empty_batch_is_a_cheap_noop() {
-        let (app, platform, _, _) = fig3_instance(1);
+        let (app, platform, mapping, policies) = fig3_instance(1);
         let mut ev = SystemEvaluator::new(&app, &platform, 1);
-        assert!(ev.evaluate_batch(&[]).is_empty());
+        let copies =
+            CopyMapping::from_base(&app, platform.architecture(), &mapping, &policies).unwrap();
+        ev.evaluate(&copies, &policies).unwrap();
+        assert!(ev.evaluate_changes(&ChangeSets::new()).is_empty());
         assert_eq!(ev.stats().batch_evals, 1);
-        assert_eq!(ev.stats().evaluations(), 0);
+        assert_eq!(ev.stats().evaluations(), 1, "the anchoring pass only");
     }
 }

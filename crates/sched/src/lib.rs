@@ -11,13 +11,14 @@
 //! * [`SystemEvaluator`] — the reusable evaluation kernel behind the
 //!   optimization loops, over flat structure-of-arrays state: construction
 //!   precomputes everything invariant per `(application, platform, k)`,
-//!   and two entry points share it. `evaluate` re-scores a state with zero
-//!   steady-state allocation and is the only call that anchors one;
+//!   and three entry points share it. `evaluate` re-scores a state with
+//!   zero steady-state allocation and anchors it; `commit` moves the anchor
+//!   along one change set, re-scheduling only its suffix;
 //!   `evaluate_changes` scores a whole search neighborhood, given as change
 //!   sets over the anchored state, in one pass off a shared, incrementally
 //!   grown prefix image, re-scheduling only each neighbor's suffix and
-//!   never moving the anchor (`evaluate_batch` is its front end for whole
-//!   states) — bit-for-bit equal to one-shot estimation, in input order;
+//!   never moving the anchor — bit-for-bit equal to one-shot estimation,
+//!   in input order;
 //! * [`Certifier`] — on-demand, memoized exact certification of candidate
 //!   configurations under a work budget: the kernel behind the
 //!   certify-and-repair loops that keep search incumbents honest against

@@ -1,26 +1,27 @@
 //! The tentpole guarantee of the evaluation kernel: on random
 //! applications, platforms and move sequences, `SystemEvaluator::evaluate`
-//! (reused, warm buffers) and one-candidate `SystemEvaluator::evaluate_batch`
-//! calls (suffix re-scheduling off an anchored base) both equal a fresh
-//! `estimate_schedule_length` run **bit-for-bit** — same `Estimate`
-//! (including the critical process), same error on infeasible states — for
-//! every fault budget k ∈ {0..3}.
+//! (reused, warm buffers) and one-candidate
+//! `SystemEvaluator::evaluate_changes` calls (suffix re-scheduling off an
+//! anchored base, each move diffed into a change set by
+//! `ChangeSets::push_diff`) both equal a fresh `estimate_schedule_length`
+//! run **bit-for-bit** — same `Estimate` (including the critical process),
+//! same error on infeasible states — for every fault budget k ∈ {0..3}.
 //!
 //! Moves are enumerated deterministically from the generated seed (no RNG
 //! in the test itself), mixing remaps and repolicies exactly like the
 //! search engines' neighborhood vocabulary.
 //!
 //! A second property extends the same discipline to whole neighborhoods:
-//! `SystemEvaluator::evaluate_batch` over a random neighborhood must equal
-//! one-candidate calls and `estimate_schedule_length` bit-for-bit —
-//! results and errors, in input order — with and without an anchored base.
+//! `evaluate_changes` over a random neighborhood must equal one-candidate
+//! calls and `estimate_schedule_length` bit-for-bit — results and errors,
+//! in input order.
 //!
 //! A third pins the search's move-as-delta path: along walks through
 //! replicated states, every change set `PlacementLoad::derive` emits holds
 //! exactly the rows where `CopyMapping::from_base` of the moved state
 //! differs from the current one, and `evaluate_changes` over the sets
-//! equals `evaluate_batch` over the materialized states — result for
-//! result, error for error, counter for counter.
+//! equals `estimate_schedule_length` of the materialized states — result
+//! for result, error for error.
 //!
 //! A fourth pins the committed anchor: along walks that move by
 //! `SystemEvaluator::commit` instead of a full `evaluate`, the commit
@@ -103,11 +104,11 @@ proptest! {
             // move as a one-candidate batch off its anchored base.
             let mut full_eval = SystemEvaluator::new(&app, &platform, k);
             let mut delta_eval = SystemEvaluator::new(&app, &platform, k);
-            let copies = CopyMapping::from_base(&app, arch, &mapping, &policies)
+            let mut current = CopyMapping::from_base(&app, arch, &mapping, &policies)
                 .expect("re-execution placement is feasible");
-            let initial = estimate_schedule_length(&app, &platform, &copies, &policies, k);
-            prop_assert_eq!(&full_eval.evaluate(&copies, &policies), &initial);
-            prop_assert_eq!(&delta_eval.evaluate(&copies, &policies), &initial);
+            let initial = estimate_schedule_length(&app, &platform, &current, &policies, k);
+            prop_assert_eq!(&full_eval.evaluate(&current, &policies), &initial);
+            prop_assert_eq!(&delta_eval.evaluate(&current, &policies), &initial);
 
             let cands = candidates(&app, k);
             for step in 0..10u64 {
@@ -125,7 +126,9 @@ proptest! {
                 let legacy =
                     estimate_schedule_length(&app, &platform, &copies, &next_policies, k);
                 let full = full_eval.evaluate(&copies, &next_policies);
-                let delta = delta_eval.evaluate_batch(&[(&copies, &next_policies)]).remove(0);
+                let mut sets = ChangeSets::new();
+                sets.push_diff(&app, (&current, &policies), (&copies, &next_policies));
+                let delta = delta_eval.evaluate_changes(&sets).remove(0);
                 prop_assert_eq!(
                     &full, &legacy,
                     "reused full evaluation diverged (k={}, step={}, move={:?})", k, step, mv
@@ -137,10 +140,9 @@ proptest! {
 
                 if legacy.is_ok() {
                     // Accept the move: re-anchor the delta kernel at the
-                    // new current state, as the search engines do.
-                    mapping = next_mapping;
-                    policies = next_policies;
-                    prop_assert_eq!(&delta_eval.evaluate(&copies, &policies), &legacy);
+                    // new current state.
+                    prop_assert_eq!(&delta_eval.evaluate(&copies, &next_policies), &legacy);
+                    (mapping, policies, current) = (next_mapping, next_policies, copies);
                 }
             }
             // The walk must actually exercise the delta machinery.
@@ -152,7 +154,8 @@ proptest! {
         }
     }
 
-    /// Batch-path guarantee: `evaluate_batch` over a random neighborhood is
+    /// Batch-path guarantee: `evaluate_changes` over a random neighborhood
+    /// (each neighbor diffed against the anchored state by `push_diff`) is
     /// bit-for-bit equal — results *and* errors, in input order — to
     /// one-candidate calls on an identically anchored kernel, and each of
     /// those to `estimate_schedule_length`, an oracle independent of the
@@ -213,17 +216,19 @@ proptest! {
                 &one_eval.evaluate(&base_copies, &policies)
             );
 
-            let refs: Vec<(&CopyMapping, &PolicyAssignment)> =
-                neighborhood.iter().map(|(c, p)| (c, p)).collect();
-            let batch = batch_eval.evaluate_batch(&refs);
+            let base = (&base_copies, &policies);
+            let mut sets = ChangeSets::new();
+            for (copies, pols) in &neighborhood {
+                sets.push_diff(&app, base, (copies, pols));
+            }
+            let batch = batch_eval.evaluate_changes(&sets);
             prop_assert_eq!(batch.len(), neighborhood.len());
 
-            // A no-base batch runs full passes; it must agree as well.
-            let mut cold_batch = SystemEvaluator::new(&app, &platform, k);
-            let cold = cold_batch.evaluate_batch(&refs);
-            for (i, &(copies, pols)) in refs.iter().enumerate() {
+            for (i, (copies, pols)) in neighborhood.iter().enumerate() {
                 let legacy = estimate_schedule_length(&app, &platform, copies, pols, k);
-                let one = one_eval.evaluate_batch(&[(copies, pols)]).remove(0);
+                let mut one = ChangeSets::new();
+                one.push_diff(&app, base, (copies, pols));
+                let one = one_eval.evaluate_changes(&one).remove(0);
                 prop_assert_eq!(
                     &batch[i], &one,
                     "batch diverged from a one-candidate call (k={}, candidate={})", k, i
@@ -231,10 +236,6 @@ proptest! {
                 prop_assert_eq!(
                     &one, &legacy,
                     "one-candidate call diverged from legacy (k={}, candidate={})", k, i
-                );
-                prop_assert_eq!(
-                    &cold[i], &legacy,
-                    "cold batch diverged from legacy (k={}, candidate={})", k, i
                 );
             }
 
@@ -249,8 +250,8 @@ proptest! {
     /// a re-execution start whose repolicies favor replication), each
     /// candidate move's derived change set equals the diff of its
     /// materialized `from_base` state against the current state, and
-    /// scoring the sets equals scoring the states — including an invalid
-    /// policy (validate error) and an empty set (noop).
+    /// scoring the sets equals estimating the states — including an
+    /// invalid policy (validate error) and an empty set (noop).
     #[test]
     fn change_sets_equal_materialized_states_along_replicated_walks(
         seed in 0u64..1000,
@@ -279,11 +280,9 @@ proptest! {
                 .expect("placement is total");
             let mut load = PlacementLoad::new(&app, arch, &mapping, &policies);
             let mut change_eval = SystemEvaluator::new(&app, &platform, k);
-            let mut batch_eval = SystemEvaluator::new(&app, &platform, k);
             if change_eval.evaluate(&copies, &policies).is_err() {
                 continue;
             }
-            prop_assert!(batch_eval.evaluate(&copies, &policies).is_ok());
             let (cands, replication) = (candidates(&app, k), Policy::replication(k));
 
             for step in 0..6u64 {
@@ -342,12 +341,8 @@ proptest! {
                 sets.close();
                 states.push((mapping.clone(), policies.clone(), copies.clone()));
 
-                let refs: Vec<(&CopyMapping, &PolicyAssignment)> =
-                    states.iter().map(|(_, p, c)| (c, p)).collect();
                 let by_set = change_eval.evaluate_changes(&sets);
-                let by_state = batch_eval.evaluate_batch(&refs);
-                prop_assert_eq!(&by_set, &by_state, "k={} step={}", k, step);
-                prop_assert_eq!(change_eval.stats(), batch_eval.stats());
+                prop_assert_eq!(by_set.len(), states.len());
                 for (i, (_, p, c)) in states.iter().enumerate() {
                     let legacy = estimate_schedule_length(&app, &platform, c, p, k);
                     prop_assert_eq!(&by_set[i], &legacy, "k={} step={} candidate={}", k, step, i);
@@ -366,7 +361,6 @@ proptest! {
                 );
                 (mapping, policies, copies) = (m, p, c);
                 prop_assert!(change_eval.evaluate(&copies, &policies).is_ok());
-                prop_assert!(batch_eval.evaluate(&copies, &policies).is_ok());
             }
         }
     }
