@@ -187,8 +187,6 @@ pub fn synthesize_certified(
             calibration_milli: certifier.calibration_milli(),
             ..config
         };
-        // Re-anchor the evaluator's delta base at the restart state.
-        evaluator.evaluate(&incumbent.copies, &incumbent.policies)?;
         let mut guard = certify_guard(mode, certifier, deadline);
         let guard = guard.as_mut().map(|guard| guard as BestGuard<'_>);
         incumbent = search(evaluator, EngineKind::Tabu, incumbent, policy_moves, cfg, guard)?.0;

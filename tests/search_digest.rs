@@ -43,7 +43,7 @@ const STRATEGY_EVALS_DIGEST: u64 = 0xd56a_b0fa_d8ee_ef9c;
 const CERTIFIED_DIGEST: u64 = 0x7a81_4bdb_74b1_e00e;
 /// Digest of the evaluator-kernel counters after each
 /// `synthesize_certified`.
-const CERTIFIED_EVALS_DIGEST: u64 = 0xaf42_49d5_9b19_c71d;
+const CERTIFIED_EVALS_DIGEST: u64 = 0xe61c_1448_7ec6_0340;
 /// Digest of the traced tabu, greedy and annealing engines from mixed
 /// (partly replicated) starts.
 const ENGINE_DIGEST: u64 = 0xa97f_4927_b1fe_3087;
