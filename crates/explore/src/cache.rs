@@ -7,9 +7,9 @@
 //! is patched from its state's key, bytes and hash alike, in time
 //! proportional to the move ([`NeighborKeys`]). Keys are the portfolio's
 //! canonical tie-break and the Pareto archive's identity, and they key the
-//! one memo table, [`StateCache`]: as [`CertifyCache`] it holds the
-//! certify-guided admit verdicts the workers share, so a state any worker
-//! has certified is never certified again, whichever thread certified it.
+//! one memo table, [`CertifyCache`]: it holds the certify-guided admit
+//! verdicts the workers share, so a state any worker has certified is
+//! never certified again, whichever thread certified it.
 //!
 //! A table instance is scoped to one problem instance (one
 //! `(application, platform, k)` triple): keys encode only the candidate
@@ -203,7 +203,8 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Hit/miss/size snapshot of a [`StateCache`].
+/// Hit/miss/size snapshot of a memo table (the [`CertifyCache`], and the
+/// serve result cache).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Lookups answered from the cache.
@@ -235,63 +236,60 @@ impl CacheStats {
 }
 
 /// One table shard.
-type Shard<V> = Mutex<HashMap<StateKey, V>>;
+type Shard = Mutex<HashMap<StateKey, bool>>;
 
-/// Sharded memo table from [`StateKey`] to a value that is a pure function
-/// of the keyed state.
+/// Sharded memo table from [`StateKey`] to the state's certify-guided
+/// admit verdict (`true` = the state may become a worker's best, `false` =
+/// demoted). Certifiers run unbudgeted in guided mode precisely so that
+/// verdicts are pure facts of the state.
 ///
-/// Callers [`get`](StateCache::get) first and compute only on a miss, then
-/// [`insert`](StateCache::insert). Two workers that miss the same key
-/// concurrently both compute it and arrive at the same value, so the first
-/// insert wins and the second is a no-op. The hit/miss counters follow
-/// that interleaving, so they are in-memory diagnostics and no report
-/// renders them; at one thread each unique key misses exactly once.
+/// Callers [`get`](CertifyCache::get) first and certify only on a miss,
+/// then [`insert`](CertifyCache::insert). Two workers that miss the same
+/// key concurrently both certify it and arrive at the same verdict, so the
+/// first insert wins and the second is a no-op. The hit/miss counters
+/// follow that interleaving, so they are in-memory diagnostics and no
+/// report renders them; at one thread each unique key misses exactly once.
 #[derive(Debug)]
-pub struct StateCache<V> {
-    shards: Box<[Shard<V>]>,
+pub struct CertifyCache {
+    shards: Box<[Shard]>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
-/// State → certify-guided admit verdict (`true` = the state may become a
-/// worker's best, `false` = demoted). Certifiers run unbudgeted in guided
-/// mode precisely so that verdicts are pure facts of the state.
-pub type CertifyCache = StateCache<bool>;
-
-impl<V: Copy> Default for StateCache<V> {
+impl Default for CertifyCache {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<V: Copy> StateCache<V> {
+impl CertifyCache {
     /// An empty table with 64 shards: enough that a dozen worker threads
     /// rarely contend on a shard lock.
     pub fn new() -> Self {
-        StateCache {
+        CertifyCache {
             shards: (0..64).map(|_| Mutex::new(HashMap::new())).collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
     }
 
-    fn shard(&self, key: &StateKey) -> &Shard<V> {
+    fn shard(&self, key: &StateKey) -> &Shard {
         &self.shards[(key.hash64() % self.shards.len() as u64) as usize]
     }
 
-    /// The cached value of `key`, counting the lookup as a hit or a miss.
-    pub fn get(&self, key: &StateKey) -> Option<V> {
+    /// The cached verdict of `key`, counting the lookup as a hit or a miss.
+    pub fn get(&self, key: &StateKey) -> Option<bool> {
         let value = self.shard(key).lock().expect("cache shard poisoned").get(key).copied();
         let counter = if value.is_some() { &self.hits } else { &self.misses };
         counter.fetch_add(1, Ordering::Relaxed);
         value
     }
 
-    /// Publishes the value of `key`. The first insert of a key wins; a
+    /// Publishes the verdict of `key`. The first insert of a key wins; a
     /// later one (a worker that missed the same key concurrently and
-    /// computed the same value) is a no-op. The key is copied only when
+    /// certified it the same way) is a no-op. The key is copied only when
     /// absent.
-    pub fn insert(&self, key: &StateKey, value: V) {
+    pub fn insert(&self, key: &StateKey, value: bool) {
         let mut shard = self.shard(key).lock().expect("cache shard poisoned");
         if !shard.contains_key(key) {
             shard.insert(key.clone(), value);
@@ -351,7 +349,7 @@ mod tests {
     fn cache_memoizes_and_counts() {
         let (mapping, policies) = fig3_state();
         let key = StateKey::encode(&mapping, &policies);
-        let cache = StateCache::<bool>::new();
+        let cache = CertifyCache::new();
         assert_eq!(cache.get(&key), None);
         cache.insert(&key, false);
         for _ in 0..4 {
@@ -366,7 +364,7 @@ mod tests {
     fn concurrent_misses_of_one_key_keep_the_first_insert() {
         let (mapping, policies) = fig3_state();
         let key = StateKey::encode(&mapping, &policies);
-        let cache = StateCache::<usize>::new();
+        let cache = CertifyCache::new();
         let (all_missed, turn) = (Barrier::new(8), AtomicUsize::new(0));
         std::thread::scope(|scope| {
             for i in 0..8 {
@@ -375,17 +373,18 @@ mod tests {
                     assert_eq!(cache.get(key), None);
                     all_missed.wait();
                     // Every thread has missed; they insert in thread
-                    // order, so thread 0's value is the first insert.
+                    // order, so thread 0's `true` is the first insert and
+                    // the others' `false` are no-ops.
                     while turn.load(Ordering::Acquire) != i {
                         std::thread::yield_now();
                     }
-                    cache.insert(key, i);
+                    cache.insert(key, i == 0);
                     turn.store(i + 1, Ordering::Release);
                 });
             }
         });
         for _ in 0..4 {
-            assert_eq!(cache.get(&key), Some(0));
+            assert_eq!(cache.get(&key), Some(true));
         }
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (4, 8, 1));

@@ -80,7 +80,7 @@ mod report;
 mod suite;
 
 pub use archive::{table_cost, ArchiveEntry, Objectives, ParetoArchive};
-pub use cache::{fnv1a64, CacheStats, CertifyCache, StateCache, StateKey};
+pub use cache::{fnv1a64, CacheStats, CertifyCache, StateKey};
 pub use ftes_opt::EngineKind;
 pub use portfolio::{
     default_portfolio, explore, Exploration, ExploreError, PortfolioConfig, WorkerSpec,
