@@ -8,17 +8,17 @@
 //! bounded by single-core estimator throughput. This crate lifts that
 //! limit with three cooperating pieces:
 //!
-//! * **Change-set neighborhood scoring** — a search iteration samples its
-//!   whole neighborhood first as moves (via the move primitives `ftes-opt`
-//!   exposes), keys each by the state it leads to without building that
-//!   state ([`StateKey`], a canonical, collision-free encoding patched from
-//!   the current state's key in time proportional to the move), derives
-//!   every move's change set (`Move::derive`) and scores all of them in
-//!   one `SystemEvaluator::evaluate_changes` pass over the worker's own
-//!   kernel, anchored at its current state — the path the serial
-//!   `ftes-opt` search takes. The kernel follows an accepted move by
-//!   committing its change set (`SystemEvaluator::commit`). Workers
-//!   parallelize above it through `ftes_model::par::ordered_parallel`.
+//! * **Change-set neighborhood scoring** — each worker drives `ftes-opt`'s
+//!   `Neighborhood` over its own kernel, anchored at its current state —
+//!   the code the serial `ftes-opt` search runs. An iteration samples its
+//!   whole neighborhood first as moves, keys each by the state it leads
+//!   to without building that state ([`StateKey`], a canonical,
+//!   collision-free encoding patched from the current state's key in time
+//!   proportional to the move), derives every move's change set and
+//!   scores all of them in one `SystemEvaluator::evaluate_changes` pass.
+//!   The kernel follows an accepted move by committing its change set
+//!   (`Neighborhood::commit`). Workers parallelize above it through
+//!   `ftes_model::par::ordered_parallel`.
 //! * **Pareto archive** ([`ParetoArchive`]) — every visited candidate is
 //!   offered to an order-independent non-dominated archive over the §3.3
 //!   trade-off (worst-case length, recovery slack, schedule-table size),

@@ -8,23 +8,22 @@
 //! advances independently — its trajectory depends only on its own seeded
 //! RNG, its engine and the round-start incumbent. Workers run through
 //! [`ordered_parallel`], the calling thread among them. Each owns one
-//! evaluator kernel anchored at its current state and scores a sampled
-//! neighborhood the way the serial `ftes-opt` search does. A neighbor
-//! stays a [`Move`] of the current state plus its successor's
-//! [`StateKey`], patched from the current state's key in time
-//! proportional to the move ([`NeighborKeys`]). Every sampled move is
-//! derived as a change set ([`Move::derive`]) and the whole neighborhood
-//! is scored in one
-//! [`evaluate_changes`](SystemEvaluator::evaluate_changes) pass. A
-//! neighbor's objectives come from its estimate and the current state's
-//! table cost, so a `(mapping, policies)` state is built only for the few
-//! neighbors a worker keeps: the one it walks to, a new best, one the
-//! certify-guided gate must certify, and one its Pareto archive admits.
-//! The kernel follows a walk at once, as the serial search's does: it
-//! commits the walked move's change set ([`SystemEvaluator::commit`]),
-//! re-scheduling only the suffix the move dirties; only a worker that
-//! adopts the round's incumbent re-derives its placement and takes a full
-//! pass.
+//! evaluator kernel anchored at its current state and drives `ftes-opt`'s
+//! [`Neighborhood`] over it, the code the serial search runs: it samples
+//! moves, derives their change sets, scores the whole neighborhood in one
+//! [`evaluate_changes`](SystemEvaluator::evaluate_changes) pass and
+//! commits the walked move ([`Neighborhood::commit`]), re-scheduling only
+//! the suffix the move dirties. A neighbor stays a [`Move`] of the
+//! current state plus its successor's [`StateKey`], patched from the
+//! current state's key in time proportional to the move
+//! ([`NeighborKeys`]). A neighbor's objectives come from its estimate and
+//! the current state's table cost, so a `(mapping, policies)` state is
+//! built only for the few neighbors a worker keeps: the one it walks to,
+//! a new best, one the certify-guided gate must certify, and one its
+//! Pareto archive admits. A worker keeps the key of the state its kernel
+//! is anchored at; only one that adopted the round's incumbent re-anchors
+//! ([`Neighborhood::anchor`], a full pass), at the start of its next
+//! iteration.
 //! The engine's acceptance is `ftes-opt`'s too: each worker holds one
 //! [`Acceptance`] (tabu, simulated annealing or greedy descent) and steps
 //! it once per iteration, ordering candidates by (worst case, fault-free
@@ -550,8 +549,8 @@ fn run_round(
         // 2. Sample the whole neighborhood without evaluating. A neighbor
         // stays a move of the current state, keyed by the state it leads to.
         let (mapping, policies) = (&current.mapping, &current.policies);
-        let (n, rng) = (worker.spec.neighborhood, &mut worker.rng);
-        worker.hood.sample(&worker.evaluator, mapping, policies, n, rng);
+        let n = worker.spec.neighborhood;
+        worker.hood.sample(&worker.evaluator, mapping, policies, n, &mut worker.rng);
         worker.clock.lap(Phase::Sample);
         let neighbors = NeighborKeys::new(&current.key, mapping, policies);
         let keys: Vec<StateKey> = worker.hood.moves().iter().map(|&mv| neighbors.key(mv)).collect();

@@ -14,7 +14,11 @@
 //! * [`search`] — the underlying search: tabu search (the paper's MXR
 //!   engine), simulated annealing or greedy descent, whose acceptance
 //!   rules [`Acceptance`] defines once for this crate and the
-//!   `ftes-explore` portfolio workers.
+//!   `ftes-explore` portfolio workers;
+//! * [`Neighborhood`] — the one neighborhood machinery both kinds of
+//!   search drive over their evaluator: it samples a state's moves,
+//!   derives their change sets against the evaluator's anchored
+//!   placement, scores them in one pass and commits the walked one.
 //!
 //! ```
 //! use ftes_gen::{generate_application, GeneratorConfig};

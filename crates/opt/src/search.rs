@@ -457,8 +457,8 @@ impl<'s> Neighborhood<'s> {
 
     /// Samples up to `n` moves of the anchored state `(mapping, policies)`
     /// **without deriving or scoring them**. Degenerate samples and remaps
-    /// off the architecture are skipped; nothing after this draws from
-    /// `rng`.
+    /// off the architecture are skipped; deriving and scoring never draw
+    /// from `rng`.
     pub fn sample(
         &mut self,
         evaluator: &SystemEvaluator,
