@@ -31,53 +31,58 @@
 //!   scheduler bounds the join time adversarially), which keeps replication
 //!   a fault-containment boundary, consistent with §3.2/§3.3.
 //!
-//! # Size bound
+//! # Node count
 //!
 //! Every entry point ([`build_ftcpg`], [`build_ftcpg_anchored`],
-//! [`CpgAnchor::rebuild`]) first computes a cheap lower bound on the node
-//! count (`node_lower_bound`) and answers [`CpgError::GraphTooLarge`]
-//! without building when it exceeds [`BuildConfig::node_limit`]. The bound
-//! counts contexts by fault count instead of materializing guards, and
-//! reads no mapping:
+//! [`CpgAnchor::rebuild`]) first counts the nodes the build would place
+//! (`node_count`) and answers [`CpgError::GraphTooLarge`] without building
+//! when the count exceeds [`BuildConfig::node_limit`]. The count reads no
+//! guard and no mapping: it tracks, per message `m`, only the set `S_m` of
+//! processes whose conditions can appear in its output guards.
 //!
-//! * Per message `m` it keeps a histogram `h_m[0..=k]` of the output
-//!   contexts by fault count, and the set `S_m` of processes whose
-//!   conditions can appear in their guards.
-//! * A process's arrivals start at `A = [1, 0, …]`, `S = ∅` and fold each
-//!   predecessor message: `A` becomes the convolution `A ∗ h_m` truncated
-//!   at `k` when `S ∩ S_m = ∅`, else the elementwise `max(A, h_m)`; then
-//!   `S ∪= S_m`.
-//! * A frozen process adds its sync node and resets `A` and `S`.
+//! * A process's arrival set `S` is the union of its predecessors' `S_m`.
+//!   With `s = |S|`, it has `C(f+s−1, f)` arrival contexts at each fault
+//!   count `f ≤ k`.
+//! * A frozen process adds its sync node and empties `S`.
 //! * A single copy with `R` recoveries unrolls `min(R+1, k−f+1)` attempts
-//!   per arrival at `f`, with one output at each fault count
-//!   `f … f+len−1`, and joins `S`. A replicated process adds
-//!   `1 + Σ_j min(R_j+1, k−f+1)` nodes (the chains and the join) per
-//!   arrival at `f`, with one output at `f`; `S` is unchanged, because
-//!   replica conditions do not escape the join.
-//! * Each outgoing message adds one node per output and passes the outputs
-//!   on as `h_m`, with `S_m = S`. A frozen message adds its sync node and
-//!   passes `[1, 0, …]` and `∅`.
+//!   per arrival at `f`, with one output each, and joins `S`. A replicated
+//!   process adds `1 + Σ_j min(R_j+1, k−f+1)` nodes (the chains and the
+//!   join) per arrival, with one output; `S` is unchanged, because replica
+//!   conditions do not escape the join.
+//! * Each outgoing message adds one node per output and gets `S_m = S`. A
+//!   frozen message adds its sync node and gets `S_m = ∅`.
 //!
-//! **Why it is sound.** Given a process's arrival histogram, the count of
-//! its copies, joins, outputs and messages above is the builder's exact
-//! one, and it grows with the histogram; so the bound is a lower bound as
-//! long as every arrival histogram is. Contexts joined over disjoint
-//! condition sets are always consistent, so the convolution counts their
-//! conjunctions exactly. Otherwise take any context `c` on either side and
-//! the scenario in which exactly `c`'s faults occur: the other side's
-//! context in that scenario has its faults among `c`'s, so `c` extends to
-//! an arrival context with `c`'s fault count, and distinct contexts of one
-//! side, being mutually exclusive, extend to distinct arrival contexts. So
-//! the max never exceeds the true count. Debug builds assert
-//! `bound <= node_count` after every successful build.
+//! **Why it is exact.** Read a context as its fault-count vector: how often
+//! each process of its condition set failed. Every message's output
+//! contexts are exactly the vectors over `S_m` whose total is at most `k`,
+//! by induction in topological order:
 //!
-//! **Feasibility.** The bound answers only when every copy the build would
+//! * Take one output context of each of two predecessor messages. If they
+//!   agree on every shared condition process, they ran each shared process
+//!   on the same nodes: that process's arrival context is fixed by its own
+//!   condition set, which lies inside the shared set. So they carry the
+//!   same literals there and are consistent, and their conjunction is the
+//!   union vector. If they disagree, they conflict at the first shared
+//!   process where they differ: one saw a fault where the other saw none.
+//!   So the arrival contexts are the vectors over `S` within the budget,
+//!   which gives the binomial.
+//! * A validated single copy has `R ≥ k`, so in an arrival at `f` it
+//!   outputs one context per `n ∈ 0..=k−f`: the vectors over `S ∪ {P}`.
+//!   A replicated process outputs its arrival, and a frozen node restarts
+//!   from one empty context.
+//!
+//! Arrival contexts above 64 faults are left out, so for `k > 64` the count
+//! is a lower bound. Debug builds assert after every successful build that
+//! the count equals the node count for `k ≤ 64` and does not exceed it
+//! otherwise.
+//!
+//! **Feasibility.** The count answers only when every copy the build would
 //! place is feasible: its copy-mapping entry exists, the process has a
 //! WCET on that node and its recovery scheme is valid. After the policy
 //! and transparency checks, `GraphTooLarge` is then the only error the
 //! build could return, so answering it early changes no result. Otherwise
-//! the bound declines and the build decides: a malformed copy row panics
-//! or errors exactly where it would without the bound.
+//! the count declines and the build decides: a malformed copy row panics
+//! or errors exactly where it would without the count.
 
 use crate::{
     CopyMapping, CpgEdge, CpgError, CpgNode, CpgNodeId, CpgNodeKind, FtCpg, Guard, Literal,
@@ -90,11 +95,11 @@ use ftes_model::{Application, FaultModel, MessageId, ProcessId, Time, Transparen
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BuildConfig {
     /// Hard cap on the number of FT-CPG nodes; construction fails with
-    /// [`CpgError::GraphTooLarge`] beyond it. A configuration whose size
-    /// lower bound already exceeds the cap gets that error without being
-    /// built (see the builder's size bound). The exact conditional
-    /// scheduler is meant for small/medium instances — large instances use
-    /// the estimator in `ftes-sched`.
+    /// [`CpgError::GraphTooLarge`] beyond it. The builder counts a
+    /// configuration's nodes exactly before building it, so one over the cap
+    /// gets that error without being built (see the builder's node count).
+    /// The exact conditional scheduler is meant for small/medium instances —
+    /// large instances use the estimator in `ftes-sched`.
     pub node_limit: usize,
 }
 
@@ -147,9 +152,9 @@ pub fn build_ftcpg(
 ) -> Result<FtCpg, CpgError> {
     policies.validate(fault_model.k())?;
     transparency.validate(app)?;
-    let bound = check_size(app, policies, copies, fault_model.k(), transparency, config)?;
+    let count = check_size(app, policies, copies, fault_model.k(), transparency, config)?;
     Ok(fresh_builder(app, policies, copies, fault_model.k(), transparency, config)
-        .run(0, bound)?
+        .run(0, count)?
         .graph)
 }
 
@@ -171,9 +176,9 @@ pub fn build_ftcpg_anchored(
 ) -> Result<(FtCpg, CpgAnchor), CpgError> {
     policies.validate(fault_model.k())?;
     transparency.validate(app)?;
-    let bound = check_size(app, policies, copies, fault_model.k(), transparency, config)?;
+    let count = check_size(app, policies, copies, fault_model.k(), transparency, config)?;
     let parts = fresh_builder(app, policies, copies, fault_model.k(), transparency, config)
-        .run(0, bound)?;
+        .run(0, count)?;
     let anchor = CpgAnchor {
         graph: parts.graph.clone(),
         copies: copies.clone(),
@@ -319,7 +324,7 @@ impl CpgAnchor {
             };
             return Ok((self.graph.clone(), stats));
         }
-        let bound = check_size(app, policies, copies, fault_model.k(), transparency, config)?;
+        let count = check_size(app, policies, copies, fault_model.k(), transparency, config)?;
         let cp = self.checkpoints[first];
         let cut_edges = |lists: &[Vec<usize>]| -> Vec<Vec<usize>> {
             lists
@@ -372,7 +377,7 @@ impl CpgAnchor {
             checkpoints: self.checkpoints[..first].to_vec(),
             join: ArrivalJoin::default(),
         }
-        .run(first, bound)?;
+        .run(first, count)?;
         let stats =
             RebuildStats { total_positions: n, reused_positions: first, reused_nodes: cp.nodes };
         self.graph = parts.graph.clone();
@@ -386,9 +391,9 @@ impl CpgAnchor {
     }
 }
 
-/// Answers [`CpgError::GraphTooLarge`] when the size bound exceeds the
-/// node limit; otherwise returns the bound, when it answered, for the
-/// post-build check.
+/// Answers [`CpgError::GraphTooLarge`] when the node count exceeds the node
+/// limit; otherwise returns the count, when it answered, for the post-build
+/// check.
 fn check_size(
     app: &Application,
     policies: &PolicyAssignment,
@@ -397,24 +402,26 @@ fn check_size(
     transparency: &Transparency,
     config: BuildConfig,
 ) -> Result<Option<u64>, CpgError> {
-    match node_lower_bound(app, policies, copies, k, transparency, config.node_limit) {
-        Some(bound) if bound > config.node_limit as u64 => {
+    match node_count(app, policies, copies, k, transparency, config.node_limit) {
+        Some(count) if count > config.node_limit as u64 => {
             Err(CpgError::GraphTooLarge { limit: config.node_limit })
         }
-        bound => Ok(bound),
+        count => Ok(count),
     }
 }
 
-/// Fault counts the size bound tracks. Contexts with more faults are left
-/// out, which keeps it a lower bound; a fault budget that large makes any
-/// single-copy chain longer than a practical node limit anyway.
+/// Fault counts the node count tracks. Arrival contexts with more faults are
+/// left out, which makes the count a lower bound past it; a fault budget
+/// that large makes any single-copy chain longer than a practical node
+/// limit anyway.
 const BOUND_MAX_FAULTS: usize = 64;
 
-/// The module doc's size bound: a lower bound on the node count of the
-/// graph the builder would build, or `None` when some copy the build would
-/// place is infeasible (the build then decides). Counting stops once the
-/// total passes `stop_above`; the value returned then only exceeds it.
-fn node_lower_bound(
+/// The module doc's node count: the number of nodes the builder would build
+/// (a lower bound when `k` exceeds [`BOUND_MAX_FAULTS`]), or `None` when
+/// some copy the build would place is infeasible (the build then decides).
+/// Counting stops once the total passes `stop_above`; the value returned
+/// then only exceeds it.
+fn node_count(
     app: &Application,
     policies: &PolicyAssignment,
     copies: &CopyMapping,
@@ -436,72 +443,60 @@ fn node_lower_bound(
     if !feasible {
         return None;
     }
-    let width = (k as usize).min(BOUND_MAX_FAULTS) + 1;
     let words = app.process_count().div_ceil(64);
-    // Per message: its output histogram and its condition processes.
-    let mut hists = vec![0u64; app.message_count() * width];
+    // Per message: the processes whose conditions its output guards carry.
     let mut sets = vec![0u64; app.message_count() * words];
-    let (mut arrivals, mut joined, mut outputs) =
-        (vec![0u64; width], vec![0u64; width], vec![0u64; width]);
+    let mut arrivals = vec![0u64; (k as usize).min(BOUND_MAX_FAULTS) + 1];
     let mut set = vec![0u64; words];
     let mut total = 0u64;
     for &pid in app.topological_order() {
-        one_context(&mut arrivals, &mut set);
+        set.fill(0);
         for &(_, mid) in app.predecessors(pid) {
-            let hist = &hists[mid.index() * width..][..width];
-            let conds = &sets[mid.index() * words..][..words];
-            if set.iter().zip(conds).all(|(a, b)| a & b == 0) {
-                joined.fill(0);
-                for (f, &a) in arrivals.iter().enumerate().filter(|&(_, &a)| a > 0) {
-                    for (j, &h) in hist[..width - f].iter().enumerate() {
-                        joined[f + j] = joined[f + j].saturating_add(a.saturating_mul(h));
-                    }
-                }
-                std::mem::swap(&mut arrivals, &mut joined);
-            } else {
-                for (a, &h) in arrivals.iter_mut().zip(hist) {
-                    *a = (*a).max(h);
-                }
-            }
-            for (s, &c) in set.iter_mut().zip(conds) {
+            for (s, &c) in set.iter_mut().zip(&sets[mid.index() * words..][..words]) {
                 *s |= c;
             }
         }
         if transparency.is_process_frozen(pid) {
             total = total.saturating_add(1);
-            one_context(&mut arrivals, &mut set);
+            set.fill(0);
+        }
+        // The fault-count vectors over `s` processes that sum to `f`:
+        // C(f+s−1, f), from C(f+s−2, f−1) times (f+s−1)/f.
+        let s: u64 = set.iter().map(|w| u64::from(w.count_ones())).sum();
+        let mut count = 1u64;
+        for (f, a) in (0u64..).zip(arrivals.iter_mut()) {
+            if f > 0 {
+                let next = u128::from(count) * u128::from(f + s - 1) / u128::from(f);
+                count = u64::try_from(next).unwrap_or(u64::MAX);
+            }
+            *a = count;
         }
         let plans = policies.policy(pid).copies();
-        outputs.fill(0);
-        for (f, &a) in arrivals.iter().enumerate().filter(|&(_, &a)| a > 0) {
+        let mut produced = 0u64;
+        for (f, &a) in (0u32..).zip(&arrivals).filter(|&(_, &a)| a > 0) {
             // Attempts of a copy with `r` recoveries in an arrival at `f`.
-            let attempts = |r: u32| u64::from(r.min(k - f as u32)) + 1;
+            let attempts = |r: u32| u64::from(r.min(k - f)) + 1;
             if let [plan] = plans {
-                let len = attempts(plan.recoveries);
-                total = total.saturating_add(a.saturating_mul(len));
-                for o in outputs.iter_mut().skip(f).take(len as usize) {
-                    *o = o.saturating_add(a);
-                }
+                let outputs = a.saturating_mul(attempts(plan.recoveries));
+                total = total.saturating_add(outputs);
+                produced = produced.saturating_add(outputs);
             } else {
                 let nodes =
                     plans.iter().fold(1, |n: u64, p| n.saturating_add(attempts(p.recoveries)));
                 total = total.saturating_add(a.saturating_mul(nodes));
-                outputs[f] = outputs[f].saturating_add(a);
+                produced = produced.saturating_add(a);
             }
         }
         if plans.len() == 1 {
             set[pid.index() / 64] |= 1 << (pid.index() % 64);
         }
-        let produced = outputs.iter().fold(0, |t: u64, &o| t.saturating_add(o));
         for &(_, mid) in app.successors(pid) {
-            let hist = &mut hists[mid.index() * width..][..width];
             let conds = &mut sets[mid.index() * words..][..words];
             if transparency.is_message_frozen(mid) {
                 total = total.saturating_add(1);
-                one_context(hist, conds);
+                conds.fill(0);
             } else {
                 total = total.saturating_add(produced);
-                hist.copy_from_slice(&outputs);
                 conds.copy_from_slice(&set);
             }
         }
@@ -510,14 +505,6 @@ fn node_lower_bound(
         }
     }
     Some(total)
-}
-
-/// Resets a histogram and condition set to one fault-free context over no
-/// conditions.
-fn one_context(hist: &mut [u64], set: &mut [u64]) {
-    hist.fill(0);
-    hist[0] = 1;
-    set.fill(0);
 }
 
 /// One "output becomes available" event: scenario guard, producing node and
@@ -733,19 +720,19 @@ struct BuiltParts {
 }
 
 impl Builder<'_> {
-    /// Builds every topological position from `start` on; `bound` is the
-    /// size bound the entry point computed, checked against the result in
+    /// Builds every topological position from `start` on; `count` is the
+    /// node count the entry point computed, checked against the result in
     /// debug builds.
-    fn run(mut self, start: usize, bound: Option<u64>) -> Result<BuiltParts, CpgError> {
+    fn run(mut self, start: usize, count: Option<u64>) -> Result<BuiltParts, CpgError> {
         let order = self.app.topological_order();
         for &pid in &order[start..] {
             self.step(pid)?;
         }
         debug_assert_eq!(self.graph.check_invariants(), Ok(()));
+        let (nodes, exact) = (self.graph.nodes.len() as u64, self.k as usize <= BOUND_MAX_FAULTS);
         debug_assert!(
-            bound.is_none_or(|b| b <= self.graph.nodes.len() as u64),
-            "size bound {bound:?} above the built node count {}",
-            self.graph.nodes.len()
+            count.is_none_or(|c| if exact { c == nodes } else { c <= nodes }),
+            "node count {count:?} disagrees with the built node count {nodes}"
         );
         Ok(BuiltParts {
             graph: self.graph,
@@ -1391,32 +1378,46 @@ mod tests {
     }
 
     #[test]
-    fn the_size_bound_is_exact_on_out_trees() {
-        // Every fig3 process has at most one predecessor, so each arrival
-        // join is a convolution with one context and the bound counts the
-        // graph exactly.
+    fn the_node_count_is_exact_on_a_diamond() {
+        // A → {B, C} → D. D's inputs share A's conditions, so its arrival
+        // contexts are the fault-count vectors over {A, B, C} (1, 3 and 6
+        // at 0, 1 and 2 faults), not the pairs of its inputs' contexts.
+        use ftes_model::{ApplicationBuilder, ProcessSpec};
+        let mut b = ApplicationBuilder::new(2);
+        let [a, pb, c, d] = ["A", "B", "C", "D"]
+            .map(|name| b.add_process(ProcessSpec::uniform(name, Time::new(10), 2)));
+        for (name, from, to) in [("ab", a, pb), ("ac", a, c), ("bd", pb, d), ("cd", c, d)] {
+            b.add_message(name, from, to, Time::new(1)).unwrap();
+        }
+        let app = b.deadline(Time::new(1000)).build().unwrap();
+        let arch = Architecture::homogeneous(2).unwrap();
+        let mapping = Mapping::cheapest(&app, &arch).unwrap();
+        let t = Transparency::none();
+        for (k, nodes) in [(1, 23), (2, 48), (3, 87)] {
+            let policies = PolicyAssignment::uniform_reexecution(&app, k);
+            let copies = CopyMapping::from_base(&app, &arch, &mapping, &policies).unwrap();
+            let count = node_count(&app, &policies, &copies, k, &t, usize::MAX);
+            assert_eq!(count, Some(nodes), "k = {k}");
+            let fm = FaultModel::new(k);
+            let cpg =
+                build_ftcpg(&app, &policies, &copies, fm, &t, BuildConfig::default()).unwrap();
+            assert_eq!(cpg.node_count() as u64, nodes, "k = {k}");
+        }
+    }
+
+    #[test]
+    fn past_64_faults_the_node_count_is_a_lower_bound() {
+        // Arrival contexts above 64 faults are not counted: at k = 65 the
+        // count falls short of the graph, which still builds.
         let (app, arch) = samples::fig3();
         let mapping = Mapping::cheapest(&app, &arch).unwrap();
-        for k in 0..4 {
-            let mut policies = PolicyAssignment::uniform_reexecution(&app, k);
-            policies.set(ProcessId::new(1), Policy::replication(k));
-            policies.set(ProcessId::new(2), Policy::checkpointing(k, 2));
-            for policies in [PolicyAssignment::uniform_reexecution(&app, k), policies] {
-                let copies = CopyMapping::from_base(&app, &arch, &mapping, &policies).unwrap();
-                let t = Transparency::none();
-                let cpg = build_ftcpg(
-                    &app,
-                    &policies,
-                    &copies,
-                    FaultModel::new(k),
-                    &t,
-                    BuildConfig::default(),
-                )
-                .unwrap();
-                let bound = node_lower_bound(&app, &policies, &copies, k, &t, usize::MAX);
-                assert_eq!(bound, Some(cpg.node_count() as u64), "k = {k}");
-            }
-        }
+        let policies = PolicyAssignment::uniform_reexecution(&app, 65);
+        let copies = CopyMapping::from_base(&app, &arch, &mapping, &policies).unwrap();
+        let t = Transparency::none();
+        let count = node_count(&app, &policies, &copies, 65, &t, usize::MAX).unwrap();
+        let config = BuildConfig { node_limit: 200_000 };
+        let cpg = build_ftcpg(&app, &policies, &copies, FaultModel::new(65), &t, config).unwrap();
+        assert!(count < cpg.node_count() as u64, "{count} vs {}", cpg.node_count());
     }
 
     #[test]
@@ -1431,8 +1432,8 @@ mod tests {
         let mut policies = single.clone();
         policies.set(app.topological_order()[0], Policy::replication(2));
         let t = Transparency::none();
-        assert_eq!(node_lower_bound(&app, &policies, &copies, 2, &t, usize::MAX), None);
-        // The bound declines, so the build decides: it places the original
+        assert_eq!(node_count(&app, &policies, &copies, 2, &t, usize::MAX), None);
+        // The count declines, so the build decides: it places the original
         // within the one-node limit and panics at the missing replica
         // entry, instead of answering `GraphTooLarge`.
         let _ = build_ftcpg(
@@ -1447,7 +1448,7 @@ mod tests {
 
     #[test]
     fn an_infeasible_copy_is_left_to_the_build() {
-        // P3 has no WCET on N2: the bound declines and the build reports the
+        // P3 has no WCET on N2: the count declines and the build reports the
         // infeasible copy it reaches before the node limit (the whole graph
         // has 53 nodes).
         let (app, arch) = samples::fig3();
@@ -1457,7 +1458,7 @@ mod tests {
         let p3 = ProcessId::new(2);
         copies.overwrite_row(p3, &[NodeId::new(1)]);
         let t = Transparency::none();
-        assert_eq!(node_lower_bound(&app, &policies, &copies, 2, &t, usize::MAX), None);
+        assert_eq!(node_count(&app, &policies, &copies, 2, &t, usize::MAX), None);
         let err = build_ftcpg(
             &app,
             &policies,
@@ -1471,13 +1472,13 @@ mod tests {
     }
 
     proptest! {
-        /// The size bound never exceeds the built node count, and with the
-        /// node limit just below the bound every entry point answers
-        /// `GraphTooLarge` (a rebuild leaving its anchor as it was), on
-        /// random applications under mixed policies with frozen processes
-        /// and messages.
+        /// The node count equals the built node count, and with the node
+        /// limit at the count every entry point builds, while one below it
+        /// every entry point answers `GraphTooLarge` (a rebuild leaving its
+        /// anchor as it was), on random applications under mixed policies
+        /// with frozen processes and messages.
         #[test]
-        fn the_size_bound_is_sound_and_answers_over_budget(
+        fn the_node_count_is_exact_and_answers_over_budget(
             seed in 0u64..1000,
             n in 4usize..30,
             nodes in 2usize..4,
@@ -1488,40 +1489,50 @@ mod tests {
             let copies = CopyMapping::from_base(&app, &arch, &mapping, &policies)
                 .expect("placement on a homogeneous architecture is feasible");
             let fm = FaultModel::new(k);
-            let bound = node_lower_bound(&app, &policies, &copies, k, &t, usize::MAX)
+            let count = node_count(&app, &policies, &copies, k, &t, usize::MAX)
                 .expect("every copy is feasible");
             let built = build_ftcpg(&app, &policies, &copies, fm, &t, BuildConfig {
                 node_limit: 20_000,
             });
-            match built {
-                Ok(cpg) => prop_assert!(bound <= cpg.node_count() as u64),
-                Err(e) => prop_assert_eq!(e, CpgError::GraphTooLarge { limit: 20_000 }),
+            match &built {
+                Ok(cpg) => prop_assert_eq!(count, cpg.node_count() as u64),
+                Err(e) => {
+                    prop_assert_eq!(e, &CpgError::GraphTooLarge { limit: 20_000 });
+                    prop_assert!(count > 20_000);
+                }
             }
 
-            let limit = (bound - 1) as usize;
-            let tight = BuildConfig { node_limit: limit };
-            let over = CpgError::GraphTooLarge { limit };
-            prop_assert_eq!(build_ftcpg(&app, &policies, &copies, fm, &t, tight), Err(over.clone()));
-            prop_assert_eq!(
-                build_ftcpg_anchored(&app, &policies, &copies, fm, &t, tight).map(|(g, _)| g),
-                Err(over.clone())
-            );
             // Anchor on all-replication placements where they fit the limit.
             let light = PolicyAssignment::uniform_replication(&app, k);
             let light_copies = CopyMapping::from_base(&app, &arch, &mapping, &light)
                 .expect("placement on a homogeneous architecture is feasible");
-            if let Ok((anchored, mut anchor)) =
-                build_ftcpg_anchored(&app, &light, &light_copies, fm, &t, tight)
-            {
+            let limits = if built.is_ok() { vec![count, count - 1] } else { vec![count - 1] };
+            for limit in limits {
+                let config = BuildConfig { node_limit: limit as usize };
+                let want = match &built {
+                    Ok(cpg) if limit == count => Ok(cpg.clone()),
+                    _ => Err(CpgError::GraphTooLarge { limit: limit as usize }),
+                };
+                prop_assert_eq!(&build_ftcpg(&app, &policies, &copies, fm, &t, config), &want);
                 prop_assert_eq!(
-                    anchor.rebuild(&app, &policies, &copies, fm, &t, tight).map(|(g, _)| g),
-                    Err(over)
+                    &build_ftcpg_anchored(&app, &policies, &copies, fm, &t, config).map(|(g, _)| g),
+                    &want
                 );
-                prop_assert_eq!(anchor.graph(), &anchored);
-                let (back, _) = anchor
-                    .rebuild(&app, &light, &light_copies, fm, &t, tight)
-                    .expect("the anchored configuration fits");
-                prop_assert_eq!(back, anchored);
+                if let Ok((anchored, mut anchor)) =
+                    build_ftcpg_anchored(&app, &light, &light_copies, fm, &t, config)
+                {
+                    prop_assert_eq!(
+                        &anchor.rebuild(&app, &policies, &copies, fm, &t, config).map(|(g, _)| g),
+                        &want
+                    );
+                    if want.is_err() {
+                        prop_assert_eq!(anchor.graph(), &anchored);
+                    }
+                    let (back, _) = anchor
+                        .rebuild(&app, &light, &light_copies, fm, &t, config)
+                        .expect("the anchored configuration fits");
+                    prop_assert_eq!(back, anchored);
+                }
             }
         }
 
