@@ -498,17 +498,19 @@ pub fn explore(
         }
     }
 
-    let mut workers: Vec<Worker> =
+    let workers: Vec<Worker> =
         workers.into_iter().map(|w| w.into_inner().expect("worker state poisoned")).collect();
-    let best = workers
+    let Candidate { mapping, policies, estimate, .. } = workers
         .iter()
         .map(|w| &w.best)
         .min_by(|a, b| a.objective().cmp(&b.objective()))
         .expect("portfolio is non-empty")
         .clone();
-    // Rebuild the full synthesized configuration (replica placement) for
-    // the winner; its feasibility was established when it was evaluated.
-    let best = Synthesized::evaluate_with(&mut workers[0].evaluator, best.mapping, best.policies)?;
+    // The winner keeps the estimate it was scored with; only its replica
+    // placement is left to derive.
+    let copies = CopyMapping::from_base(app, platform.architecture(), &mapping, &policies)
+        .map_err(OptError::from)?;
+    let best = Synthesized { mapping, policies, copies, estimate };
     for (phase, name) in PHASE_COUNTERS.iter().enumerate() {
         ftes_obs::counter(name, workers.iter().map(|w| w.clock.ns[phase]).sum());
     }

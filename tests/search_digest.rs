@@ -54,7 +54,7 @@ const ENGINE_EVALS_DIGEST: u64 = 0x6469_faaf_201f_16ab;
 const EXPLORE_DIGEST: u64 = 0x5e52_f9bd_6aca_524a;
 /// Digest of the same exploration's counters: evaluator kernel and
 /// certify-guided admit cache.
-const EXPLORE_EVALS_DIGEST: u64 = 0x168b_0e63_453e_d91b;
+const EXPLORE_EVALS_DIGEST: u64 = 0xcb0b_e961_3eb4_bb1a;
 /// Digest of the Fig. 8 checkpoint descent: the local-vs-global comparison
 /// and the global descent from partly replicated starts.
 const CHECKPOINT_DIGEST: u64 = 0xb688_3053_a2d7_9bab;
