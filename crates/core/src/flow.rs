@@ -10,8 +10,8 @@ use ftes_opt::{
     Synthesized,
 };
 use ftes_sched::{
-    check_deadlines, schedule_ftcpg, CertOutcome, Certifier, CertifyConfig, ConditionalSchedule,
-    Estimate, SchedConfig, ScheduleTables, SystemEvaluator,
+    check_deadlines, schedule_ftcpg, Certifier, CertifyConfig, ConditionalSchedule, Estimate,
+    SchedConfig, ScheduleTables, SystemEvaluator,
 };
 use ftes_tdma::Platform;
 use std::error::Error;
@@ -315,29 +315,22 @@ pub fn synthesize_system_timed(
     let app = evaluator.app();
     let platform = evaluator.platform();
     // Reuse the certifier's FT-CPG + exact schedule when the winner was the
-    // last configuration it certified (the common path). A winner the
-    // certifier found over the size budget is not built again: the same
-    // inputs fail the same way. Otherwise rebuild.
+    // last configuration it certified (the common path). Otherwise rebuild;
+    // a winner over the size budget is answered by the builder's node count
+    // without a build.
     let reused = certifier.take_artifacts(&copies, &policies);
-    let over_budget =
-        reused.is_none() && certifier.memoized(&copies, &policies) == Some(CertOutcome::OverBudget);
     // ftes-lint: allow(determinism) reason="phase timings feed FlowTimings diagnostics and /metrics, never result bytes"
     let started = Instant::now();
-    let built = if over_budget {
-        None
-    } else {
-        let _span = ftes_obs::span(ftes_obs::names::CPG);
-        match reused {
-            Some((cpg, schedule)) => Some((cpg, Some(schedule))),
-            None => {
-                match build_ftcpg(app, &policies, &copies, fault_model, transparency, config.cpg) {
-                    Ok(cpg) => Some((cpg, None)),
-                    Err(ftes_ftcpg::CpgError::GraphTooLarge { .. }) => None,
-                    Err(e) => return Err(e.into()),
-                }
-            }
-        }
+    let cpg_span = ftes_obs::span(ftes_obs::names::CPG);
+    let built = match reused {
+        Some((cpg, schedule)) => Some((cpg, Some(schedule))),
+        None => match build_ftcpg(app, &policies, &copies, fault_model, transparency, config.cpg) {
+            Ok(cpg) => Some((cpg, None)),
+            Err(ftes_ftcpg::CpgError::GraphTooLarge { .. }) => None,
+            Err(e) => return Err(e.into()),
+        },
     };
+    drop(cpg_span);
     timings.cpg = started.elapsed();
     // ftes-lint: allow(determinism) reason="phase timings feed FlowTimings diagnostics and /metrics, never result bytes"
     let started = Instant::now();
@@ -428,13 +421,15 @@ mod tests {
         assert_eq!(psi.certification, Certification::Uncertifiable);
         assert_eq!(psi.certification.exact_len(), None);
         assert_eq!(psi.repair_rounds, 0);
-        // The certifier's over-budget verdict answers the table step: the
-        // one FT-CPG attempt is the certifier's. (Other tests' threads may
-        // record meanwhile.)
+        // The certifier and the table step each ask the builder once, and
+        // the certifier counts one over-budget verdict. (Other tests'
+        // threads may record meanwhile.)
         let me = std::thread::current().name().map(str::to_owned).unwrap_or_default();
+        let mine: Vec<_> = ftes_obs::drain().into_iter().filter(|e| e.thread_name == me).collect();
+        assert_eq!(ftes_obs::totals(&mine).get(ftes_obs::names::CERTIFY_OVERBUDGET), Some(&1));
         let mut stack = Vec::new();
         let mut cpg_parents = Vec::new();
-        for e in ftes_obs::drain().into_iter().filter(|e| e.thread_name == me) {
+        for e in mine {
             match e.kind {
                 ftes_obs::EventKind::Begin => {
                     if e.name == ftes_obs::names::CPG {
@@ -448,7 +443,10 @@ mod tests {
                 ftes_obs::EventKind::Count => {}
             }
         }
-        assert_eq!(cpg_parents, [Some(ftes_obs::names::CERTIFY)]);
+        assert_eq!(
+            cpg_parents,
+            [Some(ftes_obs::names::CERTIFY), Some(ftes_obs::names::SYNTHESIZE)]
+        );
     }
 
     #[test]

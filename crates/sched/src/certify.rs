@@ -514,17 +514,6 @@ impl Certifier {
         })
     }
 
-    /// The memoized verdict of a configuration, if any, without counting a
-    /// request: the flow reads it to skip rebuilding a winner whose graph
-    /// the certifier already found over the size budget.
-    pub fn memoized(
-        &self,
-        copies: &CopyMapping,
-        policies: &PolicyAssignment,
-    ) -> Option<CertOutcome> {
-        self.verdicts.get(&config_key(&self.app, copies, policies)).copied()
-    }
-
     /// Takes the FT-CPG and exact schedule of the most recent certification
     /// if it was for exactly this configuration — the flow uses this to
     /// avoid rebuilding the winner's graph for table generation.
@@ -764,10 +753,10 @@ mod tests {
 
     #[test]
     fn a_graph_the_size_bound_proves_over_budget_is_never_built() {
-        // fig3 is an out-tree, so the FT-CPG size bound is its exact node
-        // count: 24 nodes under uniform replication, 53 under uniform
-        // re-execution, 23 with P5 re-executed. A 40-node budget makes the
-        // bound answer the second configuration without a build.
+        // The builder counts an FT-CPG's nodes exactly before building it:
+        // fig3 has 24 nodes under uniform replication, 53 under uniform
+        // re-execution and 23 with P5 re-executed. A 40-node budget makes
+        // the count answer the second configuration without a build.
         let (app, platform, copies, policies) = fig3_instance(2);
         let arch = platform.architecture();
         let mapping = Mapping::cheapest(&app, arch).unwrap();
@@ -783,7 +772,6 @@ mod tests {
         assert_eq!(c.certify(&copies, &policies).unwrap(), CertOutcome::OverBudget);
         assert_eq!(c.stats().graph_too_large, 1);
         assert_eq!(c.anchor.as_ref().unwrap().graph(), &anchored, "the anchor is left as it was");
-        assert_eq!(c.memoized(&copies, &policies), Some(CertOutcome::OverBudget));
         assert_eq!(c.certify(&copies, &policies).unwrap(), CertOutcome::OverBudget);
         assert_eq!((c.stats().cache_hits, c.stats().graph_too_large), (1, 1));
         ftes_obs::set_enabled(false);
