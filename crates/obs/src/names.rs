@@ -23,8 +23,8 @@ pub const SYNTHESIZE: &str = "synthesize";
 pub const OPTIMIZE: &str = "optimize";
 /// One exact certification of a candidate (memoized; see `certify.memo_hit`).
 pub const CERTIFY: &str = "certify";
-/// FT-CPG construction (or the size bound that answers an over-budget
-/// graph without building it).
+/// FT-CPG construction (or the exact node count that answers an
+/// over-budget graph without building it).
 pub const CPG: &str = "cpg";
 /// Exact conditional scheduling of the built FT-CPG.
 pub const SCHEDULE: &str = "schedule";
