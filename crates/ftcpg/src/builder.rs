@@ -63,9 +63,9 @@
 //!   condition set, which lies inside the shared set. So they carry the
 //!   same literals there and are consistent, and their conjunction is the
 //!   union vector. If they disagree, they conflict at the first shared
-//!   process where they differ: one saw a fault where the other saw none.
-//!   So the arrival contexts are the vectors over `S` within the budget,
-//!   which gives the binomial.
+//!   process, in topological order, where they differ: one saw a fault
+//!   where the other saw none. So the arrival contexts are the vectors
+//!   over `S` within the budget, which gives the binomial.
 //! * A validated single copy has `R ≥ k`, so in an arrival at `f` it
 //!   outputs one context per `n ∈ 0..=k−f`: the vectors over `S ∪ {P}`.
 //!   A replicated process outputs its arrival, and a frozen node restarts
@@ -414,7 +414,7 @@ fn check_size(
 /// left out, which makes the count a lower bound past it; a fault budget
 /// that large makes any single-copy chain longer than a practical node
 /// limit anyway.
-const BOUND_MAX_FAULTS: usize = 64;
+const BOUND_MAX_FAULTS: u32 = 64;
 
 /// The module doc's node count: the number of nodes the builder would build
 /// (a lower bound when `k` exceeds [`BOUND_MAX_FAULTS`]), or `None` when
@@ -446,7 +446,6 @@ fn node_count(
     let words = app.process_count().div_ceil(64);
     // Per message: the processes whose conditions its output guards carry.
     let mut sets = vec![0u64; app.message_count() * words];
-    let mut arrivals = vec![0u64; (k as usize).min(BOUND_MAX_FAULTS) + 1];
     let mut set = vec![0u64; words];
     let mut total = 0u64;
     for &pid in app.topological_order() {
@@ -460,20 +459,21 @@ fn node_count(
             total = total.saturating_add(1);
             set.fill(0);
         }
-        // The fault-count vectors over `s` processes that sum to `f`:
-        // C(f+s−1, f), from C(f+s−2, f−1) times (f+s−1)/f.
-        let s: u64 = set.iter().map(|w| u64::from(w.count_ones())).sum();
-        let mut count = 1u64;
-        for (f, a) in (0u64..).zip(arrivals.iter_mut()) {
-            if f > 0 {
-                let next = u128::from(count) * u128::from(f + s - 1) / u128::from(f);
-                count = u64::try_from(next).unwrap_or(u64::MAX);
-            }
-            *a = count;
-        }
         let plans = policies.policy(pid).copies();
-        let mut produced = 0u64;
-        for (f, &a) in (0u32..).zip(&arrivals).filter(|&(_, &a)| a > 0) {
+        let s: u64 = set.iter().map(|w| u64::from(w.count_ones())).sum();
+        let (mut a, mut produced) = (1u64, 0u64);
+        for f in 0..=k.min(BOUND_MAX_FAULTS) {
+            // `a` arrival contexts at `f`: the fault-count vectors over the
+            // `s` processes that sum to `f`, C(f+s−1, f), which is
+            // C(f+s−2, f−1)·(f+s−1)/f.
+            if f > 0 {
+                let next = u128::from(a) * u128::from(u64::from(f) + s - 1) / u128::from(f);
+                a = u64::try_from(next).unwrap_or(u64::MAX);
+            }
+            if a == 0 {
+                // No conditions: one fault-free arrival only.
+                break;
+            }
             // Attempts of a copy with `r` recoveries in an arrival at `f`.
             let attempts = |r: u32| u64::from(r.min(k - f)) + 1;
             if let [plan] = plans {
@@ -729,7 +729,7 @@ impl Builder<'_> {
             self.step(pid)?;
         }
         debug_assert_eq!(self.graph.check_invariants(), Ok(()));
-        let (nodes, exact) = (self.graph.nodes.len() as u64, self.k as usize <= BOUND_MAX_FAULTS);
+        let (nodes, exact) = (self.graph.nodes.len() as u64, self.k <= BOUND_MAX_FAULTS);
         debug_assert!(
             count.is_none_or(|c| if exact { c == nodes } else { c <= nodes }),
             "node count {count:?} disagrees with the built node count {nodes}"
